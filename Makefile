@@ -3,7 +3,7 @@ FUZZTIME ?= 15s
 BENCH_DIR ?= bench-out
 COVER_MIN ?= 78.0
 
-.PHONY: check fmt vet build test race bench cover fuzz-smoke bench-smoke bench-delta ingest-race serve-smoke metrics-lint vuln
+.PHONY: check fmt vet build test race bench cover fuzz-smoke bench-smoke ingest-race serve-smoke metrics-lint vuln
 
 ## check: the full gate — formatting, vet, build, tests under the race
 ## detector, and the metrics-name lint
@@ -54,8 +54,6 @@ bench-smoke:
 	mkdir -p $(BENCH_DIR)
 	$(GO) run ./cmd/spexbench -fig 14 -scale 0.1 -check -json $(BENCH_DIR)
 	$(GO) run ./cmd/spexbench -fig 15 -scale 0.02 -check -json $(BENCH_DIR)
-	$(GO) run ./cmd/spexbench -fig sdi -scale 0.01 -check -json $(BENCH_DIR)
-	$(GO) run ./cmd/spexbench -fig sdi-shared -scale 0.005 -check -json $(BENCH_DIR)
 	$(GO) run ./cmd/spexbench -fig adversarial -scale 0.01 -check -json $(BENCH_DIR)
 	$(GO) run ./cmd/spexbench -fig obs-overhead -scale 0.05 -max-overhead 10 -check -json $(BENCH_DIR)
 	$(GO) run ./cmd/spexbench -fig early-term -scale 0.02 -check -json $(BENCH_DIR)
@@ -64,16 +62,6 @@ bench-smoke:
 	$(GO) test -run 'TestCountModeZeroAlloc$$' -count 1 .
 	$(GO) test -run 'TestIngestZeroAlloc$$' -count 1 ./internal/xmlstream
 	$(GO) test -run NONE -bench 'BenchmarkAblationInterning$$' -benchtime 1x .
-
-## bench-delta: benchstat-style comparison of $(BENCH_DIR) against a
-## previous run's reports in $(BENCH_PREV). With DELTA_MAX > 0 it is a
-## regression gate: a SPEX DMOZ qualifier workload slowing down by more than
-## DELTA_MAX percent fails the target; a missing $(BENCH_PREV) (first run,
-## expired cache) only warns, so a cache miss cannot block CI.
-BENCH_PREV ?= bench-prev
-DELTA_MAX ?= 10
-bench-delta:
-	$(GO) run ./cmd/spexbench -json $(BENCH_DIR) -delta $(BENCH_PREV) -delta-max $(DELTA_MAX)
 
 ## ingest-race: the ingest lockdown under the race detector — the
 ## seed-vs-zerocopy-vs-parallel differential harness, the chunk-scan

@@ -9,13 +9,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/multi"
-	"repro/internal/xmlstream"
+	"repro/internal/spexnet"
 )
 
 // The golden adversarial corpus: testdata/adversarial/corpus.txt pins the
 // shapes, sizes, queries and answer counts; TestAdversarialGoldenManifest
 // guards the pin against drift, and TestAdversarialGoldenCorpus evaluates
-// a scaled rendition of every shape on all three multi-query engines. The
+// a scaled rendition of every shape alone and through the set engine. The
 // full-size counts are validated by the CI adversarial sweep (spexbench
 // -fig adversarial -check is self-checking against the same table) —
 // running the depth-10k and qualifier-bomb shapes ungoverned inside every
@@ -48,9 +48,9 @@ func TestAdversarialGoldenManifest(t *testing.T) {
 	}
 }
 
-// TestAdversarialGoldenCorpus runs every shape, scaled to test size, on
-// the sequential, shared and parallel engines: each must report exactly
-// the corpus's (scaled) pinned count.
+// TestAdversarialGoldenCorpus runs every shape, scaled to test size, as a
+// single-query evaluation and through the set engine, inline and sharded:
+// each must report exactly the corpus's (scaled) pinned count.
 func TestAdversarialGoldenCorpus(t *testing.T) {
 	scale := 0.02
 	if testing.Short() {
@@ -63,37 +63,25 @@ func TestAdversarialGoldenCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sub := func() []multi.Subscription {
-				return []multi.Subscription{{Name: "q", Plan: plan}}
-			}
-			engines := map[string]interface {
-				Run(src xmlstream.Source) error
-				Matches() map[string]int64
-			}{}
-			if s, err := multi.NewSet(sub()); err == nil {
-				engines["sequential"] = s
-			} else {
-				t.Fatal(err)
-			}
-			if s, err := multi.NewSharedSet(sub()); err == nil {
-				engines["shared"] = s
-			} else {
-				t.Fatal(err)
-			}
-			if s, err := multi.NewParallelSet(sub(), multi.ParallelOptions{Shards: 2}); err == nil {
-				engines["parallel"] = s
-			} else {
-				t.Fatal(err)
-			}
-			for name, eng := range engines {
-				if err := eng.Run(c.Doc.Stream()); err != nil {
-					t.Fatalf("%s: %v", name, err)
+			check := func(arm string, got int64, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", arm, err)
 				}
-				if got := eng.Matches()["q"]; got != c.Want {
+				if got != c.Want {
 					t.Errorf("%s: %q over %s(%d) counted %d, want %d",
-						name, c.Query, c.Doc.Name, c.Size, got, c.Want)
+						arm, c.Query, c.Doc.Name, c.Size, got, c.Want)
 				}
 			}
+			stats, err := plan.Evaluate(c.Doc.Stream(), core.EvalOptions{Mode: spexnet.ModeCount})
+			check("single", stats.Output.Matches, err)
+			sub := []multi.Subscription{{Name: "q", Plan: plan}}
+			got, err := countThrough(func() (fuzzSet, error) { return multi.NewMergedSet(sub) }, c.Doc.Stream())
+			check("inline", got, err)
+			got, err = countThrough(func() (fuzzSet, error) {
+				return multi.NewParallelSet(sub, multi.ParallelOptions{Shards: 2})
+			}, c.Doc.Stream())
+			check("parallel", got, err)
 		})
 	}
 }

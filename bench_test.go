@@ -442,19 +442,43 @@ func BenchmarkMultiQueryScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("n%d/separate", n), func(b *testing.B) {
 			b.SetBytes(int64(len(doc)))
 			for i := 0; i < b.N; i++ {
-				set, err := multi.NewSet(subs)
-				if err != nil {
-					b.Fatal(err)
+				// One private network per query, all fed from one scan: the
+				// naive SDI deployment the shared network is measured against.
+				symtab := xmlstream.NewSymtab()
+				runs := make([]*core.Run, len(subs))
+				for j, sub := range subs {
+					run, err := sub.Plan.NewRun(core.EvalOptions{Mode: spexnet.ModeNodes, Symtab: symtab})
+					if err != nil {
+						b.Fatal(err)
+					}
+					runs[j] = run
 				}
-				if err := set.Run(xmlstream.NewScanner(bytes.NewReader(doc), xmlstream.WithText(false))); err != nil {
-					b.Fatal(err)
+				src := xmlstream.NewScanner(bytes.NewReader(doc), xmlstream.WithText(false), xmlstream.WithSymtab(symtab))
+				for {
+					ev, err := src.Next()
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, run := range runs {
+						if err := run.Feed(ev); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				for _, run := range runs {
+					if err := run.Close(); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("n%d/shared", n), func(b *testing.B) {
 			b.SetBytes(int64(len(doc)))
 			for i := 0; i < b.N; i++ {
-				set, err := multi.NewSharedSet(subs)
+				set, err := multi.NewMergedSet(subs)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/multi"
+	"repro/internal/spexnet"
 	"repro/internal/xmlstream"
 )
 
@@ -79,63 +80,106 @@ func TestByteBoundaryInvariance(t *testing.T) {
 	}
 }
 
-// TestEventBoundaryInvariance feeds the event stream to each multi-query
-// engine in random batches through the push API (Feed + Close): every
-// engine must report exactly the counts of the single-shot Run, regardless
-// of where the batch boundaries fall.
+// singleRuns feeds one private push-mode run per query in lockstep — the
+// per-query reference of the push API, with no set engine involved.
+type singleRuns struct {
+	names []string
+	runs  []*core.Run
+}
+
+func (s singleRuns) Feed(ev xmlstream.Event) error {
+	for _, r := range s.runs {
+		if err := r.Feed(ev); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (s singleRuns) Close() error {
+	for _, r := range s.runs {
+		if err := r.Close(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (s singleRuns) Matches() map[string]int64 {
+	out := make(map[string]int64, len(s.runs))
+	for i, r := range s.runs {
+		out[s.names[i]] = r.Matches()
+	}
+	return out
+}
+
+// TestEventBoundaryInvariance feeds the event stream in random batches
+// through the push API (Feed + Close) to per-query single runs
+// ("sequential"), the one set network ("shared") and its sharded wrapper
+// ("parallel"): each must report exactly the counts of the single runs fed
+// the whole stream at once, regardless of where the batch boundaries fall.
 func TestEventBoundaryInvariance(t *testing.T) {
 	events, err := xmlstream.Collect(xmlstream.NewScanner(strings.NewReader(boundaryDoc)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	newEngines := func(t *testing.T) map[string]interface {
+	type pushEngine interface {
 		Feed(ev xmlstream.Event) error
 		Close() error
 		Matches() map[string]int64
-	} {
+	}
+	plans := make([]*core.Plan, len(boundaryQueries))
+	for i, expr := range boundaryQueries {
+		if plans[i], err = core.Prepare(expr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newSingle := func(t *testing.T) pushEngine {
 		t.Helper()
-		subs := func() []multi.Subscription {
-			var subs []multi.Subscription
-			for _, expr := range boundaryQueries {
-				plan, err := core.Prepare(expr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				subs = append(subs, multi.Subscription{Name: expr, Plan: plan})
+		single := singleRuns{names: boundaryQueries}
+		for _, plan := range plans {
+			run, err := plan.NewRun(core.EvalOptions{Mode: spexnet.ModeCount})
+			if err != nil {
+				t.Fatal(err)
 			}
-			return subs
+			single.runs = append(single.runs, run)
 		}
-		seq, err := multi.NewSet(subs())
+		return single
+	}
+	newEngines := func(t *testing.T) map[string]pushEngine {
+		t.Helper()
+		subs := make([]multi.Subscription, len(plans))
+		for i, plan := range plans {
+			subs[i] = multi.Subscription{Name: boundaryQueries[i], Plan: plan}
+		}
+		sh, err := multi.NewMergedSet(subs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, err := multi.NewSharedSet(subs())
+		par, err := multi.NewParallelSet(subs, multi.ParallelOptions{Shards: 2, BatchSize: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := multi.NewParallelSet(subs(), multi.ParallelOptions{Shards: 2, BatchSize: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return map[string]interface {
-			Feed(ev xmlstream.Event) error
-			Close() error
-			Matches() map[string]int64
-		}{"sequential": seq, "shared": sh, "parallel": par}
+		return map[string]pushEngine{"sequential": newSingle(t), "shared": sh, "parallel": par}
 	}
 
-	// Reference counts: one whole-stream run per engine.
-	want := map[string]map[string]int64{}
-	for name, eng := range newEngines(t) {
-		for _, ev := range events {
-			if err := eng.Feed(ev); err != nil {
-				t.Fatalf("%s reference feed: %v", name, err)
-			}
+	// Reference counts: the single runs fed the whole stream in one go.
+	ref := newSingle(t)
+	for _, ev := range events {
+		if err := ref.Feed(ev); err != nil {
+			t.Fatalf("reference feed: %v", err)
 		}
-		if err := eng.Close(); err != nil {
-			t.Fatalf("%s reference close: %v", name, err)
-		}
-		want[name] = eng.Matches()
+	}
+	if err := ref.Close(); err != nil {
+		t.Fatalf("reference close: %v", err)
+	}
+	want := ref.Matches()
+	var total int64
+	for _, n := range want {
+		total += n
+	}
+	if total == 0 {
+		t.Fatal("reference found no answers; workload broken")
 	}
 
 	rng := rand.New(rand.NewSource(11))
@@ -160,7 +204,7 @@ func TestEventBoundaryInvariance(t *testing.T) {
 				t.Fatalf("%s round %d close: %v", name, round, err)
 			}
 			got := eng.Matches()
-			for q, w := range want[name] {
+			for q, w := range want {
 				if got[q] != w {
 					t.Fatalf("%s round %d (%d batches): %q counted %d, want %d",
 						name, round, len(batches), q, got[q], w)

@@ -23,9 +23,10 @@
 //	-trace-node  only trace transducers whose name contains a substring
 //	-window N  evaluate in windows of N top-level records (see §I of the
 //	           paper on the exactness caveat of windows)
-//	-engine E  evaluate through the multi-query engine the spexd server
-//	           uses: sequential, shared or parallel[:shards] (requires
-//	           -count or -nodes)
+//	-engine E  evaluate through the set engine the spexd server uses:
+//	           merged (inline) or parallel[:shards]; the legacy names
+//	           sequential and shared mean merged (requires -count or
+//	           -nodes)
 //	-file F    evaluate file F through the mmap + zero-copy ingest fast
 //	           path: the document is mapped read-only and scanned in place,
 //	           with no per-event allocation
@@ -75,7 +76,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		traceNode = fs.String("trace-node", "", "only trace transducers whose name contains one of these comma-separated substrings")
 		traceID   = fs.String("trace-id", "", "stream trace id stamped on every -trace record (correlates runs in shared logs)")
 		windowN   = fs.Int("window", 0, "evaluate in windows of N top-level records (0 = exact whole-stream evaluation)")
-		engine    = fs.String("engine", "", "evaluate through the multi-query engine: sequential, shared or parallel[:shards] (requires -count or -nodes)")
+		engine    = fs.String("engine", "", "evaluate through the set engine: merged or parallel[:shards]; sequential and shared are accepted and mean merged (requires -count or -nodes)")
 		file      = fs.String("file", "", "evaluate this file through the mmap + zero-copy ingest fast path (no positional file or stdin)")
 		pscan     = fs.Int("pscan", 0, "with -file: parallel chunk-scan worker count (0 = serial zero-copy scan, negative = one per CPU)")
 	)
@@ -131,7 +132,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			return fmt.Errorf("-engine cannot combine with -trace, -stats, -window or -cq")
 		}
 		if !*count && !*nodes {
-			return fmt.Errorf("-engine requires -count or -nodes (the multi-query engines report answer positions, not subtrees)")
+			return fmt.Errorf("-engine requires -count or -nodes (the set engine reports answer positions, not subtrees)")
 		}
 		return runEngine(*engine, *query, *xpath, in, doc, *pscan, out, *count)
 	}
@@ -245,9 +246,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// runEngine evaluates the query through the same engine selection the
-// server's channels use (spex.Set on sequential, shared or parallel), so
-// the CLI can sanity-check an engine against the plain evaluator.
+// runEngine evaluates the query through the same spex.Set and shard
+// selection the server's channels use, so the CLI can sanity-check the set
+// engine, inline or sharded, against the plain evaluator.
 func runEngine(sel, query string, xpath bool, in io.Reader, doc *xmlstream.Doc, pscan int, out *bufio.Writer, countOnly bool) error {
 	eng, err := server.ParseEngine(sel)
 	if err != nil {
@@ -262,7 +263,10 @@ func runEngine(sel, query string, xpath bool, in io.Reader, doc *xmlstream.Doc, 
 	if err != nil {
 		return err
 	}
-	setOpts := []spex.SetOption{eng.Option()}
+	var setOpts []spex.SetOption
+	if eng.Shards != 0 {
+		setOpts = append(setOpts, spex.Parallel(eng.Shards))
+	}
 	if pscan != 0 {
 		setOpts = append(setOpts, spex.ParallelScan(pscan))
 	}

@@ -186,9 +186,9 @@ func TestCLIWindowed(t *testing.T) {
 	}
 }
 
-// TestEngineFlag: every -engine selection must reproduce the plain
-// evaluator's golden -nodes and -count output, and the flag refuses
-// combinations the multi-query engines cannot honour.
+// TestEngineFlag: every -engine selection, legacy names included, must
+// reproduce the plain evaluator's golden -nodes and -count output, and the
+// flag refuses combinations the set engine cannot honour.
 func TestEngineFlag(t *testing.T) {
 	wantNodes, _, err := runCLI(t, []string{"-q", "_*.c", "-nodes"}, paperDoc)
 	if err != nil {
@@ -198,7 +198,7 @@ func TestEngineFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []string{"sequential", "shared", "parallel", "parallel:2"} {
+	for _, engine := range []string{"sequential", "shared", "merged", "parallel", "parallel:2"} {
 		out, _, err := runCLI(t, []string{"-q", "_*.c", "-nodes", "-engine", engine}, paperDoc)
 		if err != nil {
 			t.Fatalf("-engine %s: %v", engine, err)

@@ -7,12 +7,6 @@
 //	spexbench -fig 14         # Figure 14 only (MONDIAL + WordNet, 3 engines)
 //	spexbench -fig 15         # Figure 15 only (DMOZ, SPEX; baselines refuse)
 //	spexbench -fig mem        # the §VI memory table
-//	spexbench -fig sdi        # the multi-query SDI sweep (subs × shards)
-//	spexbench -fig sdi-shared # the overlapping-subscription corpus:
-//	                          # per-query private networks vs the merged
-//	                          # query-set network; -check pins per-query
-//	                          # answer counts equal across the two
-//	                          # (-overlap tunes the corpus)
 //	spexbench -fig adversarial
 //	                          # the governor attack corpus: each shape
 //	                          # count-validated ungoverned, then re-run
@@ -50,13 +44,6 @@
 //	spexbench -http :6060     # serve live metrics (Prometheus + JSON) and
 //	                          # net/http/pprof while the benchmarks run
 //	spexbench -json DIR       # also write machine-readable BENCH_*.json
-//	spexbench -json NEW -delta OLD
-//	                          # compare NEW's BENCH_*.json against OLD's
-//	                          # (benchstat-style ns/element table; no runs)
-//	spexbench -json NEW -delta OLD -delta-max 10
-//	                          # same, as a regression gate: fail if a SPEX
-//	                          # DMOZ qualifier workload slowed by >10%
-//	                          # (warn-only when OLD is missing)
 //
 // With -v, long runs print a periodic progress line (events/sec, depth,
 // matches, heap) sourced from the same live metrics registry.
@@ -101,27 +88,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("spexbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		fig      = fs.String("fig", "all", "which experiment: 14, 15, mem, sdi, sdi-shared, adversarial, obs-overhead, early-term, value-pred, ingest, all")
+		fig      = fs.String("fig", "all", "which experiment: 14, 15, mem, adversarial, obs-overhead, early-term, value-pred, ingest, all")
 		workers  = fs.Int("workers", 0, "ingest: parallel chunk-scan worker count (0 = one per CPU)")
-		overlap  = fs.Float64("overlap", bench.SDISharedOverlap, "sdi-shared: probability that a generated subscription derives from an earlier one")
 		scale    = fs.Float64("scale", 0, "document scale; 0 = defaults (1 for Fig. 14, 0.05 for Fig. 15)")
 		verbose  = fs.Bool("v", false, "stream per-measurement progress and a periodic live-metrics line")
 		fullDMOZ = fs.Bool("full-dmoz", false, "run Fig. 15 at the paper's full scale (slow; equivalent to -scale 1)")
 		httpAddr = fs.String("http", "", "serve live metrics and pprof on this address while running (e.g. :6060)")
 		jsonDir  = fs.String("json", "", "write machine-readable BENCH_*.json reports into this directory")
 		check    = fs.Bool("check", false, "fail if any non-skipped measurement reports zero answers")
-		deltaDir = fs.String("delta", "", "compare the BENCH_*.json reports in the -json directory against this previous-report directory and print a delta table (no benchmarks are run)")
-		deltaMax = fs.Float64("delta-max", 0, "with -delta: fail if a SPEX DMOZ qualifier workload's ns/element regressed by more than this percent (0 = informational only; a missing previous directory never fails)")
 		maxOver  = fs.Float64("max-overhead", 0, "obs-overhead gate: fail if the instrumented leg loses more than this percent throughput vs NoObs (0 = report only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *deltaDir != "" {
-		if *jsonDir == "" {
-			return fmt.Errorf("-delta requires -json NEWDIR naming the current reports")
-		}
-		return bench.CompareReports(stdout, *deltaDir, *jsonDir, *deltaMax)
 	}
 	var progress io.Writer
 	if *verbose {
@@ -158,8 +136,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	runFig14 := *fig == "14" || *fig == "all"
 	runFig15 := *fig == "15" || *fig == "all"
 	runMem := *fig == "mem" || *fig == "all"
-	runSDI := *fig == "sdi" || *fig == "all"
-	runSDIShared := *fig == "sdi-shared" || *fig == "all"
 	runAdv := *fig == "adversarial" || *fig == "adv" || *fig == "all"
 	runObs := *fig == "obs-overhead" || *fig == "obs" || *fig == "all"
 	runEarly := *fig == "early-term" || *fig == "early" || *fig == "all"
@@ -222,64 +198,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		if err := memoryTable(stdout, s); err != nil {
 			return err
-		}
-	}
-	if runSDI {
-		s := *scale
-		if s == 0 {
-			s = 0.02
-		}
-		ms, err := figureSDI(stdout, progress, s, observer)
-		if err != nil {
-			return err
-		}
-		if *jsonDir != "" && len(ms) > 0 {
-			f, err := os.Create(filepath.Join(*jsonDir, "BENCH_sdi.json"))
-			if err != nil {
-				return err
-			}
-			err = bench.WriteSDIJSON(f, ms)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return err
-			}
-		}
-		if *check {
-			for _, m := range ms {
-				if m.Matches == 0 {
-					return fmt.Errorf("sdi: %s with %d subs, %d shards reported zero answers", m.Mode, m.Subs, m.Shards)
-				}
-			}
-		}
-	}
-	if runSDIShared {
-		s := *scale
-		if s == 0 {
-			s = 0.02
-		}
-		ms, err := figureSDIShared(stdout, progress, s, *overlap, observer)
-		if err != nil {
-			return err
-		}
-		if *jsonDir != "" && len(ms) > 0 {
-			f, err := os.Create(filepath.Join(*jsonDir, "BENCH_sdi_shared.json"))
-			if err != nil {
-				return err
-			}
-			err = bench.WriteSDISharedJSON(f, ms)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return err
-			}
-		}
-		if *check {
-			if err := bench.CheckSDIShared(ms); err != nil {
-				return err
-			}
 		}
 	}
 	if runAdv {
@@ -491,33 +409,6 @@ func figureAdversarial(out, progress io.Writer, scale float64, o *bench.Observer
 	title := fmt.Sprintf("\nAdversarial corpus (scale %g) — governed leg caps: candidates ≤ %d, depth ≤ %d",
 		scale, caps.MaxCandidates, caps.MaxDepth)
 	bench.WriteAdversarialTable(out, title, ms)
-	return ms, nil
-}
-
-// figureSDIShared runs the shared-corpus sweep (EXPERIMENTS.md E21): an
-// overlapping subscription corpus evaluated on per-query private networks,
-// then on the query-set compiler's merged network, per-query counts
-// cross-checked.
-func figureSDIShared(out, progress io.Writer, scale, overlap float64, o *bench.Observer) ([]bench.SDISharedMeasurement, error) {
-	ms, err := bench.RunSDISharedSweep(scale, overlap, bench.SDISharedSubCounts, progress, o)
-	if err != nil {
-		return ms, err
-	}
-	title := fmt.Sprintf("\nSDI shared corpus — dmoz-structure (scale %g), overlap %g: private networks vs merged set", scale, overlap)
-	bench.WriteSDISharedTable(out, title, ms)
-	return ms, nil
-}
-
-// figureSDI runs the multi-query SDI sweep: subscription count × shard
-// count on the DMOZ-shaped structure document, sequential shared-network
-// baseline included.
-func figureSDI(out, progress io.Writer, scale float64, o *bench.Observer) ([]bench.SDIMeasurement, error) {
-	ms, err := bench.RunSDISweep(scale, bench.SDISubCounts, bench.SDIShardCounts(), progress, o)
-	if err != nil {
-		return ms, err
-	}
-	title := fmt.Sprintf("\nSDI — dmoz-structure (scale %g), %d worker cores available", scale, runtime.GOMAXPROCS(0))
-	bench.WriteSDITable(out, title, ms)
 	return ms, nil
 }
 

@@ -51,40 +51,6 @@ func TestFigureTablesSmoke(t *testing.T) {
 	}
 }
 
-// TestSDIFigureSmoke runs the SDI sweep at a tiny scale with the shape
-// check on and validates the table and the JSON report.
-func TestSDIFigureSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	dir := t.TempDir()
-	var out, errBuf bytes.Buffer
-	if err := run([]string{"-fig", "sdi", "-scale", "0.001", "-check", "-json", dir}, &out, &errBuf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"SDI — dmoz-structure", "shared", "parallel", "speedup"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("missing %q in:\n%s", want, out.String())
-		}
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_sdi.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ms []map[string]any
-	if err := json.Unmarshal(data, &ms); err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) == 0 {
-		t.Fatal("empty report")
-	}
-	for _, field := range []string{"dataset", "subs", "mode", "shards", "matches", "elements_per_sec"} {
-		if _, ok := ms[0][field]; !ok {
-			t.Errorf("missing field %q in %v", field, ms[0])
-		}
-	}
-}
-
 // TestJSONReport runs a tiny Figure-14 session with -json and validates the
 // machine-readable report.
 func TestJSONReport(t *testing.T) {

@@ -3,7 +3,7 @@
 // named channels, stream XML documents into them, and receive progressive
 // answers as NDJSON frames.
 //
-//	spexd -addr 127.0.0.1:8080 -engine shared
+//	spexd -addr 127.0.0.1:8080 -engine parallel:4
 //
 // The API:
 //
@@ -54,7 +54,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		addr         = fs.String("addr", "127.0.0.1:8080", "listen address")
-		engine       = fs.String("engine", "", "default channel engine: sequential, shared (default) or parallel[:shards]")
+		engine       = fs.String("engine", "", "default channel sharding: merged (inline, the default) or parallel[:shards]; sequential and shared are accepted and mean merged")
 		maxChannels  = fs.Int("max-channels", 0, "max named channels (0 = default, <0 = unlimited)")
 		maxSubs      = fs.Int("max-subscriptions", 0, "max subscriptions process-wide")
 		maxChanSubs  = fs.Int("max-channel-subscriptions", 0, "max subscriptions per channel")

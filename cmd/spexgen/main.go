@@ -17,9 +17,10 @@
 //	spexgen -adversarial fanout-late -n 100000 | spexbench ...
 //	spexgen -adversarial list
 //
-// Subscription corpora (the overlapping query sets the sdi-shared figure
-// and the merged engine consume) are selected with -subs, one query per
-// line; -overlap tunes how often a query derives from an earlier one:
+// Subscription corpora (the overlapping query sets the repository
+// benchmark's sdi_merged workload evaluates) are selected with -subs, one
+// query per line; -overlap tunes how often a query derives from an earlier
+// one:
 //
 //	spexgen -subs 256 -overlap 0.6 > corpus.txt
 package main

@@ -79,9 +79,11 @@ func TestLimitedPrefixCrossValidation(t *testing.T) {
 	}
 }
 
-// TestSetLimitedPrefixAllEngines cross-validates the three set engines on
-// limited queries: each engine must deliver exactly the unlimited prefix per
-// query, and Determined must report whether the whole set resolved early.
+// TestSetLimitedPrefixAllEngines cross-validates limited queries three ways
+// — "sequential", every query alone in its own pass; "shared", the set's one
+// network; "parallel", that network sharded: each must deliver exactly the
+// unlimited prefix per query, and must report whether everything resolved
+// early.
 func TestSetLimitedPrefixAllEngines(t *testing.T) {
 	data := dataset.DMOZStructure(0.0005).Bytes()
 	exprs := []string{"_*.Topic.Title", "_*.Topic[editor].Title", "_*.Topic.link"}
@@ -94,13 +96,36 @@ func TestSetLimitedPrefixAllEngines(t *testing.T) {
 		}
 		fullCounts[i] = c
 	}
+	// evaluate returns per-query counts and whether every query's answer
+	// was fixed before the end of the stream.
+	type evaluate func(t *testing.T, queries []*Query) (counts []int64, determined bool)
+	viaSet := func(opts ...SetOption) evaluate {
+		return func(t *testing.T, queries []*Query) ([]int64, bool) {
+			set := NewSet(queries, nil, opts...)
+			if err := set.Evaluate(strings.NewReader(string(data))); err != nil {
+				t.Fatal(err)
+			}
+			return set.Counts(), set.Determined()
+		}
+	}
 	engines := []struct {
 		name string
-		opt  SetOption
+		eval evaluate
 	}{
-		{"sequential", Sequential()},
-		{"shared", Shared()},
-		{"parallel", Parallel(2)},
+		{"sequential", func(t *testing.T, queries []*Query) ([]int64, bool) {
+			counts, determined := make([]int64, len(queries)), true
+			for i, q := range queries {
+				stats, err := q.Matches(strings.NewReader(string(data)), func(Match) {})
+				if err != nil {
+					t.Fatal(err)
+				}
+				counts[i] = stats.Output.Matches
+				determined = determined && stats.Determined
+			}
+			return counts, determined
+		}},
+		{"shared", viaSet()},
+		{"parallel", viaSet(Parallel(2))},
 	}
 	const k = 5
 	for _, eng := range engines {
@@ -109,11 +134,8 @@ func TestSetLimitedPrefixAllEngines(t *testing.T) {
 			for i, e := range exprs {
 				queries[i] = MustCompile(e).Limited(k)
 			}
-			set := NewSet(queries, nil, eng.opt)
-			if err := set.Evaluate(strings.NewReader(string(data))); err != nil {
-				t.Fatal(err)
-			}
-			for i, c := range set.Counts() {
+			counts, determined := eng.eval(t, queries)
+			for i, c := range counts {
 				want := fullCounts[i]
 				if want > k {
 					want = k
@@ -122,20 +144,17 @@ func TestSetLimitedPrefixAllEngines(t *testing.T) {
 					t.Fatalf("query %d count = %d, want min(%d, %d)", i, c, k, fullCounts[i])
 				}
 			}
-			if !set.Determined() {
+			if !determined {
 				t.Fatal("all-limited set did not report Determined")
 			}
 
 			// A mixed set — one unlimited member — must consume the whole
 			// stream and must not claim early determination.
-			mixed := NewSet([]*Query{MustCompile(exprs[0]).Limited(k), MustCompile(exprs[1])}, nil, eng.opt)
-			if err := mixed.Evaluate(strings.NewReader(string(data))); err != nil {
-				t.Fatal(err)
-			}
-			if got := mixed.Counts()[1]; got != fullCounts[1] {
+			counts, determined = eng.eval(t, []*Query{MustCompile(exprs[0]).Limited(k), MustCompile(exprs[1])})
+			if got := counts[1]; got != fullCounts[1] {
 				t.Fatalf("unlimited member count = %d, want %d", got, fullCounts[1])
 			}
-			if mixed.Determined() {
+			if determined {
 				t.Fatal("mixed set claimed Determined")
 			}
 		})

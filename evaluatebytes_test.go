@@ -6,10 +6,9 @@ import (
 )
 
 // TestEvaluateBytesParallelScan cross-validates the in-memory evaluation
-// paths against the reader path: for every set engine, EvaluateBytes (the
-// zero-copy scan) and EvaluateBytes under the ParallelScan option (chunk
-// scanning) must deliver exactly the hits Evaluate delivers from a reader,
-// in the same order.
+// paths against the reader path: EvaluateBytes (the zero-copy scan) and
+// EvaluateBytes under the ParallelScan option (chunk scanning) must deliver
+// exactly the hits Evaluate delivers from a reader, in the same order.
 func TestEvaluateBytesParallelScan(t *testing.T) {
 	// Large enough to clear the parallel scanner's splitting threshold, with
 	// text and attributes in play.
@@ -57,24 +56,13 @@ func TestEvaluateBytesParallelScan(t *testing.T) {
 		}
 	}
 
-	engines := []struct {
-		name string
-		opts []SetOption
-	}{
-		{"shared", nil},
-		{"sequential", []SetOption{Sequential()}},
-		{"merged", []SetOption{Merged()}},
+	want := run(nil, false)
+	if len(want) == 0 {
+		t.Fatal("workload broken, no hits")
 	}
-	for _, eng := range engines {
-		want := run(eng.opts, false)
-		if len(want) == 0 {
-			t.Fatalf("%s: workload broken, no hits", eng.name)
-		}
-		same(eng.name+"/bytes", want, run(eng.opts, true))
-		for _, workers := range []int{0, 3} {
-			opts := append(append([]SetOption{}, eng.opts...), ParallelScan(workers))
-			same(eng.name+"/pscan", want, run(opts, true))
-		}
+	same("bytes", want, run(nil, true))
+	for _, workers := range []int{0, 3} {
+		same("pscan", want, run([]SetOption{ParallelScan(workers)}, true))
 	}
 }
 

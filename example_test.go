@@ -56,13 +56,13 @@ func ExampleQuery_MatchesDoc() {
 	// Output: true
 }
 
-// A QuerySet evaluates many queries in one pass through one shared network.
-func ExampleNewQuerySet() {
+// A Set evaluates many queries in one pass through one shared network.
+func ExampleNewSet() {
 	queries := []*spex.Query{
 		spex.MustCompile("a.b"),
 		spex.MustCompile("a.b.c"), // shares the a.b prefix
 	}
-	set := spex.NewQuerySet(queries, nil)
+	set := spex.NewSet(queries, nil)
 	set.Evaluate(strings.NewReader(`<a><b><c/></b></a>`))
 	fmt.Println(set.Counts())
 	// Output: [1 1]

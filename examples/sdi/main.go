@@ -50,10 +50,11 @@ func main() {
 		})
 	}
 
-	// All profiles evaluate in ONE pass through ONE shared transducer
-	// network (§IX's multi-query optimization): the common feed.msg
-	// prefix is compiled and evaluated once for all subscribers.
-	set, err := multi.NewSharedSet(subs)
+	// All profiles evaluate in ONE pass through ONE merged transducer
+	// network (§IX's multi-query optimization): the set compiler collapses
+	// equivalent profiles onto one sink, and the common feed.msg prefix is
+	// compiled and evaluated once for all subscribers.
+	set, err := multi.NewMergedSet(subs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,10 +69,10 @@ func main() {
 	}
 
 	// At service scale the same subscriptions run on a sharded worker
-	// pool: each shard owns one shared network, the feeder broadcasts
-	// batched events over bounded channels, and a single sink goroutine
-	// delivers the callbacks — per-subscriber order preserved, answers
-	// identical to the sequential engines above.
+	// pool: each shard owns the merged network of its partition, the feeder
+	// broadcasts batched events over bounded channels, and a single sink
+	// goroutine delivers the callbacks — per-subscriber order preserved,
+	// answers identical to the inline set above.
 	pool, err := multi.NewParallelSet(subs, multi.ParallelOptions{Shards: 2})
 	if err != nil {
 		log.Fatal(err)

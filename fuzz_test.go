@@ -1,6 +1,7 @@
 package spex
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/multi"
 	"repro/internal/rpeq"
+	"repro/internal/spexnet"
 	"repro/internal/xmlstream"
 )
 
@@ -76,11 +78,11 @@ func fuzzProg(shape string) []byte {
 }
 
 // FuzzEngineEquivalence is the differential correctness harness: for every
-// query the compiler accepts and every generated document, the sequential,
-// shared and parallel multi-query engines must report exactly the answer
-// count of the DOM tree-walk oracle. The seed corpus covers the paper's
-// Figure-1 running example ("<a><a><c/></a><b/><c/></a>", here nested
-// under the generated root) and the adversarial query shapes.
+// query the compiler accepts and every generated document, single-query
+// evaluation and the set engine — inline and sharded — must report exactly
+// the answer count of the DOM tree-walk oracle. The seed corpus covers the
+// paper's Figure-1 running example ("<a><a><c/></a><b/><c/></a>", here
+// nested under the generated root) and the adversarial query shapes.
 func FuzzEngineEquivalence(f *testing.F) {
 	// Opens/closes spelling Fig. 1's document: <a><a><c/></a><b/><c/></a>.
 	fig1 := fuzzProg("aac..b.c..")
@@ -129,56 +131,34 @@ func FuzzEngineEquivalence(f *testing.F) {
 		}
 		want := int64(len(nodes))
 
-		type engine struct {
-			name string
-			mk   func() (interface {
-				Run(src xmlstream.Source) error
-				Matches() map[string]int64
-			}, error)
+		scan := func() xmlstream.Source {
+			return xmlstream.NewScanner(strings.NewReader(doc), xmlstream.WithText(false))
 		}
-		sub := func() []multi.Subscription {
-			return []multi.Subscription{{Name: "q", Plan: plan}}
-		}
-		engines := []engine{
-			{"sequential", func() (interface {
-				Run(src xmlstream.Source) error
-				Matches() map[string]int64
-			}, error) {
-				return multi.NewSet(sub())
-			}},
-			{"shared", func() (interface {
-				Run(src xmlstream.Source) error
-				Matches() map[string]int64
-			}, error) {
-				return multi.NewSharedSet(sub())
-			}},
-			{"parallel", func() (interface {
-				Run(src xmlstream.Source) error
-				Matches() map[string]int64
-			}, error) {
-				return multi.NewParallelSet(sub(), multi.ParallelOptions{Shards: 2, BatchSize: 3})
-			}},
-			{"merged", func() (interface {
-				Run(src xmlstream.Source) error
-				Matches() map[string]int64
-			}, error) {
-				return multi.NewMergedSet(sub())
-			}},
-		}
-		for _, e := range engines {
-			eng, err := e.mk()
+		check := func(arm string, got int64, err error) {
+			t.Helper()
 			if err != nil {
-				t.Fatalf("%s: building engine for %q: %v", e.name, query, err)
+				t.Fatalf("%s: %q over %q: %v", arm, query, doc, err)
 			}
-			src := xmlstream.NewScanner(strings.NewReader(doc), xmlstream.WithText(false))
-			if err := eng.Run(src); err != nil {
-				t.Fatalf("%s: %q over %q: %v", e.name, query, doc, err)
-			}
-			if got := eng.Matches()["q"]; got != want {
+			if got != want {
 				t.Fatalf("%s diverges from the DOM oracle on %q over %q: %d matches, oracle %d",
-					e.name, query, doc, got, want)
+					arm, query, doc, got, want)
 			}
 		}
+		// The reference arm is the query alone on its own network.
+		stats, err := plan.Evaluate(scan(), core.EvalOptions{Mode: spexnet.ModeCount})
+		check("single", stats.Output.Matches, err)
+		// The set arms run the same plan through the one set engine, inline
+		// and sharded (shards clamp to the one subscription; what the
+		// sharded arm adds is a batch boundary every third event).
+		sub := []multi.Subscription{{Name: "q", Plan: plan}}
+		inline := func() (fuzzSet, error) { return multi.NewMergedSet(sub) }
+		sharded := func() (fuzzSet, error) {
+			return multi.NewParallelSet(sub, multi.ParallelOptions{Shards: 2, BatchSize: 3})
+		}
+		got, err := countThrough(inline, scan())
+		check("inline", got, err)
+		got, err = countThrough(sharded, scan())
+		check("parallel", got, err)
 		// Parallel chunk-scan ingest arm: the stitched event stream must
 		// drive an engine to the oracle's counts too. Split targets are
 		// fuzzed from the program bytes, so boundary choices land inside
@@ -195,18 +175,28 @@ func FuzzEngineEquivalence(f *testing.F) {
 				h ^= h >> 27
 				targets = append(targets, int((h*0x2545F4914F6CDD1D)%uint64(n)))
 			}
-			eng, err := multi.NewSet(sub())
-			if err != nil {
-				t.Fatalf("parallel-scan: building engine for %q: %v", query, err)
-			}
 			src := xmlstream.NewParallelScannerAt([]byte(doc), targets, xmlstream.WithText(false))
-			if err := eng.Run(src); err != nil {
-				t.Fatalf("parallel-scan: %q over %q at %v: %v", query, doc, targets, err)
-			}
-			if got := eng.Matches()["q"]; got != want {
-				t.Fatalf("parallel-scan ingest diverges from the DOM oracle on %q over %q at %v: %d matches, oracle %d",
-					query, doc, targets, got, want)
-			}
+			got, err := countThrough(inline, src)
+			check(fmt.Sprintf("parallel-scan ingest at %v", targets), got, err)
 		}
 	})
+}
+
+// fuzzSet is what the harness needs of a set engine.
+type fuzzSet interface {
+	Run(src xmlstream.Source) error
+	Matches() map[string]int64
+}
+
+// countThrough builds a set engine, drains src through it and returns the
+// count of the one subscription "q".
+func countThrough(mk func() (fuzzSet, error), src xmlstream.Source) (int64, error) {
+	eng, err := mk()
+	if err != nil {
+		return 0, err
+	}
+	if err := eng.Run(src); err != nil {
+		return 0, err
+	}
+	return eng.Matches()["q"], nil
 }

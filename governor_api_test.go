@@ -2,6 +2,7 @@ package spex
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"testing"
 )
@@ -55,20 +56,29 @@ func TestWithResourceLimitsDegradeKeepsCounts(t *testing.T) {
 	}
 }
 
+// TestSetGovernedAllEngines: the same candidate cap trips with the same
+// typed error whether the query runs alone ("sequential"), in the set's one
+// network ("shared") or in a shard of it ("parallel").
 func TestSetGovernedAllEngines(t *testing.T) {
+	q := MustCompile("_+[b]")
+	limits := ResourceLimits{MaxCandidates: 4}
+	viaSet := func(opts ...SetOption) func(r io.Reader) error {
+		return NewSet([]*Query{q}, nil, append(opts, Governed(limits, PolicyFail))...).Evaluate
+	}
 	engines := []struct {
 		name string
-		opt  SetOption
+		eval func(r io.Reader) error
 	}{
-		{"sequential", Sequential()},
-		{"shared", Shared()},
-		{"parallel", Parallel(2)},
+		{"sequential", func(r io.Reader) error {
+			_, err := q.Count(r, WithResourceLimits(limits, PolicyFail))
+			return err
+		}},
+		{"shared", viaSet()},
+		{"parallel", viaSet(Parallel(2))},
 	}
 	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
-			set := NewSet([]*Query{MustCompile("_+[b]")}, nil,
-				eng.opt, Governed(ResourceLimits{MaxCandidates: 4}, PolicyFail))
-			err := set.Evaluate(strings.NewReader(govChainDoc(32)))
+			err := eng.eval(strings.NewReader(govChainDoc(32)))
 			if err == nil {
 				t.Fatal("governed Evaluate: no error, want candidate limit trip")
 			}
@@ -82,7 +92,6 @@ func TestSetGovernedAllEngines(t *testing.T) {
 func TestSetGovernedShedDropsOnlyTrippingQuery(t *testing.T) {
 	m := NewMetrics()
 	set := NewSet([]*Query{MustCompile("_+[b]"), MustCompile("a")}, nil,
-		Shared(),
 		Governed(ResourceLimits{MaxCandidates: 4}, PolicyShed),
 		SetMetrics(m))
 	if err := set.Evaluate(strings.NewReader(govChainDoc(32))); err != nil {

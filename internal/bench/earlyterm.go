@@ -44,9 +44,7 @@ type EarlyTermMeasurement struct {
 }
 
 // EarlyTermQueries are the limited workloads of the figure: the paper's DMOZ
-// class-1 query under first-answer and small-k limits. Qualifier-free on
-// purpose — the bench-delta regression gate watches the qualifier rows of
-// Figure 15, and a prefix read's ns/element is too noisy to gate on.
+// class-1 query under first-answer and small-k limits.
 var EarlyTermQueries = []struct {
 	Query string
 	Limit int64
@@ -164,8 +162,8 @@ func WriteEarlyTermTable(w io.Writer, title string, ms []EarlyTermMeasurement) {
 }
 
 // jsonEarlyTerm is the machine-readable row of BENCH_early_term.json. It
-// deliberately has no engine/ns_per_element fields: the delta tooling gates
-// on steady-state throughput rows, and a truncated prefix read is not one.
+// deliberately has no engine/ns_per_element fields: those describe
+// steady-state throughput, and a truncated prefix read is not that.
 type jsonEarlyTerm struct {
 	Dataset            string  `json:"dataset"`
 	Query              string  `json:"query"`

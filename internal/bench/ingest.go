@@ -208,8 +208,8 @@ func CheckIngest(ms []IngestMeasurement) error {
 }
 
 // IngestMeasurements converts the ablation's cells to harness measurements
-// so the JSON report (and the bench delta gate reading it) shares one row
-// schema: engine "ingest-<mode>", query "scan", elements = events.
+// so the JSON report shares the figures' row schema: engine
+// "ingest-<mode>", query "scan", elements = events.
 func IngestMeasurements(ms []IngestMeasurement) []Measurement {
 	out := make([]Measurement, 0, len(ms))
 	for _, m := range ms {

@@ -12,7 +12,7 @@ import (
 // identical event streams (counts and fingerprints — the differential claim
 // behind -check, minus the throughput bar, which only a full-scale run can
 // judge), and the measurements convert cleanly into the shared JSON row
-// schema the delta gate reads.
+// schema.
 func TestIngestAblationShape(t *testing.T) {
 	ms, err := RunIngest(0.002, 2, true, nil)
 	if err != nil {

@@ -380,6 +380,12 @@ func (p *Plan) NewRun(opts EvalOptions) (*Run, error) {
 	return &Run{net: net, metrics: opts.Metrics}, nil
 }
 
+// RunNetwork wraps an already-built network in the push-mode lifecycle. The
+// multi-query engine drives its set network through it, so the synthesized
+// document boundaries, the release at the determining event and the
+// end-of-stream validation are written once, here.
+func RunNetwork(net *spexnet.Network) *Run { return &Run{net: net} }
+
 // Feed pushes one event. The first event must be StartDocument; Feed
 // synthesizes it if the caller starts with an element event.
 func (r *Run) Feed(ev xmlstream.Event) error {

@@ -87,7 +87,7 @@ func (f *Reader) Read(p []byte) (int, error) {
 }
 
 // Source wraps an xmlstream.Source with event-level faults, for consumers
-// fed pre-scanned events (the multi-query engines, push-mode runs) where a
+// fed pre-scanned events (the set engine, push-mode runs) where a
 // byte-level wrapper cannot reach.
 type Source struct {
 	// S is the underlying event source.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/multi"
+	"repro/internal/spexnet"
 	"repro/internal/xmlstream"
 )
 
@@ -87,59 +88,45 @@ func TestStallDelaysButCompletes(t *testing.T) {
 }
 
 // TestEventCutDetectedByEveryEngine cuts the event stream mid-document:
-// every multi-query engine must report the imbalance instead of answering
-// on the truncated prefix as if it were complete.
+// single-query evaluation ("sequential"), the one set network ("shared")
+// and its sharded wrapper ("parallel") must each report the imbalance
+// instead of answering on the truncated prefix as if it were complete.
 func TestEventCutDetectedByEveryEngine(t *testing.T) {
-	newSub := func(t *testing.T) []multi.Subscription {
-		t.Helper()
-		plan, err := multiPlan("_*.c")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []multi.Subscription{{Name: "q", Plan: plan}}
+	plan, err := multiPlan("_*.c")
+	if err != nil {
+		t.Fatal(err)
 	}
+	sub := []multi.Subscription{{Name: "q", Plan: plan}}
 	engines := []struct {
-		name  string
-		build func(t *testing.T) interface {
-			Run(src xmlstream.Source) error
-		}
+		name string
+		run  func(src xmlstream.Source) error
 	}{
-		{"sequential", func(t *testing.T) interface {
-			Run(src xmlstream.Source) error
-		} {
-			s, err := multi.NewSet(newSub(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
+		{"sequential", func(src xmlstream.Source) error {
+			_, err := plan.Evaluate(src, core.EvalOptions{Mode: spexnet.ModeCount})
+			return err
 		}},
-		{"shared", func(t *testing.T) interface {
-			Run(src xmlstream.Source) error
-		} {
-			s, err := multi.NewSharedSet(newSub(t))
+		{"shared", func(src xmlstream.Source) error {
+			s, err := multi.NewMergedSet(sub)
 			if err != nil {
-				t.Fatal(err)
+				return err
 			}
-			return s
+			return s.Run(src)
 		}},
-		{"parallel", func(t *testing.T) interface {
-			Run(src xmlstream.Source) error
-		} {
-			s, err := multi.NewParallelSet(newSub(t), multi.ParallelOptions{Shards: 2})
+		{"parallel", func(src xmlstream.Source) error {
+			s, err := multi.NewParallelSet(sub, multi.ParallelOptions{Shards: 2})
 			if err != nil {
-				t.Fatal(err)
+				return err
 			}
-			return s
+			return s.Run(src)
 		}},
 	}
 	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
-			e := eng.build(t)
 			src := &faults.Source{
 				S:        xmlstream.NewScanner(strings.NewReader(paperDoc), xmlstream.WithText(false)),
 				CutAfter: 4,
 			}
-			err := e.Run(src)
+			err := eng.run(src)
 			if err == nil {
 				t.Fatal("engine accepted an event stream cut mid-document")
 			}
@@ -150,13 +137,13 @@ func TestEventCutDetectedByEveryEngine(t *testing.T) {
 	}
 }
 
-// TestEventFailSurfaces injects an event-level error into a shared set.
+// TestEventFailSurfaces injects an event-level error into a set.
 func TestEventFailSurfaces(t *testing.T) {
 	plan, err := multiPlan("_*.c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := multi.NewSharedSet([]multi.Subscription{{Name: "q", Plan: plan}})
+	set, err := multi.NewMergedSet([]multi.Subscription{{Name: "q", Plan: plan}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/spexnet"
 	"repro/internal/xmlstream"
 )
@@ -22,49 +23,67 @@ func earlyTermDoc(n int) string {
 	return sb.String()
 }
 
-// TestEnginesEarlyDisconnect drives all three engines over a 50k-element
-// document through a counting source: with every subscription limited to 3
-// answers, each engine must disconnect from the source at the determining
-// event, pulling only a tiny prefix of the stream.
+// TestEnginesEarlyDisconnect drives a 50k-element document through a
+// counting source three ways: "sequential" is the reference, every query on
+// its own network in its own pass; "shared" is the one merged network;
+// "parallel" is the sharded wrapper. With every subscription limited to 3
+// answers, each must disconnect from the source at the determining event,
+// pulling only a tiny prefix of the stream.
 func TestEnginesEarlyDisconnect(t *testing.T) {
 	const leaves = 50000
 	doc := earlyTermDoc(leaves)
+	source := func() *xmlstream.CountingSource {
+		return &xmlstream.CountingSource{Src: xmlstream.NewScanner(strings.NewReader(doc))}
+	}
+	// The determining event is within the first handful of leaves; a
+	// generous bound still proves the disconnect (the parallel engine
+	// over-reads by up to a batch per shard).
+	disconnected := func(t *testing.T, src *xmlstream.CountingSource) {
+		t.Helper()
+		if src.Info.Elements > leaves/10 {
+			t.Fatalf("consumed %d of %d elements — engine did not disconnect early",
+				src.Info.Elements, leaves)
+		}
+	}
+
+	t.Run("sequential", func(t *testing.T) {
+		for _, sub := range subsLimited(t) {
+			src := source()
+			stats, err := sub.Plan.Evaluate(src, core.EvalOptions{Mode: spexnet.ModeCount})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !stats.Determined {
+				t.Fatalf("%s: limited query did not determine", sub.Name)
+			}
+			if stats.Output.Matches != 3 {
+				t.Fatalf("%s matches = %d, want 3", sub.Name, stats.Output.Matches)
+			}
+			disconnected(t, src)
+		}
+	})
 
 	type runner interface {
 		Run(src xmlstream.Source) error
 		Determined() bool
 		Matches() map[string]int64
 	}
-	engines := []struct {
+	sets := []struct {
 		name string
-		make func(t *testing.T) runner
+		make func() (runner, error)
 	}{
-		{"sequential", func(t *testing.T) runner {
-			s, err := NewSet(subsLimited(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}},
-		{"shared", func(t *testing.T) runner {
-			s, err := NewSharedSet(subsLimited(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}},
-		{"parallel", func(t *testing.T) runner {
-			p, err := NewParallelSet(subsLimited(t), ParallelOptions{Shards: 2, BatchSize: 64})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
+		{"shared", func() (runner, error) { return NewMergedSet(subsLimited(t)) }},
+		{"parallel", func() (runner, error) {
+			return NewParallelSet(subsLimited(t), ParallelOptions{Shards: 2, BatchSize: 64})
 		}},
 	}
-	for _, eng := range engines {
+	for _, eng := range sets {
 		t.Run(eng.name, func(t *testing.T) {
-			set := eng.make(t)
-			src := &xmlstream.CountingSource{Src: xmlstream.NewScanner(strings.NewReader(doc))}
+			set, err := eng.make()
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := source()
 			if err := set.Run(src); err != nil {
 				t.Fatal(err)
 			}
@@ -76,13 +95,7 @@ func TestEnginesEarlyDisconnect(t *testing.T) {
 					t.Fatalf("%s matches = %d, want 3", name, m)
 				}
 			}
-			// The determining event is within the first handful of leaves;
-			// a generous bound still proves the disconnect (the parallel
-			// engine over-reads by up to a batch per shard).
-			if src.Info.Elements > leaves/10 {
-				t.Fatalf("consumed %d of %d elements — engine did not disconnect early",
-					src.Info.Elements, leaves)
-			}
+			disconnected(t, src)
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/setcompile"
 	"repro/internal/spexnet"
 	"repro/internal/xmlstream"
@@ -18,16 +19,15 @@ import (
 // whose hash-consing shares the corpus's common prefixes and
 // subexpressions — the YFilter-scale sharing the paper's §IX sketches.
 //
-// Answers are byte-identical to sequential evaluation: only provably
-// equivalent queries share a sink, and each member's deliveries are capped
-// at its own answer limit even when the shared sink runs longer.
+// Answers are byte-identical to evaluating every query on its own: only
+// provably equivalent queries share a sink, and each member's deliveries
+// are capped at its own answer limit even when the shared sink runs longer.
 type MergedSet struct {
 	subs   []Subscription
 	prog   *setcompile.Program
 	net    *spexnet.Network // nil when every query is pruned
+	run    *core.Run        // the push-mode lifecycle around net; nil with it
 	symtab *xmlstream.Symtab
-	open   bool
-	done   bool
 	// memberHits counts deliveries per member (capped at the member's own
 	// limit); repHits counts raw deliveries per representative sink.
 	memberHits []int64
@@ -40,8 +40,9 @@ func NewMergedSet(subs []Subscription, opts ...Option) (*MergedSet, error) {
 	return newMergedSetSym(subs, xmlstream.NewSymtab(), resolveOptions(opts))
 }
 
-// newMergedSetSym compiles the set against a caller-provided symbol table
-// (see newSetSym).
+// newMergedSetSym compiles the set against a caller-provided symbol table —
+// the parallel wrapper passes its pool-wide table so all shards share one
+// symbol space and the feeder can pre-resolve events once for everyone.
 func newMergedSetSym(subs []Subscription, symtab *xmlstream.Symtab, cfg engineConfig) (*MergedSet, error) {
 	if len(subs) == 0 {
 		return nil, fmt.Errorf("multi: no subscriptions")
@@ -101,6 +102,7 @@ func newMergedSetSym(subs []Subscription, symtab *xmlstream.Symtab, cfg engineCo
 		return nil, err
 	}
 	s.net = net
+	s.run = core.RunNetwork(net)
 	return s, nil
 }
 
@@ -124,38 +126,13 @@ func (s *MergedSet) MergeStats() setcompile.MergeStats { return s.prog.Stats }
 // Program exposes the compiled set plan, for introspection.
 func (s *MergedSet) Program() *setcompile.Program { return s.prog }
 
-// Feed pushes one event through the merged network, exactly as
-// SharedSet.Feed does.
+// Feed pushes one event through the merged network; the document
+// boundaries, early release and end-of-stream validation are core.Run's.
 func (s *MergedSet) Feed(ev xmlstream.Event) error {
-	if s.done {
-		return fmt.Errorf("multi: merged set already closed")
-	}
-	if s.net == nil || s.net.AnswerDetermined() {
-		if ev.Kind == xmlstream.EndDocument {
-			s.done = true
-		}
+	if s.run == nil {
 		return nil
 	}
-	if !s.open {
-		s.open = true
-		if ev.Kind != xmlstream.StartDocument {
-			if err := s.net.Step(xmlstream.Event{Kind: xmlstream.StartDocument}); err != nil {
-				return err
-			}
-		}
-	}
-	if err := s.net.Step(ev); err != nil {
-		return err
-	}
-	if s.net.AnswerDetermined() {
-		s.net.Release()
-		return nil
-	}
-	if ev.Kind == xmlstream.EndDocument {
-		s.done = true
-		return s.net.Finish()
-	}
-	return nil
+	return s.run.Feed(ev)
 }
 
 // Determined reports whether every subscription's answer is fixed. Pruned
@@ -163,20 +140,18 @@ func (s *MergedSet) Feed(ev xmlstream.Event) error {
 // empty — so a set whose every member is pruned is determined before the
 // first event.
 func (s *MergedSet) Determined() bool {
-	if s.net == nil {
-		return true
-	}
-	return s.net.AnswerDetermined()
+	return s.run == nil || s.run.Determined()
 }
 
-// Run drains the source and closes the set. When the whole answer is known
-// statically (every query pruned) the stream is not read at all.
+// Run drains the source and closes the set. When every subscription reaches
+// its answer limit the source is disconnected at the determining event; when
+// the whole answer is known statically (every query pruned) the stream is
+// not read at all.
 func (s *MergedSet) Run(src xmlstream.Source) error {
-	if s.net == nil {
-		s.done = true
+	if s.run == nil {
 		return nil
 	}
-	for {
+	for !s.run.Determined() {
 		ev, err := src.Next()
 		if err == io.EOF {
 			break
@@ -184,38 +159,19 @@ func (s *MergedSet) Run(src xmlstream.Source) error {
 		if err != nil {
 			return err
 		}
-		if err := s.Feed(ev); err != nil {
+		if err := s.run.Feed(ev); err != nil {
 			return err
 		}
-		if s.net.AnswerDetermined() {
-			break
-		}
 	}
-	return s.Close()
+	return s.run.Close()
 }
 
 // Close ends the stream and validates the evaluation.
 func (s *MergedSet) Close() error {
-	if s.done {
+	if s.run == nil {
 		return nil
 	}
-	s.done = true
-	if s.net == nil {
-		return nil
-	}
-	if s.net.AnswerDetermined() {
-		s.net.Release()
-		return nil
-	}
-	if !s.open {
-		if err := s.net.Step(xmlstream.Event{Kind: xmlstream.StartDocument}); err != nil {
-			return err
-		}
-	}
-	if err := s.net.Step(xmlstream.Event{Kind: xmlstream.EndDocument}); err != nil {
-		return err
-	}
-	return s.net.Finish()
+	return s.run.Close()
 }
 
 // Matches returns per-subscription answer counts keyed by name. Members of

@@ -1,6 +1,7 @@
 package multi
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,70 +9,65 @@ import (
 	"repro/internal/xmlstream"
 )
 
-// mergedEngine abstracts the engines cross-validated in this file.
-type mergedEngine interface {
-	Run(xmlstream.Source) error
-	Symtab() *xmlstream.Symtab
-	Matches() map[string]int64
-}
-
-// TestMergedMatchesSequential cross-validates the merged engine against the
-// sequential baseline on a corpus with shared prefixes, an exact duplicate,
-// an equivalent-after-canonicalization pair, a one-way containment and a
-// statically unsatisfiable member.
+// TestMergedMatchesSequential cross-validates the merged engine against
+// per-query single evaluation on two corpora: one with shared prefixes, an
+// exact duplicate, an equivalent-after-canonicalization pair, a one-way
+// containment and a statically unsatisfiable member; and one of plain
+// overlapping queries where a whole query's network is shared.
 func TestMergedMatchesSequential(t *testing.T) {
 	doc := `<feed><msg><sport/><title>x</title></msg><msg><politics/><title>y</title></msg><msg><sport/></msg></feed>`
-	run := func(build func([]Subscription) (mergedEngine, error)) (map[string][]int64, map[string]int64) {
-		t.Helper()
-		hits := map[string][]int64{}
-		subs := []Subscription{
-			{Name: "sport", Plan: plan(t, "feed.msg[sport]")},
-			{Name: "politics", Plan: plan(t, "feed.msg[politics]")},
-			{Name: "titled", Plan: plan(t, "_*.msg[title]")},
-			{Name: "titledstar", Plan: plan(t, "_*.msg[title*]")}, // ≡ _*.msg (nullable condition)
-			{Name: "anymsg", Plan: plan(t, "_*.msg")},
-			{Name: "sport2", Plan: plan(t, "feed.msg[sport]")}, // exact duplicate of sport
-			{Name: "unsat", Plan: plan(t, `feed.msg[@x="1" and @x="2"]`)},
-		}
-		for i := range subs {
-			name := subs[i].Name
-			subs[i].OnHit = func(_ string, r spexnet.Result) {
-				hits[name] = append(hits[name], r.Index)
+	src := func(symtab *xmlstream.Symtab) func() xmlstream.Source {
+		return func() xmlstream.Source {
+			opts := []xmlstream.ScannerOption{xmlstream.WithAttributes(true)}
+			if symtab != nil {
+				opts = append(opts, xmlstream.WithSymtab(symtab))
 			}
+			return xmlstream.NewScanner(strings.NewReader(doc), opts...)
 		}
-		eng, err := build(subs)
+	}
+	corpora := map[string]map[string]string{
+		"canonicalized": {
+			"sport":      "feed.msg[sport]",
+			"politics":   "feed.msg[politics]",
+			"titled":     "_*.msg[title]",
+			"titledstar": "_*.msg[title*]", // ≡ _*.msg (nullable condition)
+			"anymsg":     "_*.msg",
+			"sport2":     "feed.msg[sport]", // exact duplicate of sport
+			"unsat":      `feed.msg[@x="1" and @x="2"]`,
+		},
+		"overlapping": {
+			"q1": "feed.msg[sport]",
+			"q2": "feed.msg[sport].title",
+			"q3": "feed.msg[politics]",
+			"q4": "feed.msg",
+			"q5": "_*.title",
+			"q6": "feed.msg[sport]", // duplicate query: full network shared
+		},
+	}
+	for label, queries := range corpora {
+		var subs []Subscription
+		for name, expr := range queries {
+			subs = append(subs, Subscription{Name: name, Plan: plan(t, expr)})
+		}
+		want := singleHits(t, subs, src(nil))
+		if len(want["sport"])+len(want["q1"]) != 2 || len(want["unsat"]) != 0 {
+			t.Fatalf("%s: reference sanity: %v", label, want)
+		}
+		got := recordHits(subs)
+		set, err := NewMergedSet(subs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := xmlstream.NewScanner(strings.NewReader(doc),
-			xmlstream.WithSymtab(eng.Symtab()), xmlstream.WithAttributes(true))
-		if err := eng.Run(src); err != nil {
+		if err := set.Run(src(set.Symtab())()); err != nil {
 			t.Fatal(err)
 		}
-		return hits, eng.Matches()
-	}
-
-	seqHits, seqCounts := run(func(subs []Subscription) (mergedEngine, error) { return NewSet(subs) })
-	mrgHits, mrgCounts := run(func(subs []Subscription) (mergedEngine, error) { return NewMergedSet(subs) })
-
-	for name, w := range seqHits {
-		got := mrgHits[name]
-		if len(got) != len(w) {
-			t.Fatalf("%s: merged hits %v, sequential %v", name, got, w)
-		}
-		for i := range w {
-			if got[i] != w[i] {
-				t.Fatalf("%s: merged hits %v, sequential %v", name, got, w)
+		sameHits(t, label, want, got)
+		counts := set.Matches()
+		for name := range queries {
+			if counts[name] != int64(len(want[name])) {
+				t.Fatalf("%s: %s: merged count %d, single %d", label, name, counts[name], len(want[name]))
 			}
 		}
-	}
-	for name, w := range seqCounts {
-		if mrgCounts[name] != w {
-			t.Fatalf("%s: merged count %d, sequential %d", name, mrgCounts[name], w)
-		}
-	}
-	if seqCounts["sport"] != 2 || seqCounts["unsat"] != 0 {
-		t.Fatalf("baseline sanity: %v", seqCounts)
 	}
 }
 
@@ -149,7 +145,7 @@ func (s *failingSource) Next() (xmlstream.Event, error) {
 }
 
 // TestMergedPrunedMixed: pruned members coexist with live ones; pruned
-// members count zero, live ones match sequential.
+// members count zero, live ones count as they would alone.
 func TestMergedPrunedMixed(t *testing.T) {
 	doc := `<f><m/><m/></f>`
 	subs := []Subscription{
@@ -175,34 +171,55 @@ func TestMergedPrunedMixed(t *testing.T) {
 
 // TestMergedSharesPrefixes: the merged network of a prefix-heavy corpus must
 // be smaller than the sum of single-query networks, both in the static
-// estimate and in the built network's actual degree.
+// estimate and in the built network's actual degree. The inputs are a trie
+// of divergent tails, a qualifier sub-network shared by every subscriber,
+// and fifty queries that differ only in their last step — which must cost
+// about one child transducer and one sink each on top of one query's
+// degree, not fifty private networks.
 func TestMergedSharesPrefixes(t *testing.T) {
-	exprs := []string{
-		"_*.a.b.c.d",
-		"_*.a.b.c.e",
-		"_*.a.b.c.f",
-		"_*.a.b.g",
-		"_*.a.b.h",
+	var fanned []string
+	for i := 0; i < 50; i++ {
+		fanned = append(fanned, fmt.Sprintf("_*.Topic[editor].f%d", i))
 	}
-	subs := make([]Subscription, len(exprs))
-	naiveDegree := 0
-	for i, e := range exprs {
-		subs[i] = Subscription{Name: e, Plan: plan(t, e)}
-		single, err := NewMergedSet([]Subscription{{Name: e, Plan: plan(t, e)}})
+	corpora := []struct {
+		name  string
+		exprs []string
+		// tight bounds the merged degree by single + perQuery*n + slack
+		// (0 = only require merged < naive).
+		perQuery, slack int
+	}{
+		{name: "trie", exprs: []string{"_*.a.b.c.d", "_*.a.b.c.e", "_*.a.b.c.f", "_*.a.b.g", "_*.a.b.h"}},
+		{name: "shared-qualifier", exprs: []string{"_*.Topic[editor].Title", "_*.Topic[editor].newsGroup", "_*.Topic.Title"}},
+		{name: "last-step-fan", exprs: fanned, perQuery: 2, slack: 4},
+	}
+	for _, c := range corpora {
+		subs := make([]Subscription, len(c.exprs))
+		naiveDegree, firstDegree := 0, 0
+		for i, e := range c.exprs {
+			subs[i] = Subscription{Name: e, Plan: plan(t, e)}
+			single, err := NewMergedSet([]Subscription{{Name: e, Plan: plan(t, e)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			naiveDegree += single.Degree()
+			if i == 0 {
+				firstDegree = single.Degree()
+			}
+		}
+		set, err := NewMergedSet(subs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		naiveDegree += single.Degree()
-	}
-	set, err := NewMergedSet(subs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := set.MergeStats()
-	if st.MergedTransducers >= st.NaiveTransducers {
-		t.Fatalf("no static sharing: naive %d, merged %d", st.NaiveTransducers, st.MergedTransducers)
-	}
-	if set.Degree() >= naiveDegree {
-		t.Fatalf("merged degree %d not below naive %d", set.Degree(), naiveDegree)
+		st := set.MergeStats()
+		if st.MergedTransducers >= st.NaiveTransducers {
+			t.Fatalf("%s: no static sharing: naive %d, merged %d", c.name, st.NaiveTransducers, st.MergedTransducers)
+		}
+		if set.Degree() >= naiveDegree {
+			t.Fatalf("%s: merged degree %d not below naive %d", c.name, set.Degree(), naiveDegree)
+		}
+		if max := firstDegree + c.perQuery*len(subs) + c.slack; c.perQuery > 0 && set.Degree() > max {
+			t.Fatalf("%s: sharing weaker than expected: %d transducers for %d queries, single %d, bound %d",
+				c.name, set.Degree(), len(subs), firstDegree, max)
+		}
 	}
 }

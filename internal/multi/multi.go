@@ -2,28 +2,28 @@
 // pass — the selective-dissemination-of-information (SDI) scenario the
 // paper's introduction motivates and its conclusion names as future work
 // ("a single transducer network can be used for processing several queries
-// having common subparts"). Three engines are provided:
+// having common subparts"). There is one engine and one wrapper around it:
 //
-//   - Set runs one network per query over the shared event stream — the
-//     baseline the others are cross-validated against;
-//   - SharedSet compiles all queries into ONE network (spexnet.BuildSet
-//     hash-conses common subexpressions behind explicit fan-out junctions) —
-//     the paper's multi-query optimization;
+//   - MergedSet compiles all queries through the query-set compiler
+//     (internal/setcompile) into ONE network: equivalent queries collapse
+//     onto one sink, unsatisfiable ones are pruned, and spexnet.BuildSet
+//     hash-conses the common subexpressions of the rest behind explicit
+//     fan-out junctions — the paper's multi-query optimization;
 //   - ParallelSet shards the subscriptions over a worker pool: each shard
-//     owns one shared network exclusively, the feeding goroutine broadcasts
-//     batched event slices over bounded channels with backpressure, and a
-//     single sink goroutine delivers OnHit callbacks in per-subscription
-//     order — the scaling axis an SDI service with many standing queries
-//     needs.
+//     owns the MergedSet of its partition exclusively, the feeding
+//     goroutine broadcasts batched event slices over bounded channels with
+//     backpressure, and a single sink goroutine delivers OnHit callbacks in
+//     per-subscription order — the scaling axis an SDI service with many
+//     standing queries needs.
+//
+// The reference both are cross-validated against is not an engine of this
+// package: it is one single-query evaluation per subscription
+// (core.Plan.NewRun) and the DOM oracle.
 package multi
 
 import (
-	"fmt"
-	"io"
-
 	"repro/internal/core"
 	"repro/internal/spexnet"
-	"repro/internal/xmlstream"
 )
 
 // Subscription pairs a query with its answer callback. Name tags the
@@ -32,124 +32,4 @@ type Subscription struct {
 	Name  string
 	Plan  *core.Plan
 	OnHit func(sub string, r spexnet.Result)
-}
-
-// Set evaluates a collection of subscriptions over one stream pass.
-type Set struct {
-	subs   []Subscription
-	runs   []*core.Run
-	symtab *xmlstream.Symtab
-	// done flags subscriptions whose answer is fixed (limit reached); det
-	// counts them, so Determined is O(1) and Feed skips finished runs.
-	done []bool
-	det  int
-}
-
-// NewSet prepares the evaluation of all subscriptions.
-func NewSet(subs []Subscription, opts ...Option) (*Set, error) {
-	return newSetSym(subs, xmlstream.NewSymtab(), resolveOptions(opts))
-}
-
-// newSetSym builds the set against a caller-provided symbol table — the
-// parallel engine passes its pool-wide table so all shards share one symbol
-// space and the feeder can pre-resolve events once for everyone.
-func newSetSym(subs []Subscription, symtab *xmlstream.Symtab, cfg engineConfig) (*Set, error) {
-	s := &Set{subs: subs, symtab: symtab}
-	for i := range subs {
-		sub := subs[i]
-		run, err := sub.Plan.NewRun(core.EvalOptions{
-			Mode:   spexnet.ModeNodes,
-			Symtab: symtab,
-			Sink: func(r spexnet.Result) {
-				if sub.OnHit != nil {
-					sub.OnHit(sub.Name, r)
-				}
-			},
-			Governor:        cfg.gov,
-			GovernorMetrics: cfg.metrics,
-			SinkMetrics:     cfg.metrics,
-			TraceID:         cfg.traceID,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("multi: subscription %s: %w", sub.Name, err)
-		}
-		s.runs = append(s.runs, run)
-	}
-	s.done = make([]bool, len(s.runs))
-	return s, nil
-}
-
-// Symtab returns the set-wide symbol table, for feeders that want to share
-// it with their scanner so events arrive pre-resolved.
-func (s *Set) Symtab() *xmlstream.Symtab { return s.symtab }
-
-// Feed pushes one event to every subscription's network. The label symbol
-// is resolved once here, not once per subscription: all member networks were
-// compiled against the set's table.
-func (s *Set) Feed(ev xmlstream.Event) error {
-	if ev.Sym == 0 && (ev.Kind == xmlstream.StartElement || ev.Kind == xmlstream.EndElement) {
-		ev.Sym = s.symtab.Intern(ev.Name)
-	}
-	for i, run := range s.runs {
-		if s.done[i] {
-			continue
-		}
-		if err := run.Feed(ev); err != nil {
-			return fmt.Errorf("multi: subscription %s: %w", s.subs[i].Name, err)
-		}
-		if run.Determined() {
-			// The subscription's answer limit was reached: its run already
-			// released itself, so stop feeding it (the remaining
-			// subscriptions keep the stream flowing).
-			s.done[i] = true
-			s.det++
-		}
-	}
-	return nil
-}
-
-// Determined reports whether every subscription's answer is fixed (all
-// answer limits reached): the feeder may disconnect the stream.
-func (s *Set) Determined() bool { return len(s.runs) > 0 && s.det == len(s.runs) }
-
-// Run drains the source through all subscriptions and closes them. When
-// every subscription reaches its answer limit the source is disconnected at
-// the determining event — the rest of the stream is never pulled.
-func (s *Set) Run(src xmlstream.Source) error {
-	for {
-		ev, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if err := s.Feed(ev); err != nil {
-			return err
-		}
-		if s.Determined() {
-			break
-		}
-	}
-	return s.Close()
-}
-
-// Close finishes every subscription.
-func (s *Set) Close() error {
-	var first error
-	for i, run := range s.runs {
-		if err := run.Close(); err != nil && first == nil {
-			first = fmt.Errorf("multi: subscription %s: %w", s.subs[i].Name, err)
-		}
-	}
-	return first
-}
-
-// Matches returns per-subscription answer counts, keyed by name.
-func (s *Set) Matches() map[string]int64 {
-	out := make(map[string]int64, len(s.runs))
-	for i, run := range s.runs {
-		out[s.subs[i].Name] = run.Matches()
-	}
-	return out
 }

@@ -18,21 +18,67 @@ func plan(t *testing.T, expr string) *core.Plan {
 	return p
 }
 
+// singleHits is the reference the set engines are cross-validated against:
+// every subscription evaluated on its own private network, one stream pass
+// per query (core.Plan.Evaluate), with no code of this package involved.
+// It returns the answer indices per subscription name, in delivery order.
+func singleHits(t *testing.T, subs []Subscription, doc func() xmlstream.Source) map[string][]int64 {
+	t.Helper()
+	hits := map[string][]int64{}
+	for _, sub := range subs {
+		name := sub.Name
+		_, err := sub.Plan.Evaluate(doc(), core.EvalOptions{
+			Mode: spexnet.ModeNodes,
+			Sink: func(r spexnet.Result) { hits[name] = append(hits[name], r.Index) },
+		})
+		if err != nil {
+			t.Fatalf("single evaluation of %s: %v", name, err)
+		}
+	}
+	return hits
+}
+
+// recordHits points every subscription's OnHit at one map of answer indices
+// keyed by subscription name.
+func recordHits(subs []Subscription) map[string][]int64 {
+	hits := map[string][]int64{}
+	for i := range subs {
+		subs[i].OnHit = func(s string, r spexnet.Result) { hits[s] = append(hits[s], r.Index) }
+	}
+	return hits
+}
+
+// sameHits requires got to reproduce the reference exactly: the same answers
+// in the same order for every subscription, and none the reference lacks.
+func sameHits(t *testing.T, label string, want, got map[string][]int64) {
+	t.Helper()
+	for name, w := range want {
+		g := got[name]
+		if len(g) != len(w) {
+			t.Fatalf("%s: %s: single %v vs set %v", label, name, w, g)
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("%s: %s: single %v vs set %v", label, name, w, g)
+			}
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok && len(got[name]) > 0 {
+			t.Fatalf("%s: %s: set-only hits %v", label, name, got[name])
+		}
+	}
+}
+
 func TestMultiQuerySinglePass(t *testing.T) {
 	doc := `<feed><msg><sport/><title>x</title></msg><msg><politics/><title>y</title></msg><msg><sport/></msg></feed>`
-	hits := map[string][]int64{}
 	subs := []Subscription{
-		{Name: "sport", Plan: plan(t, "feed.msg[sport]"), OnHit: func(s string, r spexnet.Result) {
-			hits[s] = append(hits[s], r.Index)
-		}},
-		{Name: "politics", Plan: plan(t, "feed.msg[politics]"), OnHit: func(s string, r spexnet.Result) {
-			hits[s] = append(hits[s], r.Index)
-		}},
-		{Name: "titled", Plan: plan(t, "_*.msg[title]"), OnHit: func(s string, r spexnet.Result) {
-			hits[s] = append(hits[s], r.Index)
-		}},
+		{Name: "sport", Plan: plan(t, "feed.msg[sport]")},
+		{Name: "politics", Plan: plan(t, "feed.msg[politics]")},
+		{Name: "titled", Plan: plan(t, "_*.msg[title]")},
 	}
-	set, err := NewSet(subs)
+	hits := recordHits(subs)
+	set, err := NewMergedSet(subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,17 +92,7 @@ func TestMultiQuerySinglePass(t *testing.T) {
 		"politics": {5},
 		"titled":   {2, 5},
 	}
-	for name, w := range want {
-		got := hits[name]
-		if len(got) != len(w) {
-			t.Fatalf("%s: got %v, want %v", name, got, w)
-		}
-		for i := range w {
-			if got[i] != w[i] {
-				t.Fatalf("%s: got %v, want %v", name, got, w)
-			}
-		}
-	}
+	sameHits(t, "pinned", want, hits)
 	counts := set.Matches()
 	if counts["sport"] != 2 || counts["politics"] != 1 || counts["titled"] != 2 {
 		t.Fatalf("Matches: %v", counts)
@@ -68,7 +104,7 @@ func TestMultiFeedIncremental(t *testing.T) {
 	subs := []Subscription{
 		{Name: "s", Plan: plan(t, "f.m[s]"), OnHit: func(string, spexnet.Result) { sportHits++ }},
 	}
-	set, err := NewSet(subs)
+	set, err := NewMergedSet(subs)
 	if err != nil {
 		t.Fatal(err)
 	}

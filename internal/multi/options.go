@@ -5,11 +5,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Option configures a multi-query engine (Set or SharedSet; the parallel
-// engine takes the same settings through ParallelOptions).
+// Option configures a MergedSet (the parallel wrapper takes the same
+// settings through ParallelOptions).
 type Option func(*engineConfig)
 
-// engineConfig is the resolved option set shared by the engines.
+// engineConfig is the resolved option set.
 type engineConfig struct {
 	gov     *governor.Config
 	metrics *obs.Metrics
@@ -26,7 +26,7 @@ func resolveOptions(opts []Option) engineConfig {
 	return cfg
 }
 
-// WithGovernor attaches the resource governor to every member network:
+// WithGovernor attaches the resource governor to the set's network:
 // formula/candidate/buffer/step/variable/depth caps with a fail, degrade or
 // shed policy. A nil (or all-zero) config evaluates ungoverned.
 func WithGovernor(cfg *governor.Config) Option {
@@ -34,17 +34,15 @@ func WithGovernor(cfg *governor.Config) Option {
 }
 
 // WithMetrics binds a registry for governor trip accounting: the
-// spex_governor_* counters accumulate across all member networks. It does
-// not enable full per-event instrumentation (that would count each stream
-// event once per member network).
+// spex_governor_* counters and the sink-side lifecycle histograms. It does
+// not enable full per-event instrumentation.
 func WithMetrics(m *obs.Metrics) Option {
 	return func(c *engineConfig) { c.metrics = m }
 }
 
-// WithTraceID stamps every trace record of every member network with the
-// stream-scoped trace identifier, correlating one stream pass across the
-// engine's networks and the caller's own records. Empty leaves the records
-// unstamped.
+// WithTraceID stamps every trace record of the set's network with the
+// stream-scoped trace identifier, correlating one stream pass with the
+// caller's own records. Empty leaves the records unstamped.
 func WithTraceID(id string) Option {
 	return func(c *engineConfig) { c.traceID = id }
 }

@@ -27,7 +27,7 @@ const (
 )
 
 // ParallelOptions tune a ParallelSet. The zero value is ready to use:
-// GOMAXPROCS shards, shared per-shard networks, default batching.
+// GOMAXPROCS shards, default batching.
 type ParallelOptions struct {
 	// Shards is the number of worker shards; 0 means runtime.GOMAXPROCS(0).
 	// The subscription set is partitioned over the shards; every shard sees
@@ -41,17 +41,6 @@ type ParallelOptions struct {
 	// means DefaultQueueDepth. The feeder blocks when a shard's queue is
 	// full (backpressure).
 	QueueDepth int
-	// Isolate builds one network per subscription inside each shard (the
-	// Set baseline) instead of one shared network per shard. Sharing is the
-	// default: queries desugared to the same normalized head evaluate the
-	// common chain once per shard behind a fan-out junction.
-	Isolate bool
-	// Merged runs each shard's partition through the query-set compiler
-	// (internal/setcompile): canonicalization, static pruning of
-	// unsatisfiable subscriptions, and collapse of equivalent ones onto
-	// shared sinks, on top of the shared network's prefix factoring.
-	// Merged takes precedence over Isolate.
-	Merged bool
 	// Assign maps a subscription index to a shard in [0, shards); nil means
 	// round-robin. Cross-validation tests shuffle assignments to prove the
 	// partition cannot change answers.
@@ -62,10 +51,10 @@ type ParallelOptions struct {
 	// workers, and the Matches counter written by the sink goroutine. All
 	// are readable from any goroutine mid-stream via Snapshot.
 	Metrics *obs.Metrics
-	// Governor attaches the resource governor to every shard's networks;
-	// the same caps and policy the sequential engines take through
-	// WithGovernor. A shed subscription stops producing hits but the pool
-	// keeps running; a fail-policy trip surfaces as the pool's error.
+	// Governor attaches the resource governor to every shard's network;
+	// the same caps and policy MergedSet takes through WithGovernor. A shed
+	// subscription stops producing hits but the pool keeps running; a
+	// fail-policy trip surfaces as the pool's error.
 	Governor *governor.Config
 	// TraceID stamps every trace record of every shard network with the
 	// stream-scoped trace identifier (see multi.WithTraceID). The shard
@@ -101,22 +90,14 @@ type hitBatch struct {
 	hits []hit
 }
 
-// evaluator is the per-shard engine: Set or SharedSet.
-type evaluator interface {
-	Feed(ev xmlstream.Event) error
-	Close() error
-	Matches() map[string]int64
-	Determined() bool
-}
-
 // ParallelSet evaluates a collection of subscriptions over one stream pass
 // with a sharded worker pool. Subscriptions are partitioned into shards;
-// each shard owns its networks' mutable state exclusively and evaluates
-// every event of the stream against its share of the queries. The feeding
-// goroutine (the caller of Feed/Run) broadcasts batched event slices to the
-// shards over bounded channels; answers funnel through a single sink
-// goroutine, so OnHit callbacks never race and arrive in per-subscription
-// document order.
+// each shard compiles its partition into a MergedSet, owns that network's
+// mutable state exclusively and evaluates every event of the stream against
+// its share of the queries. The feeding goroutine (the caller of Feed/Run)
+// broadcasts batched event slices to the shards over bounded channels;
+// answers funnel through a single sink goroutine, so OnHit callbacks never
+// race and arrive in per-subscription document order.
 type ParallelSet struct {
 	subs   []Subscription
 	opts   ParallelOptions
@@ -146,7 +127,6 @@ type ParallelSet struct {
 	// by the feeder.
 	detShards atomic.Int32
 
-	opened bool
 	closed bool
 	depth  int64
 }
@@ -157,7 +137,7 @@ type shardWorker struct {
 	p    *ParallelSet
 	id   int
 	ch   chan *eventBatch
-	set  evaluator
+	set  *MergedSet
 	sm   *obs.ShardMetrics
 	hits *hitBatch
 	// determined flags that this shard's engine released itself (all its
@@ -234,15 +214,8 @@ func NewParallelSet(subs []Subscription, opts ParallelOptions) (*ParallelSet, er
 			})
 		}
 		var err error
-		ecfg := engineConfig{gov: opts.Governor, metrics: opts.Metrics, traceID: opts.TraceID}
-		switch {
-		case opts.Merged:
-			w.set, err = newMergedSetSym(wrapped, p.symtab, ecfg)
-		case opts.Isolate:
-			w.set, err = newSetSym(wrapped, p.symtab, ecfg)
-		default:
-			w.set, err = newSharedSetSym(wrapped, p.symtab, ecfg)
-		}
+		w.set, err = newMergedSetSym(wrapped, p.symtab,
+			engineConfig{gov: opts.Governor, metrics: opts.Metrics, traceID: opts.TraceID})
 		if err != nil {
 			return nil, fmt.Errorf("multi: shard %d: %w", id, err)
 		}
@@ -412,6 +385,7 @@ func (p *ParallelSet) deliver(hb *hitBatch) {
 
 // Feed pushes one event into the pool; the actual broadcast happens once
 // per batch. Feed must be called from a single goroutine (the feeder).
+// Missing document boundaries are synthesized by each shard's engine.
 func (p *ParallelSet) Feed(ev xmlstream.Event) error {
 	if p.closed {
 		return fmt.Errorf("multi: parallel set already closed")
@@ -423,12 +397,6 @@ func (p *ParallelSet) Feed(ev xmlstream.Event) error {
 		// Every shard's answer is fixed; broadcasting further events would
 		// only be dropped by the workers.
 		return nil
-	}
-	if !p.opened {
-		p.opened = true
-		if ev.Kind != xmlstream.StartDocument {
-			p.push(xmlstream.Event{Kind: xmlstream.StartDocument})
-		}
 	}
 	if m := p.opts.Metrics; m != nil {
 		m.Events.Inc()
@@ -442,11 +410,6 @@ func (p *ParallelSet) Feed(ev xmlstream.Event) error {
 			m.Depth.Set(p.depth)
 		}
 	}
-	p.push(ev)
-	return nil
-}
-
-func (p *ParallelSet) push(ev xmlstream.Event) {
 	// Resolve the label symbol once for the whole pool: shards receive
 	// pre-resolved events and never touch the interner.
 	if ev.Sym == 0 && (ev.Kind == xmlstream.StartElement || ev.Kind == xmlstream.EndElement) {
@@ -456,6 +419,7 @@ func (p *ParallelSet) push(ev xmlstream.Event) {
 	if len(p.cur.evs) >= p.opts.BatchSize {
 		p.dispatch()
 	}
+	return nil
 }
 
 // dispatch broadcasts the current batch to every shard. The bounded channel
@@ -485,9 +449,7 @@ func (p *ParallelSet) dispatch() {
 }
 
 // Close flushes the last batch, ends the stream on every shard, waits for
-// all answers to be delivered and returns the first error. The per-shard
-// engines synthesize missing document boundaries exactly like the
-// sequential Set.
+// all answers to be delivered and returns the first error.
 func (p *ParallelSet) Close() error {
 	if p.closed {
 		return p.firstErr()

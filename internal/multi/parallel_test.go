@@ -16,23 +16,28 @@ import (
 // fig1Doc is the running example of the paper (Fig. 1).
 const fig1Doc = `<a><a><c>first</c></a><b/><c>second</c></a>`
 
-// collectSequential evaluates the subscriptions through the sequential Set
-// baseline and returns per-subscription hit indices in delivery order.
-func collectSequential(t *testing.T, queries []string, doc func() xmlstream.Source) map[string][]int64 {
+// querySubs names the queries q0, q1, … as subscriptions without callbacks.
+func querySubs(t *testing.T, queries []string) []Subscription {
 	t.Helper()
-	hits := map[string][]int64{}
-	var subs []Subscription
+	subs := make([]Subscription, len(queries))
 	for i, expr := range queries {
-		name := fmt.Sprintf("q%d", i)
-		subs = append(subs, Subscription{
-			Name: name,
-			Plan: plan(t, expr),
-			OnHit: func(s string, r spexnet.Result) {
-				hits[s] = append(hits[s], r.Index)
-			},
-		})
+		subs[i] = Subscription{Name: fmt.Sprintf("q%d", i), Plan: plan(t, expr)}
 	}
-	set, err := NewSet(subs)
+	return subs
+}
+
+// collectSingle is the reference: each query alone on its own network.
+func collectSingle(t *testing.T, queries []string, doc func() xmlstream.Source) map[string][]int64 {
+	t.Helper()
+	return singleHits(t, querySubs(t, queries), doc)
+}
+
+// collectInline evaluates the queries through one MergedSet.
+func collectInline(t *testing.T, queries []string, doc func() xmlstream.Source) map[string][]int64 {
+	t.Helper()
+	subs := querySubs(t, queries)
+	hits := recordHits(subs)
+	set, err := NewMergedSet(subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,21 +47,11 @@ func collectSequential(t *testing.T, queries []string, doc func() xmlstream.Sour
 	return hits
 }
 
-// collectParallel evaluates the same subscriptions through a ParallelSet.
+// collectParallel evaluates the same queries through a ParallelSet.
 func collectParallel(t *testing.T, queries []string, doc func() xmlstream.Source, opts ParallelOptions) map[string][]int64 {
 	t.Helper()
-	hits := map[string][]int64{}
-	var subs []Subscription
-	for i, expr := range queries {
-		name := fmt.Sprintf("q%d", i)
-		subs = append(subs, Subscription{
-			Name: name,
-			Plan: plan(t, expr),
-			OnHit: func(s string, r spexnet.Result) {
-				hits[s] = append(hits[s], r.Index)
-			},
-		})
-	}
+	subs := querySubs(t, queries)
+	hits := recordHits(subs)
 	p, err := NewParallelSet(subs, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -67,60 +62,39 @@ func collectParallel(t *testing.T, queries []string, doc func() xmlstream.Source
 	return hits
 }
 
-func sameHits(t *testing.T, label string, want, got map[string][]int64) {
-	t.Helper()
-	for name, w := range want {
-		g := got[name]
-		if len(g) != len(w) {
-			t.Fatalf("%s: %s: sequential %v vs parallel %v", label, name, w, g)
-		}
-		for i := range w {
-			if g[i] != w[i] {
-				t.Fatalf("%s: %s: sequential %v vs parallel %v", label, name, w, g)
-			}
-		}
-	}
-	for name := range got {
-		if _, ok := want[name]; !ok && len(got[name]) > 0 {
-			t.Fatalf("%s: %s: parallel-only hits %v", label, name, got[name])
-		}
-	}
-}
-
-// TestParallelSetAgreesWithSequential cross-validates the parallel engine
-// against the sequential baseline on the paper's Fig. 1 document, sweeping
-// shard count, batch size, isolation mode and a shuffled shard assignment:
-// the partition must not be able to change a single answer.
+// TestParallelSetAgreesWithSequential cross-validates the inline set and the
+// sharded set against per-query single evaluation on the paper's Fig. 1
+// document, sweeping shard count, batch size and a shuffled shard
+// assignment: neither merging nor the partition may change a single answer.
 func TestParallelSetAgreesWithSequential(t *testing.T) {
 	queries := []string{
 		"a.a.c", "a.c", "_*.c", "a[b].c", "a.a[c].c", "_*[c]", "a.b", "a.a.c",
 	}
 	doc := func() xmlstream.Source { return xmlstream.NewScanner(strings.NewReader(fig1Doc)) }
-	want := collectSequential(t, queries, doc)
+	want := collectSingle(t, queries, doc)
 	if len(want) == 0 {
-		t.Fatal("baseline produced no hits at all")
+		t.Fatal("reference produced no hits at all")
 	}
+	sameHits(t, "inline", want, collectInline(t, queries, doc))
 	rng := rand.New(rand.NewSource(7))
 	perm := rng.Perm(len(queries))
 	for _, shards := range []int{1, 2, 3, 4} {
-		for _, isolate := range []bool{false, true} {
-			for _, batch := range []int{1, 3, 256} {
-				label := fmt.Sprintf("shards=%d isolate=%v batch=%d", shards, isolate, batch)
-				got := collectParallel(t, queries, doc, ParallelOptions{
-					Shards:    shards,
-					BatchSize: batch,
-					Isolate:   isolate,
-					Assign:    func(i, n int) int { return perm[i] % n },
-				})
-				sameHits(t, label, want, got)
-			}
+		for _, batch := range []int{1, 2, 3, 256} {
+			label := fmt.Sprintf("shards=%d batch=%d", shards, batch)
+			got := collectParallel(t, queries, doc, ParallelOptions{
+				Shards:    shards,
+				BatchSize: batch,
+				Assign:    func(i, n int) int { return perm[i] % n },
+			})
+			sameHits(t, label, want, got)
 		}
 	}
 }
 
 // TestParallelSetDMOZCrossValidation repeats the cross-validation on a
 // DMOZ-shaped document large enough to span many batches, with the
-// SDI-style common-prefix workload.
+// SDI-style common-prefix workload whose qualifier sub-network every
+// subscriber shares.
 func TestParallelSetDMOZCrossValidation(t *testing.T) {
 	queries := []string{
 		"_*.Topic[editor].Title",
@@ -129,9 +103,14 @@ func TestParallelSetDMOZCrossValidation(t *testing.T) {
 		"_*.Topic.Title",
 		"_*.Topic[editor]",
 		"_*.Topic.catid",
+		"_*.Topic[editor].newsGroup",
 	}
 	doc := func() xmlstream.Source { return dataset.DMOZStructure(0.002).Stream() }
-	want := collectSequential(t, queries, doc)
+	want := collectSingle(t, queries, doc)
+	if len(want["q0"]) == 0 || len(want["q3"]) == 0 {
+		t.Fatalf("suspicious empty reference: %d and %d answers", len(want["q0"]), len(want["q3"]))
+	}
+	sameHits(t, "inline", want, collectInline(t, queries, doc))
 	rng := rand.New(rand.NewSource(41))
 	perm := rng.Perm(len(queries))
 	for _, shards := range []int{1, 3, 4} {
@@ -315,7 +294,7 @@ func TestParallelSetBackpressure(t *testing.T) {
 	queries := []string{"feed.msg[sport]", "feed.msg[politics]", "_*.title"}
 	doc := `<feed><msg><sport/><title>x</title></msg><msg><politics/><title>y</title></msg></feed>`
 	src := func() xmlstream.Source { return xmlstream.NewScanner(strings.NewReader(doc)) }
-	want := collectSequential(t, queries, src)
+	want := collectSingle(t, queries, src)
 	got := collectParallel(t, queries, src, ParallelOptions{Shards: 3, BatchSize: 1, QueueDepth: 1})
 	sameHits(t, "tiny-queue", want, got)
 }

@@ -94,12 +94,14 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 // max update needs no compare-and-swap loop.
 type Watermark struct{ cur, max atomic.Int64 }
 
-// Set stores the current value, raising the maximum if exceeded.
+// Set stores the current value, raising the maximum if exceeded. The
+// maximum is raised first, so a reader that loads Cur and then Max (as
+// Snapshot does) never sees a current value above the maximum.
 func (w *Watermark) Set(n int64) {
-	w.cur.Store(n)
 	if n > w.max.Load() {
 		w.max.Store(n)
 	}
+	w.cur.Store(n)
 }
 
 // NoteMax raises the maximum without touching the current value — used when

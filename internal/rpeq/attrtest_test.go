@@ -131,17 +131,16 @@ func TestAttrNegatableAllowed(t *testing.T) {
 	}
 }
 
-// TestParseOptionAPI: the unified Parse entry point and the deprecated
-// wrappers agree.
+// TestParseOptionAPI: the options of the one Parse entry point compose — the
+// limit clause is only a clause under WithLimit, in either surface syntax.
 func TestParseOptionAPI(t *testing.T) {
 	var limit int64
 	n, err := Parse(`_*.item limit 3`, WithLimit(&limit))
 	if err != nil || limit != 3 {
 		t.Fatalf("WithLimit: %v limit=%d", err, limit)
 	}
-	n2, l2, err := ParseWithLimit(`_*.item limit 3`)
-	if err != nil || l2 != 3 || !Equal(n, n2) {
-		t.Fatalf("ParseWithLimit disagrees: %v", err)
+	if !Equal(n, MustParse(`_*.item`)) {
+		t.Fatalf("WithLimit changed the expression: %s", Canonical(n))
 	}
 	// Without WithLimit the clause is a path.
 	plain := MustParse(`a.limit`)
@@ -152,18 +151,16 @@ func TestParseOptionAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x2, err := ParseXPath(`//item[@a]`)
-	if err != nil || !Equal(x1, x2) {
-		t.Fatalf("ParseXPath disagrees: %v", err)
+	if !Equal(x1, MustParseXPath(`//item[@a]`)) {
+		t.Fatalf("MustParseXPath disagrees with Parse(WithXPath)")
 	}
 	var xl int64
 	x3, err := Parse(`//item first`, WithXPath(), WithLimit(&xl))
 	if err != nil || xl != 1 {
 		t.Fatalf("xpath first: %v limit=%d", err, xl)
 	}
-	x4, l4, err := ParseXPathWithLimit(`//item first`)
-	if err != nil || l4 != 1 || !Equal(x3, x4) {
-		t.Fatalf("ParseXPathWithLimit disagrees: %v", err)
+	if !Equal(x3, MustParseXPath(`//item`)) {
+		t.Fatalf("WithLimit changed the XPath expression: %s", Canonical(x3))
 	}
 }
 

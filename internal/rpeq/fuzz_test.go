@@ -42,7 +42,7 @@ func FuzzParseXPath(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		n, err := ParseXPath(src)
+		n, err := Parse(src, WithXPath())
 		if err != nil {
 			return
 		}

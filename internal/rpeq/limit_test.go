@@ -2,7 +2,7 @@ package rpeq
 
 import "testing"
 
-func TestParseWithLimit(t *testing.T) {
+func TestParseLimitClause(t *testing.T) {
 	cases := []struct {
 		src   string
 		expr  string // canonical form of the expression part
@@ -21,22 +21,23 @@ func TestParseWithLimit(t *testing.T) {
 		{"a.first limit 2", "a.first", 2},
 	}
 	for _, tc := range cases {
-		n, limit, err := ParseWithLimit(tc.src)
+		var limit int64
+		n, err := Parse(tc.src, WithLimit(&limit))
 		if err != nil {
-			t.Errorf("ParseWithLimit(%q): %v", tc.src, err)
+			t.Errorf("Parse(%q, WithLimit): %v", tc.src, err)
 			continue
 		}
 		if limit != tc.limit {
-			t.Errorf("ParseWithLimit(%q) limit = %d, want %d", tc.src, limit, tc.limit)
+			t.Errorf("Parse(%q, WithLimit) limit = %d, want %d", tc.src, limit, tc.limit)
 		}
 		want := MustParse(tc.expr)
 		if Canonical(n) != Canonical(want) {
-			t.Errorf("ParseWithLimit(%q) expr = %s, want %s", tc.src, Canonical(n), Canonical(want))
+			t.Errorf("Parse(%q, WithLimit) expr = %s, want %s", tc.src, Canonical(n), Canonical(want))
 		}
 	}
 }
 
-func TestParseWithLimitErrors(t *testing.T) {
+func TestParseLimitClauseErrors(t *testing.T) {
 	for _, src := range []string{
 		"a limit 0",   // a limit must select at least one answer
 		"a limit",     // missing count
@@ -46,8 +47,9 @@ func TestParseWithLimitErrors(t *testing.T) {
 		"a first limit 2",
 		"limit 3", // no expression
 	} {
-		if _, _, err := ParseWithLimit(src); err == nil {
-			t.Errorf("ParseWithLimit(%q) succeeded, want error", src)
+		var limit int64
+		if _, err := Parse(src, WithLimit(&limit)); err == nil {
+			t.Errorf("Parse(%q, WithLimit) succeeded, want error", src)
 		}
 	}
 }
@@ -63,7 +65,7 @@ func TestPlainParseRejectsLimitClause(t *testing.T) {
 	}
 }
 
-func TestParseXPathWithLimit(t *testing.T) {
+func TestParseXPathLimitClause(t *testing.T) {
 	cases := []struct {
 		src   string
 		plain string // equivalent XPath without the clause
@@ -75,25 +77,26 @@ func TestParseXPathWithLimit(t *testing.T) {
 		{"//Topic[editor]/Title limit 1", "//Topic[editor]/Title", 1},
 	}
 	for _, tc := range cases {
-		n, limit, err := ParseXPathWithLimit(tc.src)
+		var limit int64
+		n, err := Parse(tc.src, WithXPath(), WithLimit(&limit))
 		if err != nil {
-			t.Errorf("ParseXPathWithLimit(%q): %v", tc.src, err)
+			t.Errorf("Parse(%q, WithXPath, WithLimit): %v", tc.src, err)
 			continue
 		}
 		if limit != tc.limit {
-			t.Errorf("ParseXPathWithLimit(%q) limit = %d, want %d", tc.src, limit, tc.limit)
+			t.Errorf("Parse(%q, WithXPath, WithLimit) limit = %d, want %d", tc.src, limit, tc.limit)
 		}
-		want, err := ParseXPath(tc.plain)
+		want, err := Parse(tc.plain, WithXPath())
 		if err != nil {
-			t.Fatalf("ParseXPath(%q): %v", tc.plain, err)
+			t.Fatalf("Parse(%q, WithXPath): %v", tc.plain, err)
 		}
 		if Canonical(n) != Canonical(want) {
-			t.Errorf("ParseXPathWithLimit(%q) expr = %s, want %s", tc.src, Canonical(n), Canonical(want))
+			t.Errorf("Parse(%q, WithXPath, WithLimit) expr = %s, want %s", tc.src, Canonical(n), Canonical(want))
 		}
 	}
 }
 
-func TestParseXPathWithLimitErrors(t *testing.T) {
+func TestParseXPathLimitClauseErrors(t *testing.T) {
 	for _, src := range []string{
 		"//a limit 0",
 		"//a limit",
@@ -101,8 +104,9 @@ func TestParseXPathWithLimitErrors(t *testing.T) {
 		"//a first 1",
 		"//a limit 99999999999999999999", // overflow
 	} {
-		if _, _, err := ParseXPathWithLimit(src); err == nil {
-			t.Errorf("ParseXPathWithLimit(%q) succeeded, want error", src)
+		var limit int64
+		if _, err := Parse(src, WithXPath(), WithLimit(&limit)); err == nil {
+			t.Errorf("Parse(%q, WithXPath, WithLimit) succeeded, want error", src)
 		}
 	}
 }

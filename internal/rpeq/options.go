@@ -45,9 +45,7 @@ func WithLimit(dst *int64) ParseOption {
 // 'or' (in that binding order).
 //
 // Options select the XPath front end (WithXPath) and enable a trailing
-// answer-limit clause (WithLimit). Parse replaces the former
-// ParseWithLimit / ParseXPath / ParseXPathWithLimit entry points, which
-// remain as thin wrappers.
+// answer-limit clause (WithLimit).
 func Parse(src string, opts ...ParseOption) (Node, error) {
 	var cfg parseConfig
 	for _, o := range opts {
@@ -73,31 +71,4 @@ func Parse(src string, opts ...ParseOption) (Node, error) {
 		*cfg.limit = limit
 	}
 	return n, nil
-}
-
-// ParseWithLimit parses an rpeq expression with an optional trailing
-// answer-limit clause.
-//
-// Deprecated: use Parse with WithLimit.
-func ParseWithLimit(src string) (Node, int64, error) {
-	var limit int64
-	n, err := Parse(src, WithLimit(&limit))
-	return n, limit, err
-}
-
-// ParseXPath parses an expression in the supported XPath fragment.
-//
-// Deprecated: use Parse with WithXPath.
-func ParseXPath(src string) (Node, error) {
-	return Parse(src, WithXPath())
-}
-
-// ParseXPathWithLimit parses an XPath expression with an optional trailing
-// answer-limit clause.
-//
-// Deprecated: use Parse with WithXPath and WithLimit.
-func ParseXPathWithLimit(src string) (Node, int64, error) {
-	var limit int64
-	n, err := Parse(src, WithXPath(), WithLimit(&limit))
-	return n, limit, err
 }

@@ -10,9 +10,9 @@ import (
 
 func mustXPath(t *testing.T, src string) Node {
 	t.Helper()
-	n, err := ParseXPath(src)
+	n, err := Parse(src, WithXPath())
 	if err != nil {
-		t.Fatalf("ParseXPath(%q): %v", src, err)
+		t.Fatalf("Parse(%q, WithXPath): %v", src, err)
 	}
 	return n
 }
@@ -49,8 +49,8 @@ func TestParentRewriteErrors(t *testing.T) {
 		"/a/self::b",      // self test conflicts with the step label
 	}
 	for _, src := range bad {
-		if n, err := ParseXPath(src); err == nil {
-			t.Errorf("ParseXPath(%q) = %s, want error", src, n)
+		if n, err := Parse(src, WithXPath()); err == nil {
+			t.Errorf("Parse(%q, WithXPath) = %s, want error", src, n)
 		}
 	}
 }

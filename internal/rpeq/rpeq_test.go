@@ -161,21 +161,21 @@ func TestXPathTranslation(t *testing.T) {
 		{"/a[b][c]", "((a)[b])[c]"},
 	}
 	for _, tc := range tests {
-		n, err := ParseXPath(tc.in)
+		n, err := Parse(tc.in, WithXPath())
 		if err != nil {
-			t.Errorf("ParseXPath(%q): %v", tc.in, err)
+			t.Errorf("Parse(%q, WithXPath): %v", tc.in, err)
 			continue
 		}
 		if got := Canonical(n); got != tc.want {
-			t.Errorf("ParseXPath(%q): got %s, want %s", tc.in, got, tc.want)
+			t.Errorf("Parse(%q, WithXPath): got %s, want %s", tc.in, got, tc.want)
 		}
 	}
 }
 
 func TestXPathErrors(t *testing.T) {
 	for _, bad := range []string{"", "/", "//", "/a[", "/a]", "/a[b", "a//", "/a/", "a[]"} {
-		if _, err := ParseXPath(bad); err == nil {
-			t.Errorf("ParseXPath(%q) unexpectedly succeeded", bad)
+		if _, err := Parse(bad, WithXPath()); err == nil {
+			t.Errorf("Parse(%q, WithXPath) unexpectedly succeeded", bad)
 		}
 	}
 }

@@ -83,9 +83,9 @@ func (p *xpathParser) parseLimitClause() (int64, error) {
 	return 0, nil
 }
 
-// MustParseXPath is ParseXPath panicking on error.
+// MustParseXPath is Parse with WithXPath, panicking on error.
 func MustParseXPath(src string) Node {
-	n, err := ParseXPath(src)
+	n, err := Parse(src, WithXPath())
 	if err != nil {
 		panic(err)
 	}

@@ -17,9 +17,9 @@ const ticketsDoc = `<items>` +
 	`</items>`
 
 // TestAttributeSubscriptions subscribes with @attr queries — rpeq and XPath
-// surface, attribute selection included — on every engine kind, ingests the
-// attribute-bearing document, and cross-validates each subscription's frames
-// against direct spex.Set evaluation.
+// surface, attribute selection included — under every engine name the wire
+// accepts, inline and sharded, ingests the attribute-bearing document, and
+// cross-validates each subscription's frames against per-query evaluation.
 func TestAttributeSubscriptions(t *testing.T) {
 	_, c, _ := newTestServer(t, server.Config{})
 	ctx := context.Background()
@@ -40,7 +40,7 @@ func TestAttributeSubscriptions(t *testing.T) {
 		}
 	}
 
-	for _, engine := range []string{"sequential", "shared", "parallel:2"} {
+	for _, engine := range []string{"sequential", "shared", "merged", "parallel:2"} {
 		ch := "attr-" + engine
 		type subFrames struct {
 			id     string

@@ -48,12 +48,14 @@ type DebugChannel struct {
 	Name          string     `json:"name"`
 	Engine        string     `json:"engine"`
 	Subscriptions []DebugSub `json:"subscriptions"`
-	// Merged is the query-set compiler's current plan for a merged-engine
-	// channel; nil for the other engines.
+	// Merged is the query-set compiler's current plan for the channel's
+	// whole subscription set. A sharded channel compiles each shard's
+	// partition separately, so there it is the plan the set would have
+	// inline — what the corpus shares, not what each shard built.
 	Merged *DebugMerged `json:"merged,omitempty"`
 }
 
-// DebugMerged is a merged channel's compiled set plan: how far the static
+// DebugMerged is a channel's compiled set plan: how far the static
 // pre-pass shrank the subscription corpus, which queries it pruned or found
 // contained, and the naive-versus-merged transducer counts.
 type DebugMerged struct {
@@ -177,9 +179,7 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 				QueueCapacity: cap(sub.queue.ch),
 			})
 		}
-		if ch.comp != nil {
-			dc.Merged = debugMerged(ch.comp.Program())
-		}
+		dc.Merged = debugMerged(ch.comp.Program())
 		info.Channels = append(info.Channels, dc)
 	}
 	sortDebugChannels(info.Channels)

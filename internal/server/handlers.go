@@ -30,10 +30,11 @@ type SubscribeRequest struct {
 	Query string `json:"query"`
 	// XPath interprets Query as the paper's XPath fragment.
 	XPath bool `json:"xpath,omitempty"`
-	// Engine selects the channel's evaluation engine ("sequential",
-	// "shared", "parallel[:shards]"); it binds at channel creation and must
-	// agree with the existing selection afterwards. Empty defers to the
-	// channel (or the server default).
+	// Engine selects how the channel's one set engine is sharded: "merged"
+	// (inline, the default) or "parallel[:shards]". The legacy engine names
+	// "sequential" and "shared" are accepted and mean "merged". The
+	// selection binds at channel creation and must agree with the existing
+	// one afterwards. Empty defers to the channel (or the server default).
 	Engine string `json:"engine,omitempty"`
 	// Limit caps the subscription's answers: once Limit total hits have been
 	// delivered the subscription completes — its frame queue closes (attached
@@ -226,16 +227,14 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		if req.Engine != "" {
 			engine = reqEngine
 		}
-		ch = &channel{name: req.Channel, engine: engine, cm: s.metrics.Channel(req.Channel)}
-		if engine.Kind == EngineMerged {
-			ch.comp = setcompile.NewCompiler()
-		}
+		ch = &channel{name: req.Channel, engine: engine, cm: s.metrics.Channel(req.Channel),
+			comp: setcompile.NewCompiler()}
 		s.mgr.channels[req.Channel] = ch
 		s.metrics.ChannelsActive.Add(1)
 	} else if req.Engine != "" && reqEngine != ch.engine {
 		s.mgr.mu.Unlock()
 		s.writeError(w, http.StatusConflict,
-			fmt.Sprintf("channel %q runs the %s engine, not %s", ch.name, ch.engine, reqEngine), false)
+			fmt.Sprintf("channel %q is bound to engine %s, not %s", ch.name, ch.engine, reqEngine), false)
 		return
 	}
 	ch.mu.Lock()
@@ -261,19 +260,16 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	ch.subs = append(ch.subs, sub)
 	ch.cm.Subs.Set(int64(len(ch.subs)))
 	ch.mu.Unlock()
-	if ch.comp != nil {
-		// Maintain the merged channel's incremental query-set plan. The
-		// query re-parses here because the compiled spex.Query does not
-		// expose its expression tree; it already parsed once above, so this
-		// cannot fail.
-		var lim int64
-		popts := []rpeq.ParseOption{rpeq.WithLimit(&lim)}
-		if req.XPath {
-			popts = append(popts, rpeq.WithXPath())
-		}
-		if node, perr := rpeq.Parse(req.Query, popts...); perr == nil {
-			ch.comp.Add(sub.id, node, sub.limit)
-		}
+	// Maintain the channel's incremental query-set plan. The query re-parses
+	// here because the compiled spex.Query does not expose its expression
+	// tree; it already parsed once above, so this cannot fail.
+	var lim int64
+	popts := []rpeq.ParseOption{rpeq.WithLimit(&lim)}
+	if req.XPath {
+		popts = append(popts, rpeq.WithXPath())
+	}
+	if node, perr := rpeq.Parse(req.Query, popts...); perr == nil {
+		ch.comp.Add(sub.id, node, sub.limit)
 	}
 	s.mgr.mu.Unlock()
 	s.publishSetcompile()
@@ -337,12 +333,10 @@ func (s *Server) retireSubscription(sub *subscription) bool {
 		}
 		ch.cm.Subs.Set(int64(len(ch.subs)))
 		ch.mu.Unlock()
-		if ch.comp != nil {
-			ch.comp.Remove(sub.id)
-		}
+		ch.comp.Remove(sub.id)
 	}
 	s.mgr.mu.Unlock()
-	if ch != nil && ch.comp != nil {
+	if ch != nil {
 		s.publishSetcompile()
 	}
 
@@ -352,21 +346,16 @@ func (s *Server) retireSubscription(sub *subscription) bool {
 	return true
 }
 
-// publishSetcompile re-aggregates every merged channel's compiler statistics
-// into the engine registry's spex_setcompile_* gauges, so the daemon's
-// /metrics reflects the standing corpus rather than the last session.
+// publishSetcompile re-aggregates every channel's compiler statistics into
+// the engine registry's spex_setcompile_* gauges, so the daemon's /metrics
+// reflects the standing corpus rather than the last session.
 func (s *Server) publishSetcompile() {
 	s.mgr.mu.RLock()
-	var comps []*setcompile.Compiler
+	comps := make([]*setcompile.Compiler, 0, len(s.mgr.channels))
 	for _, ch := range s.mgr.channels {
-		if ch.comp != nil {
-			comps = append(comps, ch.comp)
-		}
+		comps = append(comps, ch.comp)
 	}
 	s.mgr.mu.RUnlock()
-	if len(comps) == 0 {
-		return
-	}
 	var naive, merged, pruned, collapsed, contained int
 	for _, c := range comps {
 		st := c.Stats()

@@ -15,9 +15,10 @@ func TestParseEngine(t *testing.T) {
 		want string
 		ok   bool
 	}{
-		{"", "shared", true},
-		{"shared", "shared", true},
-		{"sequential", "sequential", true},
+		{"", "merged", true},
+		{"merged", "merged", true},
+		{"shared", "merged", true},
+		{"sequential", "merged", true},
 		{"parallel", "parallel", true},
 		{"parallel:4", "parallel:4", true},
 		{"parallel:0", "", false},

@@ -16,8 +16,8 @@ func TestParseEngineMerged(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseEngine(merged): %v", err)
 	}
-	if e.Kind != server.EngineMerged {
-		t.Fatalf("Kind = %v, want EngineMerged", e.Kind)
+	if e != (server.Engine{}) {
+		t.Fatalf("ParseEngine(merged) = %+v, want the inline zero value", e)
 	}
 	if got := e.String(); got != "merged" {
 		t.Fatalf("String() = %q, want %q", got, "merged")
@@ -29,8 +29,8 @@ func TestParseEngineMerged(t *testing.T) {
 
 // TestMergedEngineEndToEnd registers an overlapping corpus — duplicates, an
 // equivalent-after-canonicalization pair, a contained pair and a statically
-// unsatisfiable query — on a merged channel, ingests a document, and checks
-// frames against direct evaluation plus the /debug/spex merged block.
+// unsatisfiable query — on a channel, ingests a document, and checks frames
+// against per-query evaluation plus the /debug/spex merged block.
 func TestMergedEngineEndToEnd(t *testing.T) {
 	_, c, ts := newTestServer(t, server.Config{})
 	ctx := context.Background()
@@ -57,8 +57,8 @@ func TestMergedEngineEndToEnd(t *testing.T) {
 		ids[i] = info.ID
 	}
 
-	// A second subscription naming a different engine must conflict.
-	if _, err := c.Subscribe(ctx, server.SubscribeRequest{Channel: "m", Query: "a", Engine: "shared"}); err == nil {
+	// A second subscription asking for a sharded channel must conflict.
+	if _, err := c.Subscribe(ctx, server.SubscribeRequest{Channel: "m", Query: "a", Engine: "parallel"}); err == nil {
 		t.Fatal("engine mismatch on existing channel: want conflict error")
 	}
 
@@ -177,7 +177,7 @@ func TestMergedEngineEndToEnd(t *testing.T) {
 }
 
 // TestMergedSubscribeRetireMidStream exercises the incremental compiler
-// under -race: ingests stream continuously on a merged channel while
+// under -race: ingests stream continuously on a channel while
 // subscriptions are added and retired concurrently. Every session snapshots
 // the channel at its start, so each pass must still deliver a consistent
 // frame set for the subscriptions it saw.

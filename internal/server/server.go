@@ -8,8 +8,9 @@
 // The package layers, bottom to top:
 //
 //   - sessions (session.go): every ingest snapshots its channel's
-//     subscriptions into a spex.Set on the channel's engine (shared,
-//     sequential, or parallel) and streams the request body through it once;
+//     subscriptions into a spex.Set — one merged network, sharded over a
+//     worker pool if the channel selects it — and streams the request body
+//     through it once;
 //   - frames (frames.go): each hit becomes an NDJSON frame pushed onto the
 //     subscription's bounded queue — the backpressure point: a slow result
 //     reader throttles its own channel's sessions, never the process;
@@ -34,14 +35,14 @@ import (
 	"repro/internal/obs"
 )
 
-// Config configures a Server. The zero value is usable: default limits, the
-// shared engine, a fresh metrics registry.
+// Config configures a Server. The zero value is usable: default limits,
+// unsharded channels, a fresh metrics registry.
 type Config struct {
 	// Limits is the admission-control configuration.
 	Limits Limits
-	// DefaultEngine is the engine for channels whose first subscription
-	// does not select one: "sequential", "shared" (the default), or
-	// "parallel[:shards]".
+	// DefaultEngine is the shard selection for channels whose first
+	// subscription does not make one: "merged" (inline, the default) or
+	// "parallel[:shards]"; see ParseEngine for the legacy names.
 	DefaultEngine string
 	// EngineMetrics is the engine-side obs registry served on /metrics;
 	// nil creates one.

@@ -31,46 +31,45 @@ func newTestServer(t *testing.T, cfg server.Config) (*server.Server, *client.Cli
 	return s, client.New(ts.URL, ts.Client()), ts
 }
 
-// directMatches evaluates queries against doc with a plain spex.Set and
-// returns each query's answer sequence — the reference the server's frames
-// must reproduce exactly.
+// directMatches evaluates every query against doc on its own — one
+// Query.Matches pass each, no set engine involved — and returns each query's
+// answer sequence: the reference the server's frames must reproduce exactly.
 func directMatches(t *testing.T, queries []string, xpath []bool, doc string) [][]spex.Match {
 	t.Helper()
-	qs := make([]*spex.Query, len(queries))
+	out := make([][]spex.Match, len(queries))
 	for i, qstr := range queries {
-		var err error
+		compile := spex.Compile
 		if xpath != nil && xpath[i] {
-			qs[i], err = spex.CompileXPath(qstr)
-		} else {
-			qs[i], err = spex.Compile(qstr)
+			compile = spex.CompileXPath
 		}
+		q, err := compile(qstr)
 		if err != nil {
 			t.Fatalf("compile %q: %v", qstr, err)
 		}
-	}
-	out := make([][]spex.Match, len(qs))
-	set := spex.NewSet(qs, func(qi int, m spex.Match) { out[qi] = append(out[qi], m) })
-	if err := set.Evaluate(strings.NewReader(doc)); err != nil {
-		t.Fatalf("direct evaluate: %v", err)
+		if _, err := q.Matches(strings.NewReader(doc), func(m spex.Match) { out[i] = append(out[i], m) }); err != nil {
+			t.Fatalf("direct evaluate %q: %v", qstr, err)
+		}
 	}
 	return out
 }
 
 // TestEndToEnd drives N subscribers across M channels concurrently — every
-// engine kind, result streams attached throughout, several documents per
-// channel — and cross-validates every subscription's frames against direct
-// spex.Set evaluation.
+// engine name the wire accepts, legacy ones included, result streams
+// attached throughout, several documents per channel — and cross-validates
+// every subscription's frames against per-query evaluation.
 func TestEndToEnd(t *testing.T) {
 	_, c, _ := newTestServer(t, server.Config{})
 	ctx := context.Background()
 
 	channels := []struct {
 		name   string
-		engine string
+		engine string // as requested
+		bound  string // as the server reports the channel's selection
 	}{
-		{"seq", "sequential"},
-		{"shared", "shared"},
-		{"par", "parallel:2"},
+		{"seq", "sequential", "merged"},
+		{"shared", "shared", "merged"},
+		{"merged", "merged", "merged"},
+		{"par", "parallel:2", "parallel:2"},
 	}
 	queries := []string{`_*.a[b].c`, `_*.c`, `//a/c`, `a.b`}
 	xpath := []bool{false, false, true, false}
@@ -95,8 +94,8 @@ func TestEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatalf("subscribe %s/%s: %v", ch.name, q, err)
 			}
-			if info.Engine != ch.engine {
-				t.Fatalf("subscribe %s: engine = %q, want %q", ch.name, info.Engine, ch.engine)
+			if info.Engine != ch.bound {
+				t.Fatalf("subscribe %s: engine = %q, want %q", ch.name, info.Engine, ch.bound)
 			}
 			st := &subState{id: info.ID, frames: make(chan server.Frame, 1024)}
 			subs[ch.name] = append(subs[ch.name], st)
@@ -223,6 +222,9 @@ func TestGracefulShutdown(t *testing.T) {
 			return nil
 		})
 	}()
+
+	// The reader must be attached before the drain starts refusing requests.
+	waitFor(t, func() bool { return s.Metrics().ResultStreamsActive.Load() == 1 }, "result stream attached")
 
 	// Start an ingest whose body we control: write the first half, leave
 	// the request in flight.
@@ -411,8 +413,8 @@ func TestAdmissionLimits(t *testing.T) {
 	}
 }
 
-// TestEngineConflict: a channel's engine binds at creation; a conflicting
-// later subscription is refused with 409.
+// TestEngineConflict: a channel's shard selection binds at creation; a
+// conflicting later subscription is refused with 409.
 func TestEngineConflict(t *testing.T) {
 	_, c, _ := newTestServer(t, server.Config{})
 	ctx := context.Background()
@@ -430,6 +432,51 @@ func TestEngineConflict(t *testing.T) {
 	}
 	if _, err := c.Subscribe(ctx, server.SubscribeRequest{Channel: "ch", Query: `c`}); err != nil {
 		t.Errorf("engine-less subscribe refused: %v", err)
+	}
+}
+
+// TestEngineNamesShareOneSelection: the engine names that once picked
+// different engines all parse to the one inline selection, so a channel
+// created under one of them accepts a later subscription naming another;
+// what still binds — and conflicts with 409 — is the shard selection: inline
+// against parallel, or two different shard counts.
+func TestEngineNamesShareOneSelection(t *testing.T) {
+	for _, name := range []string{"", "sequential", "shared", "merged"} {
+		e, err := server.ParseEngine(name)
+		if err != nil || e != (server.Engine{}) {
+			t.Errorf("ParseEngine(%q) = %+v, %v; want the inline zero value", name, e, err)
+		}
+	}
+	_, c, _ := newTestServer(t, server.Config{})
+	ctx := context.Background()
+	cases := []struct {
+		first, second string
+		conflict      bool
+	}{
+		{"sequential", "shared", false},
+		{"shared", "merged", false},
+		{"merged", "sequential", false},
+		{"", "merged", false},
+		{"parallel:2", "parallel:2", false},
+		{"merged", "parallel", true},
+		{"sequential", "parallel:2", true},
+		{"parallel", "shared", true},
+		{"parallel:2", "parallel:3", true},
+		{"parallel", "parallel:2", true},
+	}
+	for i, tc := range cases {
+		ch := fmt.Sprintf("ch%d", i)
+		if _, err := c.Subscribe(ctx, server.SubscribeRequest{Channel: ch, Query: `a`, Engine: tc.first}); err != nil {
+			t.Fatalf("%q: creating subscribe: %v", tc.first, err)
+		}
+		_, err := c.Subscribe(ctx, server.SubscribeRequest{Channel: ch, Query: `b`, Engine: tc.second})
+		apiErr, _ := err.(*client.APIError)
+		switch {
+		case tc.conflict && (apiErr == nil || apiErr.Status != http.StatusConflict):
+			t.Errorf("%q then %q: error %v, want 409", tc.first, tc.second, err)
+		case !tc.conflict && err != nil:
+			t.Errorf("%q then %q refused: %v", tc.first, tc.second, err)
+		}
 	}
 }
 
@@ -510,6 +557,9 @@ func TestUnsubscribeMidStream(t *testing.T) {
 		})
 	}()
 
+	// The reader must be attached before the subscription goes away, or its
+	// request finds no subscription to stream from.
+	waitFor(t, func() bool { return s.Metrics().ResultStreamsActive.Load() == 1 }, "result stream attached")
 	if _, err := c.IngestString(ctx, "ch", fig1Doc); err != nil {
 		t.Fatalf("ingest: %v", err)
 	}

@@ -16,93 +16,52 @@ import (
 	"repro/internal/setcompile"
 )
 
-// EngineKind selects a channel's multi-query evaluation engine; the kinds
-// mirror the spex.Set options (Shared, Sequential, Parallel).
-type EngineKind uint8
-
-const (
-	// EngineShared compiles a channel's subscriptions into one transducer
-	// network with common subexpressions evaluated once (the default).
-	EngineShared EngineKind = iota
-	// EngineSequential runs one network per subscription.
-	EngineSequential
-	// EngineParallel shards the subscriptions over a worker pool.
-	EngineParallel
-	// EngineMerged runs the query-set compiler first: subscriptions are
-	// canonicalized, statically unsatisfiable ones pruned, equivalent ones
-	// collapsed onto one sink, and the survivors compiled into one merged
-	// network. The channel keeps an incremental compiler, so subscribing
-	// and retiring maintain the merged plan without recompiling the world.
-	EngineMerged
-)
-
-// Engine is a parsed engine selection: the kind plus the parallel engine's
-// shard count (0 = one shard per CPU).
+// Engine is a channel's shard selection. Every channel evaluates its
+// subscriptions through the one set engine (spex.Set: the query-set compiler
+// and one merged network); what a channel selects is only whether that
+// engine runs inline on the ingest goroutine (Shards == 0, the default) or
+// sharded over a worker pool — Shards > 0 workers, or one per CPU when
+// Shards < 0.
 type Engine struct {
-	Kind   EngineKind
 	Shards int
 }
 
-// ParseEngine parses "sequential", "shared", "merged" or
-// "parallel[:shards]" — the selection the server's subscription API and the
-// spex CLI's -engine flag share. The empty string parses as the shared
-// default.
+// ParseEngine parses the selection the server's subscription API, the spexd
+// -engine flag and the spex CLI's -engine flag share: "parallel[:shards]"
+// shards the channel, and "merged" — like the empty string and the legacy
+// names "sequential" and "shared", which once picked engines that no longer
+// exist — evaluates inline.
 func ParseEngine(s string) (Engine, error) {
 	name, arg, hasArg := strings.Cut(s, ":")
-	var e Engine
 	switch name {
-	case "", "shared":
-		e.Kind = EngineShared
-	case "sequential":
-		e.Kind = EngineSequential
-	case "parallel":
-		e.Kind = EngineParallel
-	case "merged":
-		e.Kind = EngineMerged
-	default:
-		return Engine{}, fmt.Errorf("server: unknown engine %q (want sequential, shared, merged or parallel[:shards])", s)
-	}
-	if hasArg {
-		if e.Kind != EngineParallel {
+	case "", "merged", "shared", "sequential":
+		if hasArg {
 			return Engine{}, fmt.Errorf("server: engine %q takes no shard count", name)
+		}
+		return Engine{}, nil
+	case "parallel":
+		if !hasArg {
+			return Engine{Shards: -1}, nil
 		}
 		n, err := strconv.Atoi(arg)
 		if err != nil || n <= 0 {
 			return Engine{}, fmt.Errorf("server: bad shard count %q", arg)
 		}
-		e.Shards = n
+		return Engine{Shards: n}, nil
+	default:
+		return Engine{}, fmt.Errorf("server: unknown engine %q (want merged or parallel[:shards])", s)
 	}
-	return e, nil
 }
 
 // String renders the selection in the form ParseEngine accepts.
 func (e Engine) String() string {
-	switch e.Kind {
-	case EngineSequential:
-		return "sequential"
-	case EngineParallel:
-		if e.Shards > 0 {
-			return fmt.Sprintf("parallel:%d", e.Shards)
-		}
-		return "parallel"
-	case EngineMerged:
+	switch {
+	case e.Shards == 0:
 		return "merged"
+	case e.Shards < 0:
+		return "parallel"
 	default:
-		return "shared"
-	}
-}
-
-// Option translates the selection into the spex.Set option.
-func (e Engine) Option() spex.SetOption {
-	switch e.Kind {
-	case EngineSequential:
-		return spex.Sequential()
-	case EngineParallel:
-		return spex.Parallel(e.Shards)
-	case EngineMerged:
-		return spex.Merged()
-	default:
-		return spex.Shared()
+		return fmt.Sprintf("parallel:%d", e.Shards)
 	}
 }
 
@@ -119,16 +78,15 @@ type subscription struct {
 	hits    atomic.Int64 // answers enqueued
 }
 
-// channel is a named ingest target: an engine selection plus the
+// channel is a named ingest target: a shard selection plus the
 // subscriptions evaluated against every document ingested into it.
 type channel struct {
 	name   string
 	engine Engine
 	cm     *ChannelMetrics
-	// comp is the incremental query-set compiler of a merged-engine channel
-	// (nil otherwise): subscribe and retire maintain the merged plan one
-	// query at a time, and /debug/spex reads the current program from it.
-	// It has its own lock.
+	// comp is the channel's incremental query-set compiler: subscribe and
+	// retire maintain the set-level plan one query at a time, and
+	// /debug/spex reads the current program from it. It has its own lock.
 	comp *setcompile.Compiler
 
 	mu   sync.Mutex
@@ -202,8 +160,8 @@ func (m *sessionManager) subscriptionByID(id string) *subscription {
 }
 
 // session is one ingest pass: the channel's subscription set as of the
-// session's start, compiled into a spex.Set on the channel's engine, with
-// every hit forwarded as a frame to its subscription's queue.
+// session's start, compiled into a spex.Set (sharded if the channel says
+// so), with every hit forwarded as a frame to its subscription's queue.
 type session struct {
 	id    string
 	ch    *channel
@@ -280,16 +238,21 @@ func (sess *session) runBytes(ctx context.Context, data []byte, workers int) (ma
 	return sess.settle(set, err)
 }
 
-// newSet compiles the session's subscription snapshot into a spex.Set on
-// the channel's engine, with every hit forwarded as a frame to its
-// subscription's queue.
+// newSet compiles the session's subscription snapshot into a spex.Set,
+// sharded as the channel selects, with every hit forwarded as a frame to
+// its subscription's queue.
 func (sess *session) newSet(ctx context.Context, extra ...spex.SetOption) *spex.Set {
 	queries := make([]*spex.Query, len(sess.subs))
 	for i, sub := range sess.subs {
 		queries[i] = sub.q
 	}
+	opts := append([]spex.SetOption{spex.SetTraceID(sess.trace)}, extra...)
+	if n := sess.ch.engine.Shards; n != 0 {
+		opts = append(opts, spex.Parallel(n))
+	}
+	opts = append(opts, sess.srv.setOpts...)
 	m := sess.srv.metrics
-	set := spex.NewSet(queries, func(qi int, match spex.Match) {
+	return spex.NewSet(queries, func(qi int, match spex.Match) {
 		sub := sess.subs[qi]
 		f := Frame{
 			Sub:     sub.id,
@@ -321,9 +284,7 @@ func (sess *session) newSet(ctx context.Context, extra ...spex.SetOption) *spex.
 			// network), so no further hits arrive from this session.
 			sess.srv.completeSubscription(sub)
 		}
-	}, append(append([]spex.SetOption{sess.ch.engine.Option(), spex.SetTraceID(sess.trace)},
-		extra...), sess.srv.setOpts...)...)
-	return set
+	}, opts...)
 }
 
 // do runs one evaluation under pprof labels that attribute its CPU samples

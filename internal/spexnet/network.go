@@ -167,8 +167,9 @@ func (n *Network) Run(src xmlstream.Source) (Stats, error) {
 
 // AnswerDetermined reports whether every sink's answer is fixed: all answer
 // limits have been reached, so no suffix of the stream can change what the
-// network reports. Callers driving Step directly (push-mode feeds, the
-// multi-query engines) poll this to disconnect the stream early.
+// network reports. Callers driving Step directly (core.Run's push-mode feed,
+// under single queries and the set engine alike) poll this to disconnect
+// the stream early.
 func (n *Network) AnswerDetermined() bool {
 	if n.finalStats != nil {
 		return n.finalStats.Determined

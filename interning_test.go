@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -146,9 +147,10 @@ func TestInterningCrossValidation(t *testing.T) {
 	}
 }
 
-// TestSetEnginesAgree runs the same query set on all three Set engines and
-// requires identical per-query counts and match lists (the acceptance
-// criterion that Sequential, Shared and Parallel return the same answers).
+// TestSetEnginesAgree runs the same query set inline and sharded and
+// requires per-query counts and match lists identical to evaluating every
+// query alone (the acceptance criterion that neither merging nor sharding
+// changes an answer).
 func TestSetEnginesAgree(t *testing.T) {
 	doc := "<RDF>" + strings.Repeat(
 		"<Topic><catid>7</catid><Title>t</Title></Topic><Alias><Title>a</Title></Alias>", 9) +
@@ -159,40 +161,10 @@ func TestSetEnginesAgree(t *testing.T) {
 		MustCompile("_*.Title"),
 		MustCompile("RDF.Topic[catid].Title"),
 	}
-	type answers struct {
-		counts  []int64
-		matches map[int][]Match
+	if _, counts := runSingle(t, queries, doc); slices.Contains(counts, 0) {
+		t.Fatalf("a query found no answers; workload broken: %v", counts)
 	}
-	run := func(opts ...SetOption) answers {
-		got := answers{matches: make(map[int][]Match)}
-		set := NewSet(queries, func(q int, m Match) {
-			got.matches[q] = append(got.matches[q], m)
-		}, opts...)
-		if err := set.Evaluate(strings.NewReader(doc)); err != nil {
-			t.Fatal(err)
-		}
-		got.counts = set.Counts()
-		return got
-	}
-	sequential := run(Sequential())
-	shared := run(Shared())
-	parallel := run(Parallel(2))
-	for i := range queries {
-		if sequential.counts[i] == 0 {
-			t.Errorf("query %d found no answers; workload broken", i)
-		}
-		if sequential.counts[i] != shared.counts[i] || sequential.counts[i] != parallel.counts[i] {
-			t.Errorf("query %d: counts diverge: sequential=%d shared=%d parallel=%d",
-				i, sequential.counts[i], shared.counts[i], parallel.counts[i])
-		}
-		seq := fmt.Sprint(sequential.matches[i])
-		if got := fmt.Sprint(shared.matches[i]); got != seq {
-			t.Errorf("query %d: shared matches diverge\nsequential: %s\nshared:     %s", i, seq, got)
-		}
-		if got := fmt.Sprint(parallel.matches[i]); got != seq {
-			t.Errorf("query %d: parallel matches diverge\nsequential: %s\nparallel:   %s", i, seq, got)
-		}
-	}
+	crossValidate(t, queries, doc)
 }
 
 // TestConcurrentStreamsShareSymtab drives several push-mode Streams of one

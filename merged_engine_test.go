@@ -9,8 +9,8 @@ import (
 )
 
 // engineHit is one answer with its originating query position — the unit
-// the cross-validation below compares across engines. Two engines agree on
-// a workload iff they produce the same hit sequence per query and the same
+// the cross-validation below compares. A set agrees with the reference on a
+// workload iff it produces the same hit sequence per query and the same
 // Counts slice.
 type engineHit struct {
 	query int
@@ -18,18 +18,17 @@ type engineHit struct {
 	name  string
 }
 
-// setEngines enumerates every engine selection a Set can run under,
-// including the merged compiler composed with the parallel sharder. The
-// sequential engine is the baseline the others are checked against.
+// setEngines enumerates every way a Set can run its one engine: inline,
+// sharded over two and three workers, and under the deprecated no-op Merged
+// option. All are checked against per-query single evaluation.
 var setEngines = []struct {
 	name string
 	opts []SetOption
 }{
-	{"sequential", []SetOption{Sequential()}},
-	{"shared", []SetOption{Shared()}},
-	{"parallel", []SetOption{Parallel(2)}},
-	{"merged", []SetOption{Merged()}},
-	{"merged+parallel", []SetOption{Merged(), Parallel(2)}},
+	{"inline", nil},
+	{"parallel:2", []SetOption{Parallel(2)}},
+	{"parallel:3", []SetOption{Parallel(3)}},
+	{"merged-noop", []SetOption{Merged()}},
 }
 
 // runSetEngine evaluates the queries over doc under one engine selection
@@ -46,10 +45,28 @@ func runSetEngine(t *testing.T, queries []*Query, doc string, opts ...SetOption)
 	return hits, set.Counts()
 }
 
-// perQuery splits a hit sequence by query position. The engines only
-// guarantee document order per query — the parallel engine may interleave
-// different queries' deliveries differently — so the comparison is
-// per-query, not on the global sequence.
+// runSingle is the reference: every query evaluated alone on its own
+// network, one Query.Matches pass per query, no set engine involved.
+func runSingle(t *testing.T, queries []*Query, doc string) ([]engineHit, []int64) {
+	t.Helper()
+	var hits []engineHit
+	counts := make([]int64, len(queries))
+	for qi, q := range queries {
+		stats, err := q.Matches(strings.NewReader(doc), func(m Match) {
+			hits = append(hits, engineHit{qi, m.Index, m.Name})
+		})
+		if err != nil {
+			t.Fatalf("single evaluation of query %d: %v", qi, err)
+		}
+		counts[qi] = stats.Output.Matches
+	}
+	return hits, counts
+}
+
+// perQuery splits a hit sequence by query position. A set only guarantees
+// document order per query — the sharded one may interleave different
+// queries' deliveries differently — so the comparison is per-query, not on
+// the global sequence.
 func perQuery(n int, hits []engineHit) [][]engineHit {
 	out := make([][]engineHit, n)
 	for _, h := range hits {
@@ -58,28 +75,28 @@ func perQuery(n int, hits []engineHit) [][]engineHit {
 	return out
 }
 
-// crossValidate runs the workload under every engine and requires each to
-// reproduce the sequential baseline's per-query answers exactly.
+// crossValidate runs the workload under every engine selection and requires
+// each to reproduce the per-query single evaluations' answers exactly.
 func crossValidate(t *testing.T, queries []*Query, doc string) {
 	t.Helper()
-	baseHits, baseCounts := runSetEngine(t, queries, doc, Sequential())
+	baseHits, baseCounts := runSingle(t, queries, doc)
 	base := perQuery(len(queries), baseHits)
-	for _, e := range setEngines[1:] {
+	for _, e := range setEngines {
 		hits, counts := runSetEngine(t, queries, doc, e.opts...)
 		for i := range counts {
 			if counts[i] != baseCounts[i] {
-				t.Errorf("%s: query %d counts %d, sequential %d", e.name, i, counts[i], baseCounts[i])
+				t.Errorf("%s: query %d counts %d, single %d", e.name, i, counts[i], baseCounts[i])
 			}
 		}
 		got := perQuery(len(queries), hits)
 		for qi := range base {
 			if len(got[qi]) != len(base[qi]) {
-				t.Errorf("%s: query %d delivered %d hits, sequential %d", e.name, qi, len(got[qi]), len(base[qi]))
+				t.Errorf("%s: query %d delivered %d hits, single %d", e.name, qi, len(got[qi]), len(base[qi]))
 				continue
 			}
 			for j := range base[qi] {
 				if got[qi][j] != base[qi][j] {
-					t.Errorf("%s: query %d hit %d = %+v, sequential %+v", e.name, qi, j, got[qi][j], base[qi][j])
+					t.Errorf("%s: query %d hit %d = %+v, single %+v", e.name, qi, j, got[qi][j], base[qi][j])
 				}
 			}
 		}
@@ -104,7 +121,7 @@ func TestMergedEngineFig1(t *testing.T) {
 }
 
 // TestMergedEngineDMOZ cross-validates on a DMOZ-shaped document with the
-// same query heads the sdi-shared benchmark subscribes — shared spines with
+// same query heads the sdi_merged benchmark subscribes — shared spines with
 // divergent tails, which is where prefix factoring actually shares work.
 func TestMergedEngineDMOZ(t *testing.T) {
 	var buf bytes.Buffer

@@ -72,63 +72,41 @@ func (q *Query) MatchesDoc(r io.Reader) (bool, error) {
 	return stats.Output.Matches > 0, nil
 }
 
-// SetOption selects the evaluation engine of a query Set.
+// SetOption configures a query Set.
 type SetOption func(*setConfig)
 
-type setEngineKind uint8
-
-const (
-	setShared setEngineKind = iota
-	setSequential
-	setParallel
-)
-
 type setConfig struct {
-	engine  setEngineKind
-	merged  bool
-	shards  int
-	gov     *governor.Config
-	metrics *obs.Metrics
-	traceID string
+	// parallel shards the set's one engine over a worker pool; shards <= 0
+	// means one shard per CPU.
+	parallel bool
+	shards   int
+	gov      *governor.Config
+	metrics  *obs.Metrics
+	traceID  string
 	// pscan enables the parallel chunk-scan ingest path for bytes-fed
 	// evaluations; pscanWorkers <= 0 means one worker per CPU.
 	pscan        bool
 	pscanWorkers int
 }
 
-// Sequential evaluates each query of the set on its own transducer network —
-// the baseline the shared and parallel engines are cross-validated against.
-func Sequential() SetOption {
-	return func(c *setConfig) { c.engine = setSequential }
-}
-
-// Shared (the default) compiles all queries of the set into one transducer
-// network: structurally identical subexpressions — in particular common
-// query prefixes — are compiled and evaluated once (the paper's §IX
-// multi-query optimization).
-func Shared() SetOption {
-	return func(c *setConfig) { c.engine = setShared }
-}
-
-// Merged runs the set through the query-set compiler before the network is
-// built: each query is canonicalized (so equivalent subscriptions become
-// structurally identical and share transducers), statically unsatisfiable
-// queries are pruned without compiling a single transducer, and equivalent
-// queries collapse onto one shared sink whose answers are remapped to every
-// member — with per-query counts and answer limits preserved exactly.
-// Answers are byte-identical to the other engines'. Combined with
-// Parallel, each shard evaluates its partition through a merged network.
+// Merged does nothing: every Set compiles through the query-set compiler.
+//
+// Deprecated: the merged engine is the only set engine, so there is nothing
+// left to select. The option remains only because the repository benchmark
+// (benchmark/workloads.go), which a change to the engine may not edit,
+// passes it.
 func Merged() SetOption {
-	return func(c *setConfig) { c.merged = true }
+	return func(*setConfig) {}
 }
 
 // Parallel partitions the set's queries over a pool of worker shards fed in
-// batches from the scanning goroutine; shards ≤ 0 selects one shard per
-// available CPU. Answer callbacks run on a single delivery goroutine (never
+// batches from the scanning goroutine, each shard compiling its partition
+// into its own merged network; shards ≤ 0 selects one shard per available
+// CPU. Answer callbacks run on a single delivery goroutine (never
 // concurrently), in per-query document order.
 func Parallel(shards int) SetOption {
 	return func(c *setConfig) {
-		c.engine = setParallel
+		c.parallel = true
 		c.shards = shards
 	}
 }
@@ -146,38 +124,45 @@ func ParallelScan(workers int) SetOption {
 	}
 }
 
-// Governed attaches a resource governor to every query of the set: non-zero
-// caps in l are enforced under policy p on each member network. Under
-// PolicyShed a query that trips its candidate or buffer cap is dropped from
-// the pass (its counts freeze) while the remaining queries keep evaluating;
-// under PolicyFail the first trip aborts the whole pass with a *LimitError
-// identifying the subscription.
+// Governed attaches a resource governor to the set: non-zero caps in l are
+// enforced under policy p on the set's network (each shard's, under
+// Parallel) and on every query's sink. Under PolicyShed a query that trips
+// its candidate or buffer cap is dropped from the pass (its counts freeze)
+// while the remaining queries keep evaluating; under PolicyFail the first
+// trip aborts the whole pass with a *LimitError identifying the
+// subscription.
 func Governed(l ResourceLimits, p Policy) SetOption {
 	cfg := &governor.Config{Limits: l, Policy: p}
 	return func(c *setConfig) { c.gov = cfg }
 }
 
 // SetMetrics binds a metrics registry for governor trip accounting
-// (spex_governor_* counters) across all queries of the set. It does not
-// enable full per-event instrumentation — that would count each stream event
-// once per member network.
+// (spex_governor_* counters), the sink-side latency histograms, the ingest
+// accounting and the set compiler's statistics. It does not enable full
+// per-event instrumentation of the network.
 func SetMetrics(m *Metrics) SetOption {
 	return func(c *setConfig) { c.metrics = m }
 }
 
-// SetTraceID stamps every trace record of every member network with the
-// stream-scoped trace identifier and labels the Parallel engine's shard
+// SetTraceID stamps every trace record of the set's network with the
+// stream-scoped trace identifier and labels the Parallel wrapper's shard
 // goroutines with it for pprof, correlating one stream pass across the
-// set's networks, profiles, and the caller's own records.
+// set's network, profiles, and the caller's own records.
 func SetTraceID(id string) SetOption {
 	return func(c *setConfig) { c.traceID = id }
 }
 
 // Set evaluates several compiled queries against one stream in a single
-// pass. The engine is selected at construction: Shared (one network with
-// common subexpressions evaluated once — the default), Sequential (one
-// network per query), or Parallel (queries sharded over a worker pool). All
-// engines return identical per-query answers.
+// pass through ONE transducer network (the paper's §IX multi-query
+// optimization). The set is first run through the query-set compiler: each
+// query is canonicalized (so equivalent queries become structurally
+// identical), statically unsatisfiable queries are pruned without compiling
+// a single transducer, and equivalent queries collapse onto one shared sink
+// whose answers are remapped to every member — with per-query counts and
+// answer limits preserved exactly. What remains compiles into a network
+// whose common subexpressions, in particular common query prefixes, are
+// evaluated once. Every query's answers are identical to evaluating it
+// alone. Parallel shards the same engine over a worker pool.
 type Set struct {
 	queries    []*Query
 	fn         func(query int, m Match)
@@ -186,17 +171,10 @@ type Set struct {
 	determined bool
 }
 
-// QuerySet evaluates several compiled queries against one stream in a
-// single pass.
-//
-// Deprecated: QuerySet is an alias of Set, which generalizes it with
-// selectable engines (Sequential, Shared, Parallel). Use NewSet.
-type QuerySet = Set
-
 // NewSet prepares a set; fn (which may be nil) receives (query position,
-// match) for every answer of every query, in document order per query. With
-// the Parallel engine fn runs on the engine's delivery goroutine, not the
-// caller's; it is never called concurrently with itself.
+// match) for every answer of every query, in document order per query. Under
+// Parallel fn runs on the pool's delivery goroutine, not the caller's; it is
+// never called concurrently with itself.
 func NewSet(queries []*Query, fn func(query int, m Match), opts ...SetOption) *Set {
 	s := &Set{queries: queries, fn: fn, counts: make([]int64, len(queries))}
 	for _, opt := range opts {
@@ -205,14 +183,8 @@ func NewSet(queries []*Query, fn func(query int, m Match), opts ...SetOption) *S
 	return s
 }
 
-// NewQuerySet prepares a set evaluated on the shared-network engine.
-//
-// Deprecated: use NewSet, which also selects engines via SetOption.
-func NewQuerySet(queries []*Query, fn func(query int, m Match)) *QuerySet {
-	return NewSet(queries, fn)
-}
-
-// setEngine is what Evaluate needs from the three multi-query engines.
+// setEngine is what Evaluate needs from the engine, inline
+// (*multi.MergedSet) or sharded (*multi.ParallelSet).
 type setEngine interface {
 	Run(src xmlstream.Source) error
 	Symtab() *xmlstream.Symtab
@@ -280,9 +252,9 @@ func (s *Set) EvaluateBytesContext(ctx context.Context, data []byte) error {
 	return s.finish(ctx, eng, src)
 }
 
-// newEngine resets the counts, compiles the set's queries into the
-// configured engine, and reports whether any member query needs text or
-// attribute events.
+// newEngine resets the counts, compiles the set's queries into the engine
+// (sharded under Parallel), and reports whether any member query needs text
+// or attribute events.
 func (s *Set) newEngine() (eng setEngine, withText, withAttrs bool, err error) {
 	for i := range s.counts {
 		s.counts[i] = 0
@@ -307,42 +279,28 @@ func (s *Set) newEngine() (eng setEngine, withText, withAttrs bool, err error) {
 			},
 		}
 	}
-	var engineOpts []multi.Option
-	if s.cfg.gov != nil {
-		engineOpts = append(engineOpts, multi.WithGovernor(s.cfg.gov))
-	}
-	if s.cfg.metrics != nil {
-		engineOpts = append(engineOpts, multi.WithMetrics(s.cfg.metrics))
-	}
-	if s.cfg.traceID != "" {
-		engineOpts = append(engineOpts, multi.WithTraceID(s.cfg.traceID))
-	}
-	switch s.cfg.engine {
-	case setSequential:
-		eng, err = multi.NewSet(subs, engineOpts...)
-	case setParallel:
-		eng, err = multi.NewParallelSet(subs, multi.ParallelOptions{
+	if s.cfg.parallel {
+		ps, err := multi.NewParallelSet(subs, multi.ParallelOptions{
 			Shards:   s.cfg.shards,
-			Merged:   s.cfg.merged,
 			Governor: s.cfg.gov,
 			Metrics:  s.cfg.metrics,
 			TraceID:  s.cfg.traceID,
 		})
-	default:
-		if s.cfg.merged {
-			eng, err = multi.NewMergedSet(subs, engineOpts...)
-		} else {
-			eng, err = multi.NewSharedSet(subs, engineOpts...)
+		if err != nil {
+			return nil, false, false, err
 		}
+		return ps, withText, withAttrs, nil
 	}
+	ms, err := multi.NewMergedSet(subs,
+		multi.WithGovernor(s.cfg.gov), multi.WithMetrics(s.cfg.metrics), multi.WithTraceID(s.cfg.traceID))
 	if err != nil {
 		return nil, false, false, err
 	}
-	if ms, ok := eng.(*multi.MergedSet); ok && s.cfg.metrics != nil {
+	if m := s.cfg.metrics; m != nil {
 		st := ms.MergeStats()
-		s.cfg.metrics.SetSetcompile(st.NaiveTransducers, st.MergedTransducers, st.Pruned, st.Collapsed, st.Contained)
+		m.SetSetcompile(st.NaiveTransducers, st.MergedTransducers, st.Pruned, st.Collapsed, st.Contained)
 	}
-	return eng, withText, withAttrs, nil
+	return ms, withText, withAttrs, nil
 }
 
 // finish runs the engine over the source and folds its counters back into
@@ -368,7 +326,7 @@ func (s *Set) finish(ctx context.Context, eng setEngine, src xmlstream.Source) e
 		return err
 	}
 	s.determined = eng.Determined()
-	// The engines' own counters are authoritative: a query degraded to
+	// The engine's own counters are authoritative: a query degraded to
 	// count-only mode by the governor keeps counting answers it no longer
 	// delivers through fn, so the per-hit tally above would undercount it.
 	for name, n := range eng.Matches() {

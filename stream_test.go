@@ -82,7 +82,7 @@ func TestMatchesDocStopsEarly(t *testing.T) {
 	}
 }
 
-func TestQuerySet(t *testing.T) {
+func TestSetCountsAndHits(t *testing.T) {
 	queries := []*Query{
 		MustCompile("a.a"),
 		MustCompile("_*.c"),
@@ -93,7 +93,7 @@ func TestQuerySet(t *testing.T) {
 		index int64
 	}
 	var hits []hit
-	set := NewQuerySet(queries, func(qi int, m Match) { hits = append(hits, hit{qi, m.Index}) })
+	set := NewSet(queries, func(qi int, m Match) { hits = append(hits, hit{qi, m.Index}) })
 	if err := set.Evaluate(strings.NewReader(paperDoc)); err != nil {
 		t.Fatal(err)
 	}
