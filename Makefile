@@ -48,8 +48,11 @@ fuzz-smoke:
 
 ## bench-smoke: tiny-scale harness runs with the zero-answer shape check,
 ## writing machine-readable BENCH_*.json reports into $(BENCH_DIR); also
-## gates the symbol pipeline — the count-mode hot loop must stay
-## allocation-free and the interning ablation must run end to end
+## gates the hot loop — immediate answers must stay allocation-free (a
+## count-mode network and Set.EvaluateBytes, the two arms of
+## TestCountModeZeroAlloc), ingest too, idle transducers must stay unvisited
+## (deliveries per event against the network degree) — and the interning
+## ablation must run end to end
 bench-smoke:
 	mkdir -p $(BENCH_DIR)
 	$(GO) run ./cmd/spexbench -fig 14 -scale 0.1 -check -json $(BENCH_DIR)
@@ -61,6 +64,7 @@ bench-smoke:
 	$(GO) run ./cmd/spexbench -fig ingest -scale 0.05 -check -json $(BENCH_DIR)
 	$(GO) test -run 'TestCountModeZeroAlloc$$' -count 1 .
 	$(GO) test -run 'TestIngestZeroAlloc$$' -count 1 ./internal/xmlstream
+	$(GO) test -run 'TestIdleTransducersSkipped$$' -count 1 ./internal/spexnet
 	$(GO) test -run NONE -bench 'BenchmarkAblationInterning$$' -benchtime 1x .
 
 ## ingest-race: the ingest lockdown under the race detector — the

@@ -489,3 +489,69 @@ func BenchmarkMultiQueryScaling(b *testing.B) {
 		})
 	}
 }
+
+// benchStep times the transducer network alone: each iteration builds a fresh
+// engine and pre-scans the document against its symbol table with the timer
+// stopped, then feeds the events. It reports the per-event cost and the
+// per-event work (Stats.Deliveries: transducer visits plus messages
+// delivered), so the cost per delivery can be read in seconds instead of from
+// a full contract run of benchmark/.
+func benchStep(b *testing.B, doc []byte, fresh func() (symtab *xmlstream.Symtab, step func(xmlstream.Event) error, stats func() spexnet.Stats)) {
+	var events, deliveries int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		symtab, step, stats := fresh()
+		evs, err := xmlstream.Collect(xmlstream.ScanBytes(doc, xmlstream.WithText(false), xmlstream.WithSymtab(symtab)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, ev := range evs {
+			if err := step(ev); err != nil {
+				b.Fatal(err)
+			}
+		}
+		st := stats()
+		events += st.Events
+		deliveries += st.Deliveries
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	b.ReportMetric(float64(deliveries)/float64(events), "deliveries/event")
+}
+
+// BenchmarkStepSDI steps the benchmark's sdi_merged subscription corpus (128
+// overlapping subscriptions, one merged network) over a DMOZ-shaped document.
+func BenchmarkStepSDI(b *testing.B) {
+	queries := bench.SharedSubscriptions(128, 0.5, 1)
+	subs := make([]multi.Subscription, len(queries))
+	for i, q := range queries {
+		plan, err := core.Prepare(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		subs[i] = multi.Subscription{Name: q, Plan: plan}
+	}
+	doc := dataset.DMOZStructure(0.002).Bytes()
+	benchStep(b, doc, func() (*xmlstream.Symtab, func(xmlstream.Event) error, func() spexnet.Stats) {
+		set, err := multi.NewMergedSet(subs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return set.Symtab(), set.Feed, set.Stats
+	})
+}
+
+// BenchmarkStepClosure steps the closure_qual query, a closure plus a
+// qualifier decided after its answer, over the same document shape.
+func BenchmarkStepClosure(b *testing.B) {
+	expr := rpeq.MustParse("_*.Topic[editor].Title")
+	doc := dataset.DMOZStructure(0.01).Bytes()
+	benchStep(b, doc, func() (*xmlstream.Symtab, func(xmlstream.Event) error, func() spexnet.Stats) {
+		symtab := xmlstream.NewSymtab()
+		net, err := spexnet.Build(expr, spexnet.Options{Mode: spexnet.ModeCount, Symtab: symtab})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return symtab, net.Step, net.Stats
+	})
+}

@@ -15,11 +15,14 @@
 //	-count     print only the number of answers
 //	-nodes     print answer positions (index and label) instead of XML
 //	-stats     print evaluation statistics to stderr, including a
-//	           per-transducer table (messages by kind, stack, formula size)
+//	           per-transducer table (visits, messages by kind, stack,
+//	           formula size)
 //	-trace     print the transition trace to stderr: which transducer emits
 //	           which activation/determination at which stream event — the
 //	           traces the paper walks through in Figs. 4, 5 and 13
-//	-trace-kind  message kinds to trace (doc,act,det; default act,det)
+//	-trace-kind  message kinds to trace (doc,act,det; default act,det); a
+//	           transducer traces the document event only when it is visited —
+//	           one that is idle at that event is skipped and traces nothing
 //	-trace-node  only trace transducers whose name contains a substring
 //	-window N  evaluate in windows of N top-level records (see §I of the
 //	           paper on the exactness caveat of windows)
@@ -72,7 +75,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		nodes     = fs.Bool("nodes", false, "print answer positions instead of XML")
 		stats     = fs.Bool("stats", false, "print evaluation statistics to stderr")
 		trace     = fs.Bool("trace", false, "print the transition trace (Figs. 4/5/13) to stderr")
-		traceKind = fs.String("trace-kind", "act,det", "message kinds to trace: doc,act,det (empty = all)")
+		traceKind = fs.String("trace-kind", "act,det", "message kinds to trace: doc,act,det (empty = all); doc shows only the transducers the event visits")
 		traceNode = fs.String("trace-node", "", "only trace transducers whose name contains one of these comma-separated substrings")
 		traceID   = fs.String("trace-id", "", "stream trace id stamped on every -trace record (correlates runs in shared logs)")
 		windowN   = fs.Int("window", 0, "evaluate in windows of N top-level records (0 = exact whole-stream evaluation)")
@@ -314,15 +317,17 @@ func parseTraceFilter(kinds, nodes string) (obs.TraceFilter, error) {
 	return f, nil
 }
 
-// writeTransducerTable renders the per-transducer instruments: message
-// counts by direction and kind, and the stack/formula maxima Lemma V.2
+// writeTransducerTable renders the per-transducer instruments: deliveries by
+// direction and kind — visits are the document events delivered to the
+// transducer (an idle one is skipped), marks the document positions it wrote
+// (one per output tape per visit) — and the stack/formula maxima Lemma V.2
 // bounds by the depth d and the formula size o(φ).
 func writeTransducerTable(w io.Writer, s obs.Snapshot) {
 	if !s.Enabled || len(s.Transducers) == 0 {
 		return
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "transducer\tin doc\tin act\tin det\tout doc\tout act\tout det\tmax stack\tmax formula\t")
+	fmt.Fprintln(tw, "transducer\tvisits\tin act\tin det\tmarks\tout act\tout det\tmax stack\tmax formula\t")
 	for _, t := range s.Transducers {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t\n",
 			t.Name, t.InDoc, t.InAct, t.InDet, t.OutDoc, t.OutAct, t.OutDet, t.MaxStack, t.MaxFormula)

@@ -107,6 +107,20 @@ func FuzzEngineEquivalence(f *testing.F) {
 		f.Add(q, attrFig1)
 	}
 	f.Add(`_*.a[@k="2"]`, []byte{8 | 32, 8, 16, 1, 1, 1})
+	// Shapes for the active set and the sparse stacks: child paths that go
+	// idle under a deep non-matching subtree and are re-armed at the same
+	// depth by a sibling, and a qualifier decided across such a subtree.
+	noise := fuzzProg("qqqq....ac.b.qq..c..a.qc..c..")
+	for _, q := range []string{
+		"r.a.c", "r.a[b].c", "r.a[c].b", "_*.a[q].c", "r.q.q.q", "r.a?.c", "(r.a|r.q).c",
+	} {
+		f.Add(q, noise)
+	}
+	attrNoise := append([]byte(nil), noise...)
+	attrNoise[4*2] |= 8 // the first a
+	attrNoise[len(attrNoise)-9] |= 8 | 32
+	f.Add("r.a.@k", attrNoise)
+	f.Add(`r.a[@k="1"].c`, attrNoise)
 
 	f.Fuzz(func(t *testing.T, query string, prog []byte) {
 		if len(query) > 48 {

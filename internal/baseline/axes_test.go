@@ -30,6 +30,9 @@ func TestFollowingPrecedingAgainstDOM(t *testing.T) {
 		`<a><b><c/></b><b/><a><b><c/></b></a></a>`,
 		`<x><a/><b/><a/><b/></x>`,
 		`<a><a><a/></a></a>`,
+		// Deep subtrees no step can enter, between contexts and matches: the
+		// axis transducers go unvisited there and must pick up after them.
+		`<x><q><q><q/></q></q><a><c/><b/><q><q/></q><c/></a><a/><q><c/></q><c/><b/></x>`,
 	)
 	for seed := uint64(50); seed < 85; seed++ {
 		docs = append(docs, string(dataset.RandomTree(seed, 5, 3, []string{"a", "b", "c"}).Bytes()))

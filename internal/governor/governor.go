@@ -88,8 +88,10 @@ const (
 	// ResBuffered is the number of buffered answer-content events held for
 	// undecided candidates in one output sink.
 	ResBuffered
-	// ResStepMessages is the number of messages delivered through the
-	// network for a single document event.
+	// ResStepMessages is the number of deliveries the network makes for a
+	// single document event: one per transducer the event visits (idle
+	// transducers are skipped) plus one per activation or determination
+	// message delivered — the per-event work of Lemma V.2.
 	ResStepMessages
 	// ResLiveVars is the number of live condition variables in the run's
 	// pool (allocated and not yet released).
@@ -136,7 +138,8 @@ type Limits struct {
 	MaxCandidates int
 	// MaxBufferedEvents caps buffered answer-content events per output sink.
 	MaxBufferedEvents int
-	// MaxStepMessages caps messages delivered per document event.
+	// MaxStepMessages caps the deliveries made per document event
+	// (transducer visits plus activation/determination messages).
 	MaxStepMessages int
 	// MaxLiveVars caps live condition variables in the run's pool.
 	MaxLiveVars int

@@ -119,6 +119,15 @@ func (s *MergedSet) Degree() int {
 	return s.net.Degree()
 }
 
+// Stats returns the merged network's evaluation statistics so far (zero when
+// every query was pruned): events, deliveries, stack and formula peaks.
+func (s *MergedSet) Stats() spexnet.Stats {
+	if s.run == nil {
+		return spexnet.Stats{}
+	}
+	return s.run.Stats()
+}
+
 // MergeStats returns the static pre-pass statistics: naive vs merged
 // transducer counts and the pruned/collapsed/contained query tallies.
 func (s *MergedSet) MergeStats() setcompile.MergeStats { return s.prog.Stats }

@@ -345,8 +345,11 @@ type Metrics struct {
 	SymtabHits   Gauge
 	SymtabMisses Gauge
 
-	// StepMessages is the distribution of messages delivered per document
-	// event — the per-event work the Lemma V.2 time bound is about.
+	// StepMessages is the distribution of deliveries made per document
+	// event: one per transducer the event visits (idle transducers are
+	// skipped) plus one per activation/determination message delivered —
+	// the per-event work the Lemma V.2 time bound is about, and the figure
+	// to read for "how much of the network does an event wake".
 	StepMessages Histogram
 
 	// Resource-governor instruments: per-resource limit trips and the

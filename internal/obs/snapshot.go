@@ -59,7 +59,8 @@ type Snapshot struct {
 	MaxStack   int64 `json:"max_stack"`
 	MaxFormula int64 `json:"max_formula"`
 
-	// StepMessages summarizes the messages-per-event distribution.
+	// StepMessages summarizes the deliveries-per-event distribution (see
+	// Metrics.StepMessages).
 	StepMessages HistogramSnapshot `json:"step_messages"`
 
 	// Candidate-lifecycle distributions: events from candidate creation to
@@ -121,7 +122,11 @@ func snapshotHistogram(h *Histogram) HistogramSnapshot {
 	return HistogramSnapshot{Count: h.Count(), Sum: h.Sum(), Buckets: h.Buckets()}
 }
 
-// TransducerSnapshot is one transducer's instruments at snapshot time.
+// TransducerSnapshot is one transducer's instruments at snapshot time. The
+// counts are deliveries: InDoc is the document events delivered to the
+// transducer (its visits — an idle transducer is skipped), OutDoc the
+// document positions it marked (one per output tape per visit), and the
+// act/det fields the messages it received and emitted.
 type TransducerSnapshot struct {
 	Name       string `json:"name"`
 	InDoc      int64  `json:"in_doc"`

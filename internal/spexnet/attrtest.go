@@ -3,7 +3,6 @@ package spexnet
 import (
 	"repro/internal/cond"
 	"repro/internal/rpeq"
-	"repro/internal/xmlstream"
 )
 
 // attrTestT is the attribute-test transducer AT[pred] backing the path
@@ -33,93 +32,28 @@ func (t *attrTestT) name() string { return "AT[" + t.pred.String() + "]" }
 func (t *attrTestT) stackStats() StackStats { return t.st }
 
 func (t *attrTestT) feed(_ int, m *Message, emit emitFn) {
-	switch m.Kind {
-	case MsgActivation:
+	if m.Kind == MsgActivation {
 		t.pending = t.cfg.or(t.pending, m.Formula)
 		t.st.noteFormula(t.pending)
-	case MsgDet:
-		emit(0, *m)
-	case MsgDoc:
-		ev := m.Ev
-		switch {
-		case isStart(ev):
-			if t.pending != nil {
-				// The document root <$> carries no attributes, so a
-				// top-level attribute filter never selects it.
-				if t.pred.Eval(func(name string) (string, bool) { return ev.Attr(name) }) {
-					emit(0, actMsg(t.pending))
-				}
-				t.pending = nil
-			}
-			emit(0, *m)
-		case isEnd(ev):
-			t.pending = nil
-			emit(0, *m)
-		default: // text
-			emit(0, *m)
-		}
+		return
 	}
+	emit(0, *m)
 }
 
-// attrSelT is the attribute-selection transducer AS(@name) backing the
-// terminal attribute step rpeq.AttrStep: for each armed start message whose
-// element carries the attribute, the selected answer is the attribute node
-// itself. Attribute nodes have no representation in the document stream, so
-// the transducer synthesizes one — a balanced element triple
-//
-//	<@name> value </@name>
-//
-// emitted, with its activation, before the real start message. The attribute
-// step is restricted to the final step of a query (validated at parse time),
-// so the only reader of this tape is the output transducer: the synthetic
-// messages never cross a join and the one-document-message-per-step
-// discipline holds everywhere else in the network. Synthetic attribute nodes
-// consume document-order indexes of their own, ordered before their element.
-type attrSelT struct {
-	attr string
-	cfg  *netConfig
-
-	pending *cond.Formula
-	st      StackStats
-}
-
-func newAttrSel(attr string, cfg *netConfig) *attrSelT {
-	return &attrSelT{attr: attr, cfg: cfg}
-}
-
-func (t *attrSelT) name() string { return "AS(@" + t.attr + ")" }
-
-func (t *attrSelT) stackStats() StackStats { return t.st }
-
-func (t *attrSelT) feed(_ int, m *Message, emit emitFn) {
-	switch m.Kind {
-	case MsgActivation:
-		t.pending = t.cfg.or(t.pending, m.Formula)
-		t.st.noteFormula(t.pending)
-	case MsgDet:
-		emit(0, *m)
-	case MsgDoc:
-		ev := m.Ev
-		switch {
-		case isStart(ev):
-			if t.pending != nil {
-				if v, ok := ev.Attr(t.attr); ok {
-					label := "@" + t.attr
-					emit(0, actMsg(t.pending))
-					emit(0, docMsg(xmlstream.Start(label)))
-					if v != "" {
-						emit(0, docMsg(xmlstream.Chars(v)))
-					}
-					emit(0, docMsg(xmlstream.End(label)))
-				}
-				t.pending = nil
+func (t *attrTestT) doc(r *docReg, emit emitFn) bool {
+	switch {
+	case isStart(r.ev.Kind):
+		if t.pending != nil {
+			// The document root <$> carries no attributes, so a
+			// top-level attribute filter never selects it.
+			if t.pred.Eval(func(name string) (string, bool) { return r.ev.Attr(name) }) {
+				emit(0, actMsg(t.pending))
 			}
-			emit(0, *m)
-		case isEnd(ev):
 			t.pending = nil
-			emit(0, *m)
-		default: // text
-			emit(0, *m)
 		}
+	case isEnd(r.ev.Kind):
+		t.pending = nil
 	}
+	emit(0, docMark)
+	return t.pending != nil
 }

@@ -18,9 +18,9 @@ type followingT struct {
 	cfg  *netConfig
 
 	pending *cond.Formula
-	// armed[k] is non-nil when the k-th open node is a context whose
-	// following-scope opens at its end message.
-	armed  []*cond.Formula
+	// armed holds the open contexts, innermost last: nodes whose
+	// following-scope opens at their end message.
+	armed  []scope
 	active *cond.Formula
 	st     StackStats
 }
@@ -38,37 +38,35 @@ func (t *followingT) stackStats() StackStats {
 }
 
 func (t *followingT) feed(_ int, m *Message, emit emitFn) {
-	switch m.Kind {
-	case MsgActivation:
+	if m.Kind == MsgActivation {
 		t.pending = t.cfg.or(t.pending, m.Formula)
 		t.st.noteFormula(t.pending)
-	case MsgDet:
-		emit(0, *m)
-	case MsgDoc:
-		ev := m.Ev
-		switch {
-		case isStart(ev):
-			if t.active != nil && t.test.matches(ev) {
-				emit(0, actMsg(t.active))
-			}
-			t.armed = append(t.armed, t.pending)
+		return
+	}
+	emit(0, *m)
+}
+
+func (t *followingT) doc(r *docReg, emit emitFn) bool {
+	switch {
+	case isStart(r.ev.Kind):
+		if t.active != nil && t.test.matches(&r.ev) {
+			emit(0, actMsg(t.active))
+		}
+		if t.pending != nil {
+			t.armed = append(t.armed, scope{r.depth, t.pending})
 			t.pending = nil
 			t.st.noteStack(len(t.armed))
-			emit(0, *m)
-		case isEnd(ev):
-			t.pending = nil
-			if n := len(t.armed); n > 0 {
-				if f := t.armed[n-1]; f != nil {
-					t.active = t.cfg.or(t.active, f)
-					t.st.noteFormula(t.active)
-				}
-				t.armed = t.armed[:n-1]
-			}
-			emit(0, *m)
-		default:
-			emit(0, *m)
+		}
+	case isEnd(r.ev.Kind):
+		t.pending = nil
+		if n := len(t.armed); n > 0 && t.armed[n-1].depth == r.depth {
+			t.active = t.cfg.or(t.active, t.armed[n-1].f)
+			t.st.noteFormula(t.active)
+			t.armed = t.armed[:n-1]
 		}
 	}
+	emit(0, docMark)
+	return t.active != nil || len(t.armed) > 0 || t.pending != nil
 }
 
 // precedingT implements the preceding axis: elements whose end message
@@ -81,7 +79,9 @@ func (t *followingT) feed(_ int, m *Message, emit emitFn) {
 // machinery qualifiers use. Unwitnessed closed candidates must be retained
 // until a context appears, so memory is bounded by the number of candidate
 // answers between contexts (the output transducer holds them as
-// undetermined candidates anyway).
+// undetermined candidates anyway). Every test-matching element is a
+// candidate whether or not a context has been seen, so the transducer is
+// armed for the whole stream.
 type precedingT struct {
 	test labelTest
 	q    cond.QualID
@@ -89,9 +89,9 @@ type precedingT struct {
 	cfg  *netConfig
 
 	pendingCtx *cond.Formula
-	// open[k] holds the candidate variable of the k-th open node, if any.
-	open []cond.VarID
-	has  []bool
+	// open holds the candidate variables of the open test-matching nodes,
+	// innermost last.
+	open []varScope
 	// closed holds candidates whose subtree has ended and whose
 	// witnessing context has not arrived (or arrived only conditionally).
 	closed []cond.VarID
@@ -111,53 +111,45 @@ func (t *precedingT) stackStats() StackStats {
 }
 
 func (t *precedingT) feed(_ int, m *Message, emit emitFn) {
-	switch m.Kind {
-	case MsgActivation:
+	if m.Kind == MsgActivation {
 		t.pendingCtx = t.cfg.or(t.pendingCtx, m.Formula)
 		t.st.noteFormula(t.pendingCtx)
-	case MsgDet:
-		emit(0, *m)
-	case MsgDoc:
-		ev := m.Ev
-		switch {
-		case isStart(ev):
-			if t.pendingCtx != nil {
-				t.creditClosed(t.pendingCtx, emit)
-				t.pendingCtx = nil
-			}
-			var v cond.VarID
-			matched := t.test.matches(ev)
-			if matched {
-				v = t.pool.Fresh(t.q)
-				emit(0, actMsg(t.pool.Var(v)))
-			}
-			t.open = append(t.open, v)
-			t.has = append(t.has, matched)
-			t.st.noteStack(len(t.open) + len(t.closed))
-			emit(0, *m)
-		case isEnd(ev):
+		return
+	}
+	emit(0, *m)
+}
+
+func (t *precedingT) doc(r *docReg, emit emitFn) bool {
+	switch {
+	case isStart(r.ev.Kind):
+		if t.pendingCtx != nil {
+			t.creditClosed(t.pendingCtx, emit)
 			t.pendingCtx = nil
-			if ev.Kind == xmlstream.EndDocument {
-				// No context can follow: finalize the stragglers. (No
-				// Release: networks with axes retain ids, see netConfig.)
-				for _, v := range t.closed {
-					emit(0, Message{Kind: MsgDet, Var: v, Final: true})
-				}
-				t.closed = t.closed[:0]
+		}
+		if t.test.matches(&r.ev) {
+			v := t.pool.Fresh(t.q)
+			emit(0, actMsg(t.pool.Var(v)))
+			t.open = append(t.open, varScope{r.depth, v})
+			t.st.noteStack(len(t.open) + len(t.closed))
+		}
+	case isEnd(r.ev.Kind):
+		t.pendingCtx = nil
+		if r.ev.Kind == xmlstream.EndDocument {
+			// No context can follow: finalize the stragglers. (No
+			// Release: networks with axes retain ids, see netConfig.)
+			for _, v := range t.closed {
+				emit(0, Message{Kind: MsgDet, Var: v, Final: true})
 			}
-			if n := len(t.open); n > 0 {
-				if t.has[n-1] {
-					t.closed = append(t.closed, t.open[n-1])
-					t.st.noteStack(len(t.open) + len(t.closed))
-				}
-				t.open = t.open[:n-1]
-				t.has = t.has[:n-1]
-			}
-			emit(0, *m)
-		default:
-			emit(0, *m)
+			t.closed = t.closed[:0]
+		}
+		if n := len(t.open); n > 0 && t.open[n-1].depth == r.depth {
+			t.closed = append(t.closed, t.open[n-1].v)
+			t.st.noteStack(len(t.open) + len(t.closed))
+			t.open = t.open[:n-1]
 		}
 	}
+	emit(0, docMark)
+	return true
 }
 
 // creditClosed witnesses every closed candidate with the context formula f.

@@ -73,11 +73,11 @@ func TestTextCmpTransducerDirect(t *testing.T) {
 	out, _ := feedAll(te, 0, msgs(
 		startDoc(),
 		actMsg(cond.True()), start("p"),
-		docMsg(xmlstream.Chars("h")),
-		start("b"), docMsg(xmlstream.Chars("i")), end("b"),
+		chars("h"),
+		start("b"), chars("i"), end("b"),
 		end("p"), // string value "hi": activation re-emitted here
 		actMsg(cond.True()), start("p"),
-		docMsg(xmlstream.Chars("no")),
+		chars("no"),
 		end("p"), // no match
 		endDoc(),
 	))
@@ -91,7 +91,7 @@ func TestTextCmpTransducerDirect(t *testing.T) {
 		t.Fatalf("activations: %d, want 1:\n%s", len(acts), render(out))
 	}
 	// The re-emission precedes the first </p>.
-	if out[acts[0]+1].Ev.Kind != xmlstream.EndElement {
+	if out[acts[0]+1].ev.Kind != xmlstream.EndElement {
 		t.Fatalf("activation not at the end message:\n%s", render(out))
 	}
 }

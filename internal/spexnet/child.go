@@ -7,10 +7,11 @@ import "repro/internal/cond"
 //
 // The paper specifies CH via a depth stack of {m, 1} marks and a condition
 // stack of formulas pushed and popped in lockstep (Fig. 2). This
-// implementation fuses the two stacks into one slice of per-open-node
-// entries, exactly the fusion Theorem IV.2's proof describes: entry k holds
-// the condition formula under which children of the k-th open node are to be
-// matched, or nil when that level is not a match scope (the paper's 1 mark).
+// implementation fuses the two stacks into one, exactly the fusion Theorem
+// IV.2's proof describes, and keeps it sparse: an entry holds the condition
+// formula under which children of the open node at its depth are to be
+// matched, and levels that are not a match scope (the paper's 1 mark) have no
+// entry at all.
 type childT struct {
 	label labelTest
 	cfg   *netConfig
@@ -21,9 +22,9 @@ type childT struct {
 	// disjunction, which is what Fig. 2's activated2 transitions achieve
 	// with a second condition-stack entry.
 	pending *cond.Formula
-	// scopes[k] is the match formula for children of the k-th open node
-	// (nil when inactive). Bounded by the stream depth d.
-	scopes []*cond.Formula
+	// scopes holds the match formula for children of each armed open node,
+	// innermost last. Bounded by the stream depth d.
+	scopes []scope
 
 	st StackStats
 }
@@ -41,35 +42,33 @@ func (t *childT) stackStats() StackStats {
 }
 
 func (t *childT) feed(_ int, m *Message, emit emitFn) {
-	switch m.Kind {
-	case MsgActivation:
+	if m.Kind == MsgActivation {
 		t.pending = t.cfg.or(t.pending, m.Formula)
 		t.st.noteFormula(t.pending)
-	case MsgDet:
-		emit(0, *m)
-	case MsgDoc:
-		ev := m.Ev
-		switch {
-		case isStart(ev):
-			// Match: is the parent level an armed scope and the label right?
-			if n := len(t.scopes); n > 0 {
-				if f := t.scopes[n-1]; f != nil && t.label.matches(ev) {
-					emit(0, actMsg(f))
-				}
-			}
-			// Arm the children of this node if an activation preceded it.
-			t.scopes = append(t.scopes, t.pending)
+		return
+	}
+	emit(0, *m)
+}
+
+func (t *childT) doc(r *docReg, emit emitFn) bool {
+	switch {
+	case isStart(r.ev.Kind):
+		// Match: is the parent level an armed scope and the label right?
+		if n := len(t.scopes); n > 0 && t.scopes[n-1].depth == r.depth-1 && t.label.matches(&r.ev) {
+			emit(0, actMsg(t.scopes[n-1].f))
+		}
+		// Arm the children of this node if an activation preceded it.
+		if t.pending != nil {
+			t.scopes = append(t.scopes, scope{r.depth, t.pending})
 			t.pending = nil
 			t.st.noteStack(len(t.scopes))
-			emit(0, *m)
-		case isEnd(ev):
-			t.pending = nil
-			if n := len(t.scopes); n > 0 {
-				t.scopes = t.scopes[:n-1]
-			}
-			emit(0, *m)
-		default: // text
-			emit(0, *m)
+		}
+	case isEnd(r.ev.Kind):
+		t.pending = nil
+		if n := len(t.scopes); n > 0 && t.scopes[n-1].depth == r.depth {
+			t.scopes = t.scopes[:n-1]
 		}
 	}
+	emit(0, docMark)
+	return len(t.scopes) > 0 || t.pending != nil
 }

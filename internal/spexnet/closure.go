@@ -18,9 +18,10 @@ type closureT struct {
 	cfg   *netConfig
 
 	pending *cond.Formula
-	// scopes[k] is the formula under which l-labeled children of the k-th
-	// open node match (nil = not in scope, the paper's 1/e marks).
-	scopes []*cond.Formula
+	// scopes holds, for each open node in scope, the formula under which
+	// its l-labeled children match, innermost last; nodes out of scope (the
+	// paper's 1/e marks) have no entry.
+	scopes []scope
 
 	st StackStats
 }
@@ -38,47 +39,40 @@ func (t *closureT) stackStats() StackStats {
 }
 
 func (t *closureT) feed(_ int, m *Message, emit emitFn) {
-	switch m.Kind {
-	case MsgActivation:
+	if m.Kind == MsgActivation {
 		t.pending = t.cfg.or(t.pending, m.Formula)
 		t.st.noteFormula(t.pending)
-	case MsgDet:
-		emit(0, *m)
-	case MsgDoc:
-		ev := m.Ev
-		switch {
-		case isStart(ev):
-			var parent *cond.Formula
-			if n := len(t.scopes); n > 0 {
-				parent = t.scopes[n-1]
-			}
-			matched := parent != nil && t.label.matches(ev)
-			if matched {
-				emit(0, actMsg(parent))
-			}
-			// The scope continues below this node only along l-chains
-			// (matched), and a pending activation opens a (possibly
-			// nested) scope over this node's subtree.
-			var child *cond.Formula
-			if matched {
-				child = parent
-			}
-			if t.pending != nil {
-				child = t.cfg.or(child, t.pending)
-				t.pending = nil
-			}
-			t.st.noteFormula(child)
-			t.scopes = append(t.scopes, child)
-			t.st.noteStack(len(t.scopes))
-			emit(0, *m)
-		case isEnd(ev):
+		return
+	}
+	emit(0, *m)
+}
+
+func (t *closureT) doc(r *docReg, emit emitFn) bool {
+	switch {
+	case isStart(r.ev.Kind):
+		// The scope continues below this node only along l-chains (a
+		// match), and a pending activation opens a (possibly nested) scope
+		// over this node's subtree.
+		var child *cond.Formula
+		if n := len(t.scopes); n > 0 && t.scopes[n-1].depth == r.depth-1 && t.label.matches(&r.ev) {
+			child = t.scopes[n-1].f
+			emit(0, actMsg(child))
+		}
+		if t.pending != nil {
+			child = t.cfg.or(child, t.pending)
 			t.pending = nil
-			if n := len(t.scopes); n > 0 {
-				t.scopes = t.scopes[:n-1]
-			}
-			emit(0, *m)
-		default:
-			emit(0, *m)
+		}
+		if child != nil {
+			t.st.noteFormula(child)
+			t.scopes = append(t.scopes, scope{r.depth, child})
+			t.st.noteStack(len(t.scopes))
+		}
+	case isEnd(r.ev.Kind):
+		t.pending = nil
+		if n := len(t.scopes); n > 0 && t.scopes[n-1].depth == r.depth {
+			t.scopes = t.scopes[:n-1]
 		}
 	}
+	emit(0, docMark)
+	return len(t.scopes) > 0 || t.pending != nil
 }

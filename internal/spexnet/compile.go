@@ -2,7 +2,6 @@ package spexnet
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/cond"
 	"repro/internal/governor"
@@ -138,22 +137,28 @@ func BuildSet(specs []Spec, opts Options) (*Network, error) {
 		pool:    cond.NewPool(),
 		metrics: opts.Metrics,
 	}
-	b := &builder{net: n, tracer: opts.Tracer, metrics: opts.Metrics, memo: make(map[string]memoEntry)}
-	source := b.newEdge()
-	n.sourceEdge = source
+	b := &builder{net: n, tracer: opts.Tracer, metrics: opts.Metrics, memo: make(map[memoKey]memoEntry)}
+	n.source = b.newTape()
 	for _, spec := range specs {
-		final, _, err := b.compile(spec.Expr, source)
+		// A terminal attribute step is the sink's business (see
+		// outputT.attr): compile the element path and tell the sink which
+		// attribute of its matches to select.
+		expr, attr := splitAttrStep(spec.Expr)
+		final, _, err := b.compile(expr, n.source)
 		if err != nil {
 			return nil, err
 		}
 		if spec.Mode == ModeStream && spec.StreamSink == nil {
 			return nil, fmt.Errorf("spexnet: ModeStream requires a StreamSink")
 		}
-		out := newOutput(spec.Mode, spec.Sink, &n.cfg)
+		out := newOutput(spec.Mode, spec.Sink, &n.cfg, &n.reg)
 		out.ssink = spec.StreamSink
 		out.sub = spec.Name
 		out.limit = spec.Limit
-		b.addNode(out, []int{final}, 0)
+		if attr != "" {
+			out.attr, out.attrLabel = attr, "@"+attr
+		}
+		b.addNode(out, []*tape{final}, 0)
 		n.outs = append(n.outs, out)
 	}
 	// When every query carries an answer limit, the whole network's answer
@@ -170,16 +175,62 @@ func BuildSet(specs []Spec, opts Options) (*Network, error) {
 	// transducer so every tape has exactly one reader and the sharing points
 	// are first-class nodes.
 	b.insertFanouts()
+	b.wireActiveSet()
 	if opts.Metrics != nil {
 		opts.Metrics.SetTransducers(b.tms)
 	}
 	return n, nil
 }
 
+// splitAttrStep peels a terminal attribute step off a query: it returns the
+// element path leading to it and the attribute name, or the expression
+// unchanged and "" when the query selects elements. The step is only valid as
+// the last step of the whole query (rpeq validates this), which in the AST is
+// the end of the right spine of the top-level concatenation.
+func splitAttrStep(expr rpeq.Node) (rpeq.Node, string) {
+	switch n := expr.(type) {
+	case *rpeq.AttrStep:
+		return &rpeq.Empty{}, n.Name
+	case *rpeq.Concat:
+		right, attr := splitAttrStep(n.Right)
+		if attr == "" {
+			return expr, ""
+		}
+		if _, empty := right.(*rpeq.Empty); empty {
+			return n.Left, attr
+		}
+		return &rpeq.Concat{Left: n.Left, Right: right}, attr
+	}
+	return expr, ""
+}
+
+// wireActiveSet finishes the wiring once the node order is final: every tape
+// learns which bit of the active set its reader is, and every node starts
+// hot, so that each sees the first event (<$>) and reports for itself
+// whether it is armed — the preceding-axis transducer is from the start.
+func (b *builder) wireActiveSet() {
+	n := b.net
+	words := (len(n.nodes) + 63) / 64
+	n.hot, n.next = make([]uint64, words), make([]uint64, words)
+	for i := range n.nodes {
+		n.hot[i>>6] |= 1 << (i & 63)
+		for _, tp := range n.nodes[i].ins {
+			tp.rword, tp.rbit = i>>6, 1<<(i&63)
+		}
+	}
+}
+
+// memoKey identifies a compiled subexpression: its canonical form and the
+// tape it reads.
+type memoKey struct {
+	in   *tape
+	expr string
+}
+
 // memoEntry caches a compiled subexpression: its output tape and the
 // qualifier ids declared within it (needed by enclosing qualifiers).
 type memoEntry struct {
-	out   int
+	out   *tape
 	quals []cond.QualID
 }
 
@@ -188,77 +239,73 @@ type builder struct {
 	tracer  obs.Tracer
 	metrics *obs.Metrics
 	tms     []*obs.TransducerMetrics
-	memo    map[string]memoEntry
+	memo    map[memoKey]memoEntry
 }
 
-// newEdge allocates a fresh tape — and, on instrumented builds, its message
-// counter row. Rows are individually allocated so an emit closure can hold a
-// stable pointer to its tape's row.
-func (b *builder) newEdge() int {
-	b.net.edges = append(b.net.edges, nil)
+// newTape allocates a fresh tape — and, on instrumented builds, its message
+// counter row. Tapes are individually allocated so an emit closure can hold a
+// stable pointer to the tape it writes.
+func (b *builder) newTape() *tape {
+	tp := &tape{}
 	if b.metrics != nil {
-		b.net.edgeCounts = append(b.net.edgeCounts, &[kindMask + 1]int64{})
+		tp.counts = &[kindMask + 1]int64{}
 	}
-	return len(b.net.edges) - 1
+	b.net.tapes = append(b.net.tapes, tp)
+	return tp
 }
 
-// addNode appends a transducer reading the given tapes and returns the ids
-// of its numOuts fresh output tapes. Construction order is topological by
+// addNode appends a transducer reading the given tapes and returns its
+// numOuts fresh output tapes. Construction order is topological by
 // compositionality of C.
 //
 // The instrumentation and tracing wrappers are composed into the node's emit
 // closure here, at build time, so the uninstrumented emit path is the bare
-// tape append with no per-message branch.
-func (b *builder) addNode(t transducer, ins []int, numOuts int) []int {
-	outs := make([]int, numOuts)
+// tape.put with no per-message instrumentation branch.
+func (b *builder) addNode(t transducer, ins []*tape, numOuts int) []*tape {
+	outs := make([]*tape, numOuts)
 	for i := range outs {
-		outs[i] = b.newEdge()
+		outs[i] = b.newTape()
 	}
 	node := netNode{t: t, ins: ins, outs: outs}
-	if se, ok := t.(stepEnder); ok {
-		node.ender = se
-	}
 	net := b.net
 	var emit emitFn
-	if b.metrics != nil {
+	switch {
+	case b.metrics != nil:
 		tm := obs.NewTransducerMetrics(fmt.Sprintf("%d:%s", len(net.nodes), t.name()))
 		node.tm = tm
 		b.tms = append(b.tms, tm)
 		node.mc = &msgCounters{}
 		// The whole per-message instrumentation cost is one plain increment
-		// on the written tape's counter row, folded into the emit closure
-		// (no second closure hop) and indexed by the message kind directly —
-		// kindMask keeps the compiler from bounds-checking, the shared
-		// numbering with obs.MsgKind makes the index meaningful. syncMetrics
-		// derives both sides' per-transducer counts from the tape counters
-		// on the gauge stride; an atomic add per message here would be the
-		// dominant instrumentation cost on the hot path. Single-output
-		// nodes — nearly all of them — capture their tape and row directly.
-		if numOuts == 1 {
-			tape := outs[0]
-			row := net.edgeCounts[tape]
-			emit = func(_ int, m Message) {
-				row[m.Kind&kindMask]++
-				net.edges[tape] = append(net.edges[tape], m)
-			}
-		} else {
-			emit = func(port int, m Message) {
-				e := node.outs[port]
-				net.edgeCounts[e][m.Kind&kindMask]++
-				net.edges[e] = append(net.edges[e], m)
-			}
-		}
-	} else {
+		// on the written tape's counter row, indexed by the message kind
+		// directly — kindMask keeps the compiler from bounds-checking, the
+		// shared numbering with obs.MsgKind makes the index meaningful.
+		// syncMetrics derives both sides' per-transducer counts from the
+		// tape counters on the gauge stride; an atomic add per message here
+		// would be the dominant instrumentation cost on the hot path.
 		emit = func(port int, m Message) {
-			net.edges[node.outs[port]] = append(net.edges[node.outs[port]], m)
+			tp := outs[port]
+			tp.counts[m.Kind&kindMask]++
+			tp.put(net, m)
 		}
+	case numOuts == 1:
+		// Single-output nodes — nearly all of them — capture their tape.
+		tp := outs[0]
+		emit = func(_ int, m Message) { tp.put(net, m) }
+	default:
+		emit = func(port int, m Message) { outs[port].put(net, m) }
 	}
 	if b.tracer != nil {
 		tracer := b.tracer
 		nodeName := t.name()
 		inner := emit
 		emit = func(port int, m Message) {
-			tracer.Trace(obs.TraceEvent{Step: net.step, Node: nodeName, Kind: obsKind(m.Kind), Msg: m.String(), TraceID: net.cfg.traceID})
+			// The document message carries no event of its own: render the
+			// register, which is what the mark stands for.
+			msg := m.String()
+			if m.Kind == MsgDoc {
+				msg = net.reg.ev.String()
+			}
+			tracer.Trace(obs.TraceEvent{Step: net.reg.step, Node: nodeName, Kind: obsKind(m.Kind), Msg: msg, TraceID: net.cfg.traceID})
 			inner(port, m)
 		}
 	}
@@ -272,71 +319,71 @@ func (b *builder) addNode(t transducer, ins []int, numOuts int) []int {
 // expression was already compiled from the same tape, in which case its
 // output tape is reused. It returns the expression's output tape and the
 // qualifier ids declared inside it.
-func (b *builder) compile(expr rpeq.Node, in int) (int, []cond.QualID, error) {
-	key := strconv.Itoa(in) + "|" + rpeq.Canonical(expr)
+func (b *builder) compile(expr rpeq.Node, in *tape) (*tape, []cond.QualID, error) {
+	key := memoKey{in, rpeq.Canonical(expr)}
 	if e, ok := b.memo[key]; ok {
 		return e.out, e.quals, nil
 	}
 	out, quals, err := b.compileNew(expr, in)
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
 	b.memo[key] = memoEntry{out: out, quals: quals}
 	return out, quals, nil
 }
 
-func (b *builder) compileNew(expr rpeq.Node, in int) (int, []cond.QualID, error) {
+func (b *builder) compileNew(expr rpeq.Node, in *tape) (*tape, []cond.QualID, error) {
 	switch n := expr.(type) {
 	case *rpeq.Empty:
 		// ε adds no transducer: the context passes through unchanged.
 		return in, nil, nil
 
 	case *rpeq.Label:
-		return b.addNode(newChild(n.Name, &b.net.cfg), []int{in}, 1)[0], nil, nil
+		return b.addNode(newChild(n.Name, &b.net.cfg), []*tape{in}, 1)[0], nil, nil
 
 	case *rpeq.Plus:
-		return b.addNode(newClosure(n.Label.Name, &b.net.cfg), []int{in}, 1)[0], nil, nil
+		return b.addNode(newClosure(n.Label.Name, &b.net.cfg), []*tape{in}, 1)[0], nil, nil
 
 	case *rpeq.Star:
 		// C[label*] = SP; C[label+] on one branch; JO (Fig. 11).
-		sp := b.addNode(newSplit(), []int{in}, 2)
+		sp := b.addNode(newSplit(), []*tape{in}, 2)
 		plus, quals, err := b.compile(&rpeq.Plus{Label: n.Label}, sp[1])
 		if err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
-		return b.addNode(newJoin(), []int{sp[0], plus}, 1)[0], quals, nil
+		return b.addNode(newJoin(&b.net.reg), []*tape{sp[0], plus}, 1)[0], quals, nil
 
 	case *rpeq.Optional:
-		sp := b.addNode(newSplit(), []int{in}, 2)
+		sp := b.addNode(newSplit(), []*tape{in}, 2)
 		inner, quals, err := b.compile(n.Expr, sp[1])
 		if err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
-		return b.addNode(newJoin(), []int{sp[0], inner}, 1)[0], quals, nil
+		return b.addNode(newJoin(&b.net.reg), []*tape{sp[0], inner}, 1)[0], quals, nil
 
 	case *rpeq.Concat:
 		mid, lq, err := b.compile(n.Left, in)
 		if err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
 		out, rq, err := b.compile(n.Right, mid)
 		if err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
 		return out, append(lq, rq...), nil
 
 	case *rpeq.Union:
-		sp := b.addNode(newSplit(), []int{in}, 2)
+		sp := b.addNode(newSplit(), []*tape{in}, 2)
 		left, lq, err := b.compile(n.Left, sp[0])
 		if err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
 		right, rq, err := b.compile(n.Right, sp[1])
 		if err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
-		jo := b.addNode(newJoin(), []int{left, right}, 1)[0]
-		un := b.addNode(newUnion(&b.net.cfg), []int{jo}, 1)[0]
+		jo := b.addNode(newJoin(&b.net.reg), []*tape{left, right}, 1)[0]
+		un := b.addNode(newUnion(&b.net.cfg), []*tape{jo}, 1)[0]
 		return un, append(lq, rq...), nil
 
 	case *rpeq.Qualifier:
@@ -354,22 +401,22 @@ func (b *builder) compileNew(expr rpeq.Node, in int) (int, []cond.QualID, error)
 		}
 		base, bq, err := b.compile(n.Base, in)
 		if err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
 		// The qualifier id is declared before its condition compiles
 		// (the variable-creator precedes the condition sub-network on
 		// the tape); the nesting relation is recorded afterwards.
 		q := b.net.pool.DeclareQualifier(nil)
-		vc := b.addNode(newVC(q, b.net.pool, &b.net.cfg), []int{base}, 1)[0]
-		sp := b.addNode(newSplit(), []int{vc}, 2)
+		vc := b.addNode(newVC(q, b.net.pool, &b.net.cfg), []*tape{base}, 1)[0]
+		sp := b.addNode(newSplit(), []*tape{vc}, 2)
 		inner, cq, err := b.compile(n.Cond, sp[1])
 		if err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
 		b.net.pool.SetNested(q, cq)
-		vf := b.addNode(newVF(q, b.net.pool, true), []int{inner}, 1)[0]
-		vd := b.addNode(newVD(q, b.net.pool, &b.net.cfg), []int{vf}, 1)[0]
-		out := b.addNode(newJoin(), []int{sp[0], vd}, 1)[0]
+		vf := b.addNode(newVF(q, b.net.pool, true), []*tape{inner}, 1)[0]
+		vd := b.addNode(newVD(q, b.net.pool, &b.net.cfg), []*tape{vf}, 1)[0]
+		out := b.addNode(newJoin(&b.net.reg), []*tape{sp[0], vd}, 1)[0]
 		quals := append(bq, cq...)
 		return out, append(quals, q), nil
 
@@ -379,19 +426,21 @@ func (b *builder) compileNew(expr rpeq.Node, in int) (int, []cond.QualID, error)
 		// comparison holds.
 		mid, quals, err := b.compile(n.Path, in)
 		if err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
-		out := b.addNode(newTextCmp(n.Op, n.Value, &b.net.cfg), []int{mid}, 1)[0]
+		out := b.addNode(newTextCmp(n.Op, n.Value, &b.net.cfg), []*tape{mid}, 1)[0]
 		return out, quals, nil
 
 	case *rpeq.AttrTest:
 		// An attribute self-filter is one constant-memory transducer: the
 		// decision falls at the start message, where the attribute list is
 		// complete — no variables, no sub-network.
-		return b.addNode(newAttrTest(n.Pred, &b.net.cfg), []int{in}, 1)[0], nil, nil
+		return b.addNode(newAttrTest(n.Pred, &b.net.cfg), []*tape{in}, 1)[0], nil, nil
 
 	case *rpeq.AttrStep:
-		return b.addNode(newAttrSel(n.Name, &b.net.cfg), []int{in}, 1)[0], nil, nil
+		// BuildSet peels the terminal attribute step off before compiling;
+		// one that is still here sits where no element stream can follow it.
+		return nil, nil, fmt.Errorf("spexnet: attribute step @%s must be the final step of the query", n.Name)
 
 	case *rpeq.CondNot:
 		// A bare negated condition (a disjunct of an 'or' lowering) is the
@@ -400,7 +449,7 @@ func (b *builder) compileNew(expr rpeq.Node, in int) (int, []cond.QualID, error)
 		return b.compileNegQualifier(&rpeq.Empty{}, n, in)
 
 	case *rpeq.Following:
-		return b.addNode(newFollowing(n.Test, &b.net.cfg), []int{in}, 1)[0], nil, nil
+		return b.addNode(newFollowing(n.Test, &b.net.cfg), []*tape{in}, 1)[0], nil, nil
 
 	case *rpeq.Preceding:
 		// Preceding answers precede their justification, so the step
@@ -408,11 +457,11 @@ func (b *builder) compileNew(expr rpeq.Node, in int) (int, []cond.QualID, error)
 		// qualifier id owning them so variable filters of enclosing
 		// qualifiers keep them.
 		q := b.net.pool.DeclareQualifier(nil)
-		out := b.addNode(newPreceding(n.Test, q, b.net.pool, &b.net.cfg), []int{in}, 1)[0]
+		out := b.addNode(newPreceding(n.Test, q, b.net.pool, &b.net.cfg), []*tape{in}, 1)[0]
 		return out, []cond.QualID{q}, nil
 
 	default:
-		return 0, nil, fmt.Errorf("spexnet: unknown expression node %T", expr)
+		return nil, nil, fmt.Errorf("spexnet: unknown expression node %T", expr)
 	}
 }
 
@@ -426,34 +475,34 @@ func (b *builder) compileNew(expr rpeq.Node, in int) (int, []cond.QualID, error)
 // so rejected candidates drop as early as the positive construction accepts
 // them; candidates whose condition is an attribute test inside not(...) never
 // even reach here — those fold into the attribute formula as AttrNot.
-func (b *builder) compileNegQualifier(baseExpr rpeq.Node, cn *rpeq.CondNot, in int) (int, []cond.QualID, error) {
+func (b *builder) compileNegQualifier(baseExpr rpeq.Node, cn *rpeq.CondNot, in *tape) (*tape, []cond.QualID, error) {
 	base, bq, err := b.compile(baseExpr, in)
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
 	if rpeq.Nullable(cn.Expr) {
 		// cond is nullable: the candidate itself witnesses it at the event
 		// opening its scope, so not(cond) is statically false. Earliest
 		// decision: drop base's selections without allocating variables.
-		out := b.addNode(newDropAct(), []int{base}, 1)[0]
+		out := b.addNode(newDropAct(), []*tape{base}, 1)[0]
 		return out, bq, nil
 	}
 	q := b.net.pool.DeclareQualifier(nil)
-	vc := b.addNode(newNegVC(q, b.net.pool, &b.net.cfg), []int{base}, 1)[0]
-	sp := b.addNode(newSplit(), []int{vc}, 2)
+	vc := b.addNode(newNegVC(q, b.net.pool, &b.net.cfg), []*tape{base}, 1)[0]
+	sp := b.addNode(newSplit(), []*tape{vc}, 2)
 	inner, cq, err := b.compile(cn.Expr, sp[1])
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
 	if len(cq) > 0 {
 		// The front ends reject qualifiers under not(...); anything that
 		// still declares condition variables (a nested qualifier or a
 		// preceding step) would make the unconditional kill unsound.
-		return 0, nil, fmt.Errorf("spexnet: cannot negate %s: the condition declares condition variables", cn.Expr)
+		return nil, nil, fmt.Errorf("spexnet: cannot negate %s: the condition declares condition variables", cn.Expr)
 	}
 	b.net.pool.SetNested(q, cq)
-	vf := b.addNode(newVF(q, b.net.pool, true), []int{inner}, 1)[0]
-	nvd := b.addNode(newNVD(q, b.net.pool), []int{vf}, 1)[0]
-	out := b.addNode(newJoin(), []int{sp[0], nvd}, 1)[0]
+	vf := b.addNode(newVF(q, b.net.pool, true), []*tape{inner}, 1)[0]
+	nvd := b.addNode(newNVD(q, b.net.pool), []*tape{vf}, 1)[0]
+	out := b.addNode(newJoin(&b.net.reg), []*tape{sp[0], nvd}, 1)[0]
 	return out, append(bq, q), nil
 }

@@ -43,6 +43,35 @@ func TestDepthStackBound(t *testing.T) {
 	}
 }
 
+// TestSparseStackBound tightens the same lemma: stacks hold one entry per
+// armed level, not per open level. A child path that never matches below the
+// root keeps every stack at a handful of entries however deep the document
+// is — while TestDepthStackBound's closure query, which arms every level,
+// still needs its d entries.
+func TestSparseStackBound(t *testing.T) {
+	const d = 400
+	net, err := Build(rpeq.MustParse("feed.entry.title"), Options{Mode: ModeCount})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := net.Run(dataset.Recursive("a", d).Stream())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.MaxDepth != d {
+		t.Fatalf("stream depth measured %d, want %d", stats.MaxDepth, d)
+	}
+	perNode := net.TransducerStats()
+	if len(perNode) != net.Degree() {
+		t.Fatalf("%d transducer stats for %d transducers", len(perNode), net.Degree())
+	}
+	for name, st := range perNode {
+		if st.MaxStack > 3 {
+			t.Errorf("%s: max stack %d on a depth-%d document with one armed level, want ≤ 3", name, st.MaxStack, d)
+		}
+	}
+}
+
 // TestFormulaSizeConstantWithoutQualifiers validates the §V case analysis
 // for rpeq*: without qualifiers the only condition formula is "true", so
 // σ(φ) = 1.

@@ -28,6 +28,13 @@ func (t *fanoutT) feed(_ int, m *Message, emit emitFn) {
 	}
 }
 
+func (t *fanoutT) doc(_ *docReg, emit emitFn) bool {
+	for p := 0; p < t.ports; p++ {
+		emit(p, docMark)
+	}
+	return false
+}
+
 // portRef identifies one input port of one node.
 type portRef struct {
 	node int
@@ -45,21 +52,21 @@ type portRef struct {
 // repairs the order afterwards.
 func (b *builder) insertFanouts() {
 	orig := len(b.net.nodes)
-	readers := make(map[int][]portRef)
+	readers := make(map[*tape][]portRef)
 	for i := 0; i < orig; i++ {
-		for port, tape := range b.net.nodes[i].ins {
-			readers[tape] = append(readers[tape], portRef{node: i, port: port})
+		for port, tp := range b.net.nodes[i].ins {
+			readers[tp] = append(readers[tp], portRef{node: i, port: port})
 		}
 	}
 	// fanoutsAt[i] lists the junction nodes that must run just before
 	// original node i (its earliest reader in the old order).
 	fanoutsAt := make(map[int][]int)
-	for tape := 0; tape < len(b.net.edges); tape++ {
-		refs := readers[tape]
+	for _, tp := range b.net.tapes { // the range is fixed here: junction tapes added below have one reader
+		refs := readers[tp]
 		if len(refs) < 2 {
 			continue
 		}
-		outs := b.addNode(newFanout(len(refs)), []int{tape}, len(refs))
+		outs := b.addNode(newFanout(len(refs)), []*tape{tp}, len(refs))
 		earliest := refs[0].node
 		for i, ref := range refs {
 			b.net.nodes[ref.node].ins[ref.port] = outs[i]

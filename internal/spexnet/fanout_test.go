@@ -36,16 +36,18 @@ func TestFanoutInsertion(t *testing.T) {
 	if got := net.Fanouts(); got == 0 {
 		t.Fatal("shared-prefix network has no fan-out junctions")
 	}
-	// Every tape must now have exactly one reader.
-	readers := map[int]int{}
+	// Every tape must now have exactly one reader: a written tape wakes its
+	// reader, which clears it, so a second reader would see nothing and a
+	// tape without one would never be cleared.
+	readers := map[*tape]int{}
 	for i := range net.nodes {
 		for _, tape := range net.nodes[i].ins {
 			readers[tape]++
 		}
 	}
-	for tape, n := range readers {
-		if n != 1 {
-			t.Fatalf("tape %d has %d readers after fan-out insertion", tape, n)
+	for _, tape := range net.tapes {
+		if n := readers[tape]; n != 1 {
+			t.Fatalf("tape %p has %d readers after fan-out insertion", tape, n)
 		}
 	}
 
@@ -74,7 +76,7 @@ func TestFanoutTopologicalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	producerAt := map[int]int{} // tape -> node index producing it
+	producerAt := map[*tape]int{} // tape -> node index producing it
 	for i := range net.nodes {
 		for _, tape := range net.nodes[i].outs {
 			producerAt[tape] = i
@@ -83,7 +85,7 @@ func TestFanoutTopologicalOrder(t *testing.T) {
 	for i := range net.nodes {
 		for _, tape := range net.nodes[i].ins {
 			if p, ok := producerAt[tape]; ok && p >= i {
-				t.Fatalf("node %d (%s) reads tape %d produced by later node %d (%s)",
+				t.Fatalf("node %d (%s) reads tape %p produced by later node %d (%s)",
 					i, net.nodes[i].t.name(), tape, p, net.nodes[p].t.name())
 			}
 		}

@@ -171,12 +171,26 @@ func TestGovernorLiveVarsFail(t *testing.T) {
 	}
 }
 
+// TestGovernorStepMessagesFail pins what the per-step cap counts: deliveries
+// actually made — one per transducer the document event visits plus one per
+// activation/determination message delivered. For a.c (CH(a), CH(c), OU) the
+// costliest steps make four: <$> visits all three transducers and delivers
+// the initial activation; the matching <c> visits the two armed CH, whose
+// activation wakes OU (two visits, one message, one more visit).
 func TestGovernorStepMessagesFail(t *testing.T) {
-	cfg := &governor.Config{Limits: governor.Limits{MaxStepMessages: 3}, Policy: governor.PolicyFail}
-	_, _, err := governedRun(t, "_*.a[b].c", chainDoc(8), ModeCount, cfg, nil)
+	const doc = `<a><c/><x><y/></x></a>`
+	cfg := &governor.Config{Limits: governor.Limits{MaxStepMessages: 4}, Policy: governor.PolicyFail}
+	if _, stats, err := governedRun(t, "a.c", doc, ModeCount, cfg, nil); err != nil || stats.Output.Matches != 1 {
+		t.Fatalf("cap 4: err %v, matches %d; want a clean run with 1 match", err, stats.Output.Matches)
+	}
+	cfg = &governor.Config{Limits: governor.Limits{MaxStepMessages: 3}, Policy: governor.PolicyFail}
+	_, stats, err := governedRun(t, "a.c", doc, ModeCount, cfg, nil)
 	var le *governor.LimitError
 	if !errors.As(err, &le) || le.Resource != governor.ResStepMessages {
 		t.Fatalf("want step-messages LimitError, got %v", err)
+	}
+	if le.Observed != 4 || stats.Events != 1 {
+		t.Errorf("tripped at event %d observing %d deliveries, want event 1 (<$>) observing 4", stats.Events, le.Observed)
 	}
 }
 

@@ -7,18 +7,17 @@
 // the result is undetermined (§III.8).
 package spexnet
 
-import (
-	"repro/internal/cond"
-	"repro/internal/xmlstream"
-)
+import "repro/internal/cond"
 
 // MsgKind classifies messages exchanged between SPEX transducers
 // (Definition 2 of the paper).
 type MsgKind uint8
 
 const (
-	// MsgDoc is a document message: an element or document boundary event
-	// (or character data, which rides along unmodified).
+	// MsgDoc is the document message: an element or document boundary event
+	// (or character data). The event itself never travels — it sits in the
+	// network's register (docReg) for the whole step — so on a tape the
+	// document message is only a position: see docMark.
 	MsgDoc MsgKind = iota
 	// MsgActivation is an activation message [f]: it arms the receiving
 	// transducer with condition formula f for the document message that
@@ -36,24 +35,27 @@ const (
 // Message is one message on a transducer tape.
 type Message struct {
 	Kind    MsgKind
-	Ev      xmlstream.Event // MsgDoc
-	Formula *cond.Formula   // MsgActivation
-	Var     cond.VarID      // MsgDet
-	Final   bool            // MsgDet: scope-exit finalization from VC
-	Witness *cond.Formula   // MsgDet: witness contribution from VD
+	Final   bool          // MsgDet: scope-exit finalization from VC
+	Var     cond.VarID    // MsgDet
+	Formula *cond.Formula // MsgActivation
+	Witness *cond.Formula // MsgDet: witness contribution from VD
 }
 
-// docMsg wraps an event as a document message.
-func docMsg(ev xmlstream.Event) Message { return Message{Kind: MsgDoc, Ev: ev} }
+// docMark is the document message as a transducer emits it: it fixes where
+// the step's event falls among the messages the transducer writes — those
+// emitted before it precede the event, those emitted after it follow it. A
+// tape records it as an index (tape.mark), not as a stored message.
+var docMark = Message{Kind: MsgDoc}
 
 // actMsg wraps a formula as an activation message.
 func actMsg(f *cond.Formula) Message { return Message{Kind: MsgActivation, Formula: f} }
 
-// String renders the message in the paper's notation.
+// String renders the message in the paper's notation. The document message
+// renders as a placeholder: its event is in the register, not in the message.
 func (m Message) String() string {
 	switch m.Kind {
 	case MsgDoc:
-		return m.Ev.String()
+		return "<·>"
 	case MsgActivation:
 		return "[" + m.Formula.String() + "]"
 	case MsgDet:

@@ -3,6 +3,7 @@ package spexnet
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
 	"repro/internal/cond"
 	"repro/internal/governor"
@@ -12,16 +13,48 @@ import (
 
 // netNode is one transducer of a network with its wiring.
 type netNode struct {
-	t     transducer
-	ins   []int // input tape ids, in port order
-	outs  []int // output tape ids, in port order
-	emit  emitFn
-	ender stepEnder // non-nil when the transducer buffers within a step
-	tm    *obs.TransducerMetrics
-	mc    *msgCounters
+	t    transducer
+	ins  []*tape // input tapes, in port order
+	outs []*tape // output tapes, in port order
+	emit emitFn
+	// visits counts the steps in which the node was visited: the document
+	// events delivered to it.
+	visits int64
+	tm     *obs.TransducerMetrics
+	mc     *msgCounters
 }
 
-// msgCounters holds the per-node flush bookkeeping for the edge-count
+// tape is one edge of the network: the activation and determination messages
+// its single writer emitted this step, with the position of the document
+// event among them. An untouched tape (no messages, mark 0) reads as the
+// bare document event, which is what lets an idle writer stay unvisited.
+type tape struct {
+	msgs []Message
+	// mark is the document position: msgs[:mark] precede the step's event,
+	// msgs[mark:] follow it.
+	mark int
+	// rword/rbit locate the tape's single reader in the active-set bitset
+	// (every tape has exactly one reader, see insertFanouts).
+	rword int
+	rbit  uint64
+	// counts (instrumented networks only) counts what was written to the
+	// tape, by kind; the document kind counts marks.
+	counts *[kindMask + 1]int64
+}
+
+// put appends a message and puts the tape's reader into the step's active
+// set; the document mark only records its position — by itself it gives the
+// reader nothing to do.
+func (tp *tape) put(n *Network, m Message) {
+	if m.Kind == MsgDoc {
+		tp.mark = len(tp.msgs)
+		return
+	}
+	tp.msgs = append(tp.msgs, m)
+	n.hot[tp.rword] |= tp.rbit
+}
+
+// msgCounters holds the per-node flush bookkeeping for the delivery-count
 // instrumentation: the totals already published into the node's atomic
 // TransducerMetrics counters, so syncMetrics adds deltas (the registry is
 // cumulative across evaluations).
@@ -46,25 +79,28 @@ var _ = [1]struct{}{}[MsgDoc-MsgKind(obs.KindDoc)]
 var _ = [1]struct{}{}[MsgActivation-MsgKind(obs.KindActivation)]
 var _ = [1]struct{}{}[MsgDet-MsgKind(obs.KindDetermination)]
 
-// stepEnder is implemented by transducers that buffer messages within a
-// step (the join); the runner calls endStep after all of the step's
-// messages have been delivered to the node.
-type stepEnder interface {
-	endStep(emit emitFn)
-}
-
 // Network is a compiled SPEX network: a single-source single-sink DAG of
 // transducers (Definition 3). It is stateful and evaluates exactly one
 // stream; build a fresh network per evaluation (building is linear in the
 // query size and takes microseconds).
 type Network struct {
-	cfg        netConfig
-	pool       *cond.Pool
-	nodes      []netNode
-	edges      [][]Message
-	sourceEdge int
-	outs       []*outputT
-	step       int64
+	cfg    netConfig
+	pool   *cond.Pool
+	nodes  []netNode
+	tapes  []*tape
+	source *tape
+	outs   []*outputT
+	// reg is the document-stream register: the step's event, read in place
+	// by every visited transducer.
+	reg docReg
+	// hot is the step's active set, one bit per node in topological order:
+	// nodes armed by an earlier step plus the readers of tapes written so
+	// far in this one. propagate drains it in order; next collects the nodes
+	// that stay armed and becomes the following step's hot.
+	hot, next []uint64
+	// deliveries totals what propagate delivered: one per node visit (the
+	// document event) plus one per activation/determination message.
+	deliveries int64
 	elements   int64
 	depth      int
 	maxDepth   int
@@ -91,16 +127,7 @@ type Network struct {
 	// cumulative across evaluations) without an atomic add per event.
 	lastStep     int64
 	lastElements int64
-	// edgeCounts (instrumented networks only) counts the messages written to
-	// each tape, by kind. The producer's emit closure increments it — one
-	// plain increment per message, the whole per-message cost of the
-	// instrumentation — and since every tape has exactly one writer and one
-	// reader, a node's in- and out-counts are both derivable from its tapes;
-	// the delivery loop stays identical to the uninstrumented one. Rows are
-	// individually allocated (stable pointers) so emit closures capture
-	// their row without an index.
-	edgeCounts []*[kindMask + 1]int64
-	// stepMsgs batches the per-event message-volume observations; flushed
+	// stepMsgs batches the per-event delivery-count observations; flushed
 	// into metrics.StepMessages on the gauge stride.
 	stepMsgs obs.HistogramBatch
 }
@@ -108,13 +135,18 @@ type Network struct {
 // Stats reports what an evaluation consumed and produced; the quantities of
 // §V and §VI.
 type Stats struct {
-	Events      int64       // document-stream events processed
-	Elements    int64       // elements in the stream
-	MaxDepth    int         // document depth d
-	Transducers int         // network degree (Lemma V.1)
-	MaxStack    int         // max depth/condition stack entries over all transducers
-	MaxFormula  int         // max condition formula size σ
-	Output      OutputStats // sink-side accounting
+	Events      int64 // document-stream events processed
+	Elements    int64 // elements in the stream
+	MaxDepth    int   // document depth d
+	Transducers int   // network degree (Lemma V.1)
+	MaxStack    int   // max depth/condition stack entries over all transducers
+	MaxFormula  int   // max condition formula size σ
+	// Deliveries is the per-event work summed over the stream: one per
+	// transducer visited by a document event plus one per activation or
+	// determination message delivered. Idle transducers are not visited, so
+	// Deliveries/Events is the active part of the network, not its degree.
+	Deliveries int64
+	Output     OutputStats // sink-side accounting
 	// Governor summarizes resource-governor activity (zero when no
 	// governor was configured or nothing tripped).
 	Governor GovernorOutcome
@@ -187,7 +219,9 @@ func (n *Network) Step(ev xmlstream.Event) error {
 		// they are ignored rather than failed.
 		return nil
 	}
-	n.step++
+	r := &n.reg
+	r.step++
+	r.depth = n.depth
 	switch ev.Kind {
 	case xmlstream.StartElement:
 		n.elements++
@@ -195,11 +229,14 @@ func (n *Network) Step(ev xmlstream.Event) error {
 		if n.depth > n.maxDepth {
 			n.maxDepth = n.depth
 		}
+		r.depth, r.index = n.depth, n.elements
 	case xmlstream.EndElement:
 		n.depth--
 		if n.depth < 0 {
-			return fmt.Errorf("spexnet: unbalanced end message %s at step %d", ev, n.step)
+			return fmt.Errorf("spexnet: unbalanced end message %s at step %d", ev, r.step)
 		}
+	case xmlstream.StartDocument:
+		r.index = 0
 	}
 	// Resolve the label symbol against the network's own table when the
 	// producer did not (push-mode feeds, the encoding/xml adapter). Events
@@ -228,28 +265,23 @@ func (n *Network) Step(ev xmlstream.Event) error {
 			}
 		}
 	}
+	r.ev = ev
 	// The input transducer: the initial activation with formula true
 	// precedes the start-document message (§III.2, Example III.1).
 	if ev.Kind == xmlstream.StartDocument {
-		n.edges[n.sourceEdge] = append(n.edges[n.sourceEdge], actMsg(cond.True()))
-	}
-	n.edges[n.sourceEdge] = append(n.edges[n.sourceEdge], docMsg(ev))
-	if n.metrics == nil {
-		total := n.propagate()
-		if g != nil {
-			return n.governStep(total)
+		n.source.put(n, actMsg(cond.True()))
+		n.source.put(n, docMark)
+		if n.source.counts != nil {
+			n.source.counts[MsgActivation&kindMask]++
 		}
-		return nil
 	}
-	// The source tape has no emitting transducer; account its messages here.
-	if ev.Kind == xmlstream.StartDocument {
-		n.edgeCounts[n.sourceEdge][MsgActivation&kindMask]++
-	}
-	n.edgeCounts[n.sourceEdge][MsgDoc&kindMask]++
 	total := n.propagate()
-	n.stepMsgs.Observe(total)
-	if n.step&(gaugeSyncStride-1) == 0 {
-		n.syncMetrics()
+	n.deliveries += total
+	if n.metrics != nil {
+		n.stepMsgs.Observe(total)
+		if r.step&(gaugeSyncStride-1) == 0 {
+			n.syncMetrics()
+		}
 	}
 	if g != nil {
 		return n.governStep(total)
@@ -300,8 +332,8 @@ func (n *Network) shedAllSinks() {
 	for _, out := range n.outs {
 		out.shedSelf()
 	}
-	for i := range n.edges {
-		n.edges[i] = nil
+	for _, tp := range n.tapes {
+		tp.msgs, tp.mark = nil, 0
 	}
 	if n.pool != nil {
 		n.pool.Reset()
@@ -317,33 +349,54 @@ func (n *Network) shedAllSinks() {
 // exact. Must be a power of two.
 const gaugeSyncStride = 32
 
-// propagate delivers the step's messages along every tape in topological
-// order. Every tape has exactly one reader — shared-subexpression networks
-// route their multi-reader tapes through explicit fan-out junctions at build
-// time (insertFanouts) — but a tape's content must survive until the whole
-// step has been delivered, so tapes are cleared only at the end.
+// propagate delivers the step's document event, and the activation and
+// determination messages it causes, to the active part of the network in
+// topological order. A node is in the step's active set when an earlier step
+// left it armed or when a tape it reads was written in this one; every other
+// node would only have re-emitted the event, which now needs no emitting, so
+// it is skipped. A visited node gets the messages preceding the event from
+// all its ports, the event, then the messages following it, and its input
+// tapes are cleared as soon as it has read them — each tape has exactly one
+// reader (shared-subexpression networks route multi-reader tapes through
+// explicit fan-out junctions at build time, insertFanouts), and writing to a
+// tape is what makes that reader active, so no written tape is left behind.
+//
+// It returns the deliveries made: one per visit for the document event plus
+// one per message — the per-event work, which Lemma V.2 bounds by the network
+// degree and which an idle sub-network no longer contributes to.
 func (n *Network) propagate() int64 {
 	var total int64
-	for i := range n.nodes {
-		node := &n.nodes[i]
-		for port, e := range node.ins {
-			msgs := n.edges[e]
-			total += int64(len(msgs))
-			for j := range msgs {
-				node.t.feed(port, &msgs[j], node.emit)
+	hot, next := n.hot, n.next
+	for w := range hot {
+		// Writers precede their readers, so bits set during a visit are
+		// always ahead of the cursor: re-reading the word picks them up.
+		for hot[w] != 0 {
+			b := bits.TrailingZeros64(hot[w])
+			hot[w] &^= 1 << b
+			node := &n.nodes[w<<6|b]
+			node.visits++
+			total++
+			for port, tp := range node.ins {
+				for j := 0; j < tp.mark; j++ {
+					node.t.feed(port, &tp.msgs[j], node.emit)
+				}
+			}
+			if node.t.doc(&n.reg, node.emit) {
+				next[w] |= 1 << b
+			}
+			for port, tp := range node.ins {
+				if len(tp.msgs) == 0 {
+					continue
+				}
+				for j := tp.mark; j < len(tp.msgs); j++ {
+					node.t.feed(port, &tp.msgs[j], node.emit)
+				}
+				total += int64(len(tp.msgs))
+				tp.msgs, tp.mark = tp.msgs[:0], 0
 			}
 		}
-		if node.ender != nil {
-			// All producers precede this node in topological order, so
-			// the step is complete on its inputs.
-			node.ender.endStep(node.emit)
-		}
 	}
-	for i := range n.edges {
-		if len(n.edges[i]) > 0 {
-			n.edges[i] = n.edges[i][:0]
-		}
-	}
+	n.hot, n.next = next, hot
 	return total
 }
 
@@ -353,9 +406,9 @@ func (n *Network) propagate() int64 {
 // event and gauges at most a few events stale.
 func (n *Network) syncMetrics() {
 	m := n.metrics
-	if d := n.step - n.lastStep; d != 0 {
+	if d := n.reg.step - n.lastStep; d != 0 {
 		m.Events.Add(d)
-		n.lastStep = n.step
+		n.lastStep = n.reg.step
 	}
 	if d := n.elements - n.lastElements; d != 0 {
 		m.Elements.Add(d)
@@ -371,17 +424,24 @@ func (n *Network) syncMetrics() {
 		tm.Stack.Set(int64(ts.Cur))
 		tm.Stack.NoteMax(int64(ts.MaxStack))
 		tm.Formula.NoteMax(int64(ts.MaxFormula))
-		if mc := node.mc; mc != nil && n.edgeCounts != nil {
-			// Every tape has one writer and one reader, so the tape counts
-			// are simultaneously the producer's out- and the consumer's
-			// in-counts; sum each side and publish the delta.
+		if mc := node.mc; mc != nil {
+			// Messages: every tape has one writer and one reader, and a
+			// written tape is always read in the same step, so the tape
+			// counts are simultaneously the producer's out- and the
+			// consumer's in-counts. The document event is delivered by a
+			// visit, not by a tape: in-count is the node's visits, out-count
+			// the marks it wrote.
 			for k := 0; k < numKinds; k++ {
 				var in, out int64
-				for _, e := range node.ins {
-					in += n.edgeCounts[e][k]
+				if MsgKind(k) == MsgDoc {
+					in = node.visits
+				} else {
+					for _, tp := range node.ins {
+						in += tp.counts[k]
+					}
 				}
-				for _, e := range node.outs {
-					out += n.edgeCounts[e][k]
+				for _, tp := range node.outs {
+					out += tp.counts[k]
 				}
 				if d := in - mc.flushedIn[k]; d != 0 {
 					tm.In[k].Add(d)
@@ -472,7 +532,8 @@ func (n *Network) Release() {
 		n.finalSinks = sinks
 	}
 	n.nodes = nil
-	n.edges = nil
+	n.tapes = nil
+	n.source = nil
 	n.outs = nil
 	if n.pool != nil {
 		n.pool.Reset()
@@ -516,8 +577,9 @@ func (n *Network) stats() Stats {
 		return *n.finalStats
 	}
 	s := Stats{
-		Events:      n.step,
+		Events:      n.reg.step,
 		Elements:    n.elements,
+		Deliveries:  n.deliveries,
 		MaxDepth:    n.maxDepth,
 		Transducers: len(n.nodes),
 		Determined:  n.AnswerDetermined(),

@@ -35,6 +35,10 @@ const (
 	ModeStream
 )
 
+// content reports whether answers carry their subtree, so that the sink must
+// see every document event inside an open candidate.
+func (m ResultMode) content() bool { return m == ModeSerialize || m == ModeStream }
+
 // Result is one query answer.
 type Result struct {
 	// Index is the document-order number of the answer node: the
@@ -110,12 +114,29 @@ type outputT struct {
 	ssink StreamSink
 	cfg   *netConfig
 
-	pending   *cond.Formula
-	nextIndex int64
-	depth     int
+	pending *cond.Formula
+	// reg is the network's register; between document events the sink reads
+	// its step counter, the clock of the candidate-lifecycle histograms.
+	reg *docReg
 
-	queue     []*candidate // document order; undecided or not yet emitted
-	openStack []*candidate // candidates whose subtree is still open
+	// attr, when set, makes the sink select the named attribute of each
+	// match instead of the match itself (the terminal step .@attr).
+	// Attribute nodes have no representation in the document stream, so the
+	// sink synthesizes one — the balanced triple <@attr> value </@attr> —
+	// as a sibling just before its owner, with a document-order index of its
+	// own. The attribute step is restricted to the end of a query, so only
+	// the sink could ever read such a node; synthesizing it here, instead of
+	// in a transducer in front of the sink, keeps events off the tapes.
+	attr, attrLabel string
+	// attrNodes counts the attribute nodes synthesized so far: this sink
+	// numbers every later node that much higher than the register does.
+	attrNodes int64
+
+	queue []*candidate // document order; undecided or not yet emitted
+	// openStack holds the candidates still collecting content, innermost
+	// last (content modes only): each is tagged with the depth of its node,
+	// and while it is non-empty the sink is armed for every document event.
+	openStack []*candidate
 	byVar     map[cond.VarID][]*candidate
 	bindings  map[cond.VarID]*cond.Formula
 	// resolved maps each determined variable to its value: a constant,
@@ -130,10 +151,6 @@ type outputT struct {
 	st       StackStats
 	err      error
 
-	// step counts the document events the sink has seen (exactly one
-	// document message per stream event reaches OU), the clock the
-	// candidate-lifecycle histograms are measured against.
-	step int64
 	// om receives the candidate-lifecycle histograms (netConfig.sinkMetrics);
 	// nil keeps every recording point a single pointer test.
 	om *obs.Metrics
@@ -159,11 +176,12 @@ type outputT struct {
 	determined bool
 }
 
-func newOutput(mode ResultMode, sink Sink, cfg *netConfig) *outputT {
+func newOutput(mode ResultMode, sink Sink, cfg *netConfig, reg *docReg) *outputT {
 	return &outputT{
 		mode:     mode,
 		sink:     sink,
 		cfg:      cfg,
+		reg:      reg,
 		om:       cfg.sinkMetrics,
 		byVar:    make(map[cond.VarID][]*candidate),
 		bindings: make(map[cond.VarID]*cond.Formula),
@@ -176,7 +194,7 @@ func newOutput(mode ResultMode, sink Sink, cfg *netConfig) *outputT {
 // true or false.
 func (t *outputT) observeDecision(born int64) {
 	if t.om != nil {
-		t.om.DecisionLatency.Observe(t.step - born)
+		t.om.DecisionLatency.Observe(t.reg.step - born)
 	}
 }
 
@@ -184,7 +202,7 @@ func (t *outputT) observeDecision(born int64) {
 // creation to emission or discard, i.e. how long its buffered content aged.
 func (t *outputT) observeLifetime(born int64) {
 	if t.om != nil {
-		t.om.CandidateLifetime.Observe(t.step - born)
+		t.om.CandidateLifetime.Observe(t.reg.step - born)
 	}
 }
 
@@ -208,69 +226,116 @@ func (t *outputT) stackStats() StackStats {
 	return s
 }
 
-func (t *outputT) feed(_ int, m *Message, emit emitFn) {
+func (t *outputT) feed(_ int, m *Message, _ emitFn) {
 	if t.shed || t.determined {
 		return
 	}
-	switch m.Kind {
-	case MsgActivation:
+	if m.Kind == MsgActivation {
 		t.pending = t.cfg.or(t.pending, m.Formula)
 		t.st.noteFormula(t.pending)
-	case MsgDet:
-		t.handleDet(m)
+		return
+	}
+	t.handleDet(m)
+	t.flushQueue()
+}
+
+func (t *outputT) doc(r *docReg, _ emitFn) bool {
+	if t.shed || t.determined {
+		return false
+	}
+	index := r.index + t.attrNodes
+	if t.attr != "" && isStart(r.ev.Kind) && t.pending != nil {
+		// The match itself is not an answer; its attribute, if present, is.
+		f := t.pending
+		t.pending = nil
+		if v, ok := r.ev.Attr(t.attr); ok {
+			t.selectAttr(f, v, r.depth, index)
+			if t.shed || t.determined {
+				return false
+			}
+			index++
+		}
+	}
+	t.handleDoc(&r.ev, r.depth, index)
+	t.flushQueue()
+	return t.pending != nil || len(t.openStack) > 0
+}
+
+// selectAttr passes the synthesized attribute node <@attr> value </@attr>
+// through the sink as a candidate with formula f, exactly as if the three
+// messages had arrived on the tape ahead of the owner's start message.
+func (t *outputT) selectAttr(f *cond.Formula, value string, depth int, index int64) {
+	t.attrNodes++
+	evs := [3]xmlstream.Event{xmlstream.Start(t.attrLabel), xmlstream.Chars(value), xmlstream.End(t.attrLabel)}
+	t.pending = f
+	for i := range evs {
+		if i == 1 && value == "" {
+			continue
+		}
+		t.handleDoc(&evs[i], depth, index)
 		t.flushQueue()
-	case MsgDoc:
-		t.step++
-		t.handleDoc(m.Ev)
-		t.flushQueue()
+		if t.shed || t.determined {
+			return
+		}
 	}
 }
 
-func (t *outputT) handleDoc(ev xmlstream.Event) {
+// handleDoc processes a document event: ev opens or closes the node at the
+// given depth (or is character data), and a node it opens has the given
+// document-order index.
+func (t *outputT) handleDoc(ev *xmlstream.Event, depth int, index int64) {
 	switch {
-	case isStart(ev):
-		t.depth++
-		index := t.nextIndex
-		t.nextIndex++
+	case isStart(ev.Kind):
 		if t.pending != nil {
 			f := t.pending
 			t.pending = nil
-			// Count-mode fast path: an unconditional answer with nothing
-			// queued ahead of it is countable immediately — no candidate
-			// record, no queue traffic. With the symbol pipeline this makes
-			// the qualifier-free counting loop allocation-free; the
-			// interning ablation (noInterning) keeps the seed's allocating
-			// path as its baseline.
-			if t.mode == ModeCount && !t.cfg.noInterning && len(t.queue) == 0 && f.IsTrue() {
+			// Decided at birth: an unconditional answer with nothing queued
+			// ahead of it is countable — and, in ModeNodes, deliverable —
+			// immediately: no candidate record, no queue traffic. With the
+			// symbol pipeline this makes the qualifier-free loop
+			// allocation-free; the interning ablation (noInterning) keeps
+			// the seed's allocating path as its baseline.
+			if !t.mode.content() && !t.cfg.noInterning && len(t.queue) == 0 && f.IsTrue() {
 				t.stats.Candidates++
 				t.stats.Matches++
 				// Decided and emitted at birth: both latencies are zero.
-				t.observeDecision(t.step)
-				t.observeLifetime(t.step)
+				t.observeDecision(t.reg.step)
+				t.observeLifetime(t.reg.step)
+				if t.mode == ModeNodes && t.sink != nil && !t.degraded {
+					t.observeEmit()
+					t.sink(Result{Index: index, Name: nodeName(ev)})
+				}
 				if t.limitReached() {
 					t.determine()
 					return
 				}
 			} else {
-				t.openCandidate(index, ev, f)
+				t.openCandidate(index, ev, depth, f)
 				if t.determined {
 					return
 				}
 			}
 		}
 		t.appendToOpen(ev)
-	case isEnd(ev):
+	case isEnd(ev.Kind):
 		t.pending = nil
 		t.appendToOpen(ev)
 		// Close the candidate rooted at the node this event closes.
-		if n := len(t.openStack); n > 0 && t.openStack[n-1].startDepth == t.depth {
+		if n := len(t.openStack); n > 0 && t.openStack[n-1].startDepth == depth {
 			t.openStack[n-1].closed = true
 			t.openStack = t.openStack[:n-1]
 		}
-		t.depth--
 	default: // text
 		t.appendToOpen(ev)
 	}
+}
+
+// nodeName is the label an answer rooted at the start event ev reports.
+func nodeName(ev *xmlstream.Event) string {
+	if ev.Kind == xmlstream.StartDocument {
+		return "$"
+	}
+	return ev.Name
 }
 
 // applyResolved substitutes every already-determined variable occurring in
@@ -295,11 +360,8 @@ func (t *outputT) applyResolved(f *cond.Formula) *cond.Formula {
 }
 
 // openCandidate creates a candidate for the node whose start event is ev.
-func (t *outputT) openCandidate(index int64, ev xmlstream.Event, f *cond.Formula) {
-	name := ev.Name
-	if ev.Kind == xmlstream.StartDocument {
-		name = "$"
-	}
+func (t *outputT) openCandidate(index int64, ev *xmlstream.Event, depth int, f *cond.Formula) {
+	name := nodeName(ev)
 	f = t.applyResolved(f)
 	if t.cfg.gov != nil {
 		t.cfg.checkFormula(f)
@@ -309,7 +371,7 @@ func (t *outputT) openCandidate(index int64, ev xmlstream.Event, f *cond.Formula
 		t.openDegraded(index, name, f)
 		return
 	}
-	c := &candidate{index: index, name: name, formula: f, startDepth: t.depth, born: t.step}
+	c := &candidate{index: index, name: name, formula: f, startDepth: depth, born: t.reg.step}
 	switch {
 	case f.IsTrue():
 		c.state = candAccepted
@@ -327,7 +389,9 @@ func (t *outputT) openCandidate(index int64, ev xmlstream.Event, f *cond.Formula
 		if len(t.queue) > t.stats.MaxQueued {
 			t.stats.MaxQueued = len(t.queue)
 		}
-		t.openStack = append(t.openStack, c)
+		if t.mode.content() {
+			t.openStack = append(t.openStack, c)
+		}
 		t.st.noteStack(len(t.queue))
 		t.checkCandidates()
 	}
@@ -340,17 +404,17 @@ func (t *outputT) openDegraded(index int64, name string, f *cond.Formula) {
 	switch {
 	case f.IsTrue():
 		t.stats.Matches++
-		t.observeDecision(t.step)
-		t.observeLifetime(t.step)
+		t.observeDecision(t.reg.step)
+		t.observeLifetime(t.reg.step)
 		if t.limitReached() {
 			t.determine()
 		}
 	case f.IsFalse():
 		t.stats.Dropped++
-		t.observeDecision(t.step)
-		t.observeLifetime(t.step)
+		t.observeDecision(t.reg.step)
+		t.observeLifetime(t.reg.step)
 	default:
-		c := &candidate{index: index, name: name, formula: f, unqueued: true, born: t.step}
+		c := &candidate{index: index, name: name, formula: f, unqueued: true, born: t.reg.step}
 		f.Visit(func(v cond.VarID) { t.byVar[v] = append(t.byVar[v], c) })
 		t.pendingN++
 		if t.pendingN > t.stats.MaxQueued {
@@ -452,8 +516,8 @@ func (t *outputT) shedSelf() {
 // appendToOpen adds a content event to every open, non-rejected candidate
 // (ModeSerialize and ModeStream). The streaming head candidate forwards the
 // event instead of buffering it.
-func (t *outputT) appendToOpen(ev xmlstream.Event) {
-	if t.mode != ModeSerialize && t.mode != ModeStream {
+func (t *outputT) appendToOpen(ev *xmlstream.Event) {
+	if len(t.openStack) == 0 {
 		return
 	}
 	for _, c := range t.openStack {
@@ -461,10 +525,10 @@ func (t *outputT) appendToOpen(ev xmlstream.Event) {
 			continue
 		}
 		if c.streaming {
-			t.ssink.ResultEvent(ev)
+			t.ssink.ResultEvent(*ev)
 			continue
 		}
-		c.events = append(c.events, ev)
+		c.events = append(c.events, *ev)
 		t.buffered++
 	}
 	if t.buffered > t.stats.MaxBufferedEvs {

@@ -17,99 +17,59 @@ func (t *splitT) feed(_ int, m *Message, emit emitFn) {
 	emit(1, *m)
 }
 
+func (t *splitT) doc(_ *docReg, emit emitFn) bool {
+	emit(0, docMark)
+	emit(1, docMark)
+	return false
+}
+
 // joinT is the join transducer JO of §III.6: an AND-gate on document
-// messages. Both branches of a split deliver each document message exactly
-// once per step (every transducer forwards the document stream), so the
-// join forwards the single document message of the step once — this is also
-// how "the problem of removing duplicates for the union operation is solved
-// by the join transducer". Activation and determination messages pass
-// through, merged from both branches while keeping their position relative
-// to the step's document message (an activation stays before the element it
-// refers to; a trailing scope-exit finalization stays after the end
-// message).
+// messages. Both branches of a split see the step's one document event, so
+// the join marks it once — this is also how "the problem of removing
+// duplicates for the union operation is solved by the join transducer".
+// Activation and determination messages pass through, merged from both
+// branches while keeping their position relative to the document event (an
+// activation stays before the element it refers to; a trailing scope-exit
+// finalization stays after the end message).
 //
-// joinT buffers the whole step from both ports and flushes at the step
-// boundary the runner signals (endStep) — after both branches have
-// delivered everything, since the branches precede the join in topological
-// order.
+// The runner delivers what precedes the event from both ports (left branch
+// first), then the event, then what follows it from both ports — the order
+// the join owes its reader — so the join buffers nothing. Determination
+// messages that reached it through both branches of the preceding split are
+// forwarded once: the same duplicate elimination it performs for the
+// document event.
 type joinT struct {
-	buffered [2][]Message
-	seenDets []Message // scratch for per-step determination dedupe
+	passDoc
+	reg      *docReg
+	seenDets []Message // determinations forwarded during step seenStep
+	seenStep int64
 	st       StackStats
 }
 
-func newJoin() *joinT { return &joinT{} }
+func newJoin(reg *docReg) *joinT { return &joinT{reg: reg} }
 
 func (t *joinT) name() string { return "JO" }
 
-func (t *joinT) stackStats() StackStats {
-	s := t.st
-	s.Cur = len(t.buffered[0]) + len(t.buffered[1])
-	return s
-}
+func (t *joinT) stackStats() StackStats { return t.st }
 
-func (t *joinT) feed(input int, m *Message, _ emitFn) {
-	t.buffered[input] = append(t.buffered[input], *m)
-	t.st.noteStack(len(t.buffered[0]) + len(t.buffered[1]))
-}
-
-// endStep flushes the step: the non-document messages preceding each
-// branch's document message (left branch first), the single document
-// message, then the trailing non-document messages. Determination messages
-// that reached the join through both branches of the preceding split are
-// emitted once — the same duplicate elimination the join performs for
-// document messages.
-func (t *joinT) endStep(emit emitFn) {
-	seenDets := t.seenDets[:0]
-	emitNonDoc := func(m Message) {
-		if m.Kind == MsgDet {
-			for _, s := range seenDets {
-				if sameDet(s, m) {
-					return
-				}
-			}
-			seenDets = append(seenDets, m)
+func (t *joinT) feed(_ int, m *Message, emit emitFn) {
+	if m.Kind == MsgDet {
+		if t.seenStep != t.reg.step {
+			t.seenStep = t.reg.step
+			t.seenDets = t.seenDets[:0]
 		}
-		emit(0, m)
-	}
-	// Split each buffer at its document message.
-	docAt := func(buf []Message) int {
-		for i, m := range buf {
-			if m.Kind == MsgDoc {
-				return i
+		for i := range t.seenDets {
+			if sameDet(&t.seenDets[i], m) {
+				return
 			}
 		}
-		return len(buf)
+		t.seenDets = append(t.seenDets, *m)
 	}
-	d0, d1 := docAt(t.buffered[0]), docAt(t.buffered[1])
-	for _, m := range t.buffered[0][:d0] {
-		emitNonDoc(m)
-	}
-	for _, m := range t.buffered[1][:d1] {
-		emitNonDoc(m)
-	}
-	if d0 < len(t.buffered[0]) {
-		emit(0, t.buffered[0][d0])
-	}
-	after := func(buf []Message, d int) []Message {
-		if d >= len(buf) {
-			return nil
-		}
-		return buf[d+1:]
-	}
-	for _, m := range after(t.buffered[0], d0) {
-		emitNonDoc(m)
-	}
-	for _, m := range after(t.buffered[1], d1) {
-		emitNonDoc(m)
-	}
-	t.seenDets = seenDets[:0]
-	t.buffered[0] = t.buffered[0][:0]
-	t.buffered[1] = t.buffered[1][:0]
+	emit(0, *m)
 }
 
 // sameDet reports whether two determination messages are identical.
-func sameDet(a, b Message) bool {
+func sameDet(a, b *Message) bool {
 	if a.Var != b.Var || a.Final != b.Final {
 		return false
 	}
@@ -145,18 +105,20 @@ func (t *unionT) stackStats() StackStats {
 }
 
 func (t *unionT) feed(_ int, m *Message, emit emitFn) {
-	switch m.Kind {
-	case MsgActivation:
+	if m.Kind == MsgActivation {
 		t.pending = t.cfg.or(t.pending, m.Formula)
 		t.st.noteFormula(t.pending)
 		t.st.noteStack(1)
-	case MsgDet:
-		emit(0, *m)
-	case MsgDoc:
-		if t.pending != nil {
-			emit(0, actMsg(t.pending))
-			t.pending = nil
-		}
-		emit(0, *m)
+		return
 	}
+	emit(0, *m)
+}
+
+func (t *unionT) doc(_ *docReg, emit emitFn) bool {
+	if t.pending != nil {
+		emit(0, actMsg(t.pending))
+		t.pending = nil
+	}
+	emit(0, docMark)
+	return false
 }

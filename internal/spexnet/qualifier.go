@@ -22,11 +22,9 @@ type vcT struct {
 	neg bool
 
 	pending *cond.Formula
-	hasPend bool
-	// vars[k] holds the variable whose scope is the k-th open node, or
-	// noVar.
-	vars []cond.VarID
-	has  []bool
+	// vars holds the live instances: the variable whose scope is the open
+	// node at each entry's depth, innermost last.
+	vars []varScope
 
 	st StackStats
 }
@@ -54,64 +52,56 @@ func (t *vcT) stackStats() StackStats {
 }
 
 func (t *vcT) feed(_ int, m *Message, emit emitFn) {
-	switch m.Kind {
-	case MsgActivation:
+	if m.Kind == MsgActivation {
 		t.pending = t.cfg.or(t.pending, m.Formula)
-		t.hasPend = true
 		t.st.noteFormula(t.pending)
-	case MsgDet:
-		emit(0, *m)
-	case MsgDoc:
-		ev := m.Ev
-		switch {
-		case isStart(ev):
-			var v cond.VarID
-			created := false
-			if t.hasPend {
-				v = t.pool.Fresh(t.q)
-				f := t.cfg.and(t.pending, t.pool.Var(v))
-				t.st.noteFormula(f)
-				emit(0, actMsg(f))
-				created = true
-				t.pending = nil
-				t.hasPend = false
-			}
-			t.vars = append(t.vars, v)
-			t.has = append(t.has, created)
-			t.st.noteStack(len(t.vars))
-			emit(0, *m)
-		case isEnd(ev):
-			t.pending = nil
-			t.hasPend = false
-			// Scope left: invalidate the instance (Fig. 6 transition 4's
-			// {c,false}). The finalization travels AFTER the end message —
-			// behaviourally equivalent for the paper's constructs, and it
-			// lets downstream transducers that witness an instance at the
-			// very end of its scope (the text-test transducer) get their
-			// determination in first. After the finalization nothing can
-			// mention the variable again, so its id returns to the pool —
-			// this is what keeps memory bounded on unbounded streams.
-			emit(0, *m)
-			if n := len(t.vars); n > 0 {
-				if t.has[n-1] {
-					if t.neg {
-						// Negated qualifier: the instance survived its whole
-						// scope without an inner match — not(cond) holds, the
-						// witness is true. It travels before the finalization.
-						emit(0, Message{Kind: MsgDet, Var: t.vars[n-1], Witness: cond.True()})
-					}
-					emit(0, Message{Kind: MsgDet, Var: t.vars[n-1], Final: true})
-					if !t.cfg.retainVars {
-						t.pool.Release(t.vars[n-1])
-					}
-				}
-				t.vars = t.vars[:n-1]
-				t.has = t.has[:n-1]
-			}
-		default:
-			emit(0, *m)
-		}
+		return
 	}
+	emit(0, *m)
+}
+
+func (t *vcT) doc(r *docReg, emit emitFn) bool {
+	switch {
+	case isStart(r.ev.Kind):
+		if t.pending != nil {
+			v := t.pool.Fresh(t.q)
+			f := t.cfg.and(t.pending, t.pool.Var(v))
+			t.st.noteFormula(f)
+			emit(0, actMsg(f))
+			t.pending = nil
+			t.vars = append(t.vars, varScope{r.depth, v})
+			t.st.noteStack(len(t.vars))
+		}
+		emit(0, docMark)
+	case isEnd(r.ev.Kind):
+		t.pending = nil
+		// Scope left: invalidate the instance (Fig. 6 transition 4's
+		// {c,false}). The finalization travels AFTER the end message —
+		// behaviourally equivalent for the paper's constructs, and it
+		// lets downstream transducers that witness an instance at the
+		// very end of its scope (the text-test transducer) get their
+		// determination in first. After the finalization nothing can
+		// mention the variable again, so its id returns to the pool —
+		// this is what keeps memory bounded on unbounded streams.
+		emit(0, docMark)
+		if n := len(t.vars); n > 0 && t.vars[n-1].depth == r.depth {
+			v := t.vars[n-1].v
+			if t.neg {
+				// Negated qualifier: the instance survived its whole
+				// scope without an inner match — not(cond) holds, the
+				// witness is true. It travels before the finalization.
+				emit(0, Message{Kind: MsgDet, Var: v, Witness: cond.True()})
+			}
+			emit(0, Message{Kind: MsgDet, Var: v, Final: true})
+			if !t.cfg.retainVars {
+				t.pool.Release(v)
+			}
+			t.vars = t.vars[:n-1]
+		}
+	default:
+		emit(0, docMark)
+	}
+	return len(t.vars) > 0 || t.pending != nil
 }
 
 // vfT is the variable-filter transducer of §III.5.2. The positive filter
@@ -120,6 +110,7 @@ func (t *vcT) feed(_ int, m *Message, emit emitFn) {
 // else but those variables"); the negative filter VF(q-) drops exactly
 // those. Document and determination messages pass through unchanged.
 type vfT struct {
+	passDoc
 	q        cond.QualID
 	pool     *cond.Pool
 	positive bool
@@ -167,6 +158,7 @@ func (t *vfT) feed(_ int, m *Message, emit emitFn) {
 // so they reach the output transducer (the paper's Fig. 7 predates nested
 // determinations and drops them).
 type vdT struct {
+	passDoc
 	q    cond.QualID
 	pool *cond.Pool
 	cfg  *netConfig
@@ -237,6 +229,7 @@ func (t *vdT) feed(_ int, m *Message, emit emitFn) {
 // then conditioned on nothing, and an inner match is a structural fact of
 // the document, killing the instance outright.
 type nvdT struct {
+	passDoc
 	q    cond.QualID
 	pool *cond.Pool
 	st   StackStats
@@ -279,7 +272,10 @@ func (t *nvdT) feed(_ int, m *Message, emit emitFn) {
 // implements statically false qualifiers — base[not(cond)] where cond is
 // nullable: the candidate itself witnesses cond at the event that opens it,
 // so not(cond) never holds and base's selections are discarded wholesale.
-type dropActT struct{ st StackStats }
+type dropActT struct {
+	passDoc
+	st StackStats
+}
 
 func newDropAct() *dropActT { return &dropActT{} }
 

@@ -25,13 +25,14 @@ type textCmpT struct {
 	cfg   *netConfig
 
 	pending *cond.Formula
-	scopes  []*textScope // parallel to open nodes; nil when not armed
+	scopes  []*textScope // the armed open nodes, innermost last
 	st      StackStats
 }
 
 type textScope struct {
-	f   *cond.Formula
-	buf strings.Builder
+	depth int
+	f     *cond.Formula
+	buf   strings.Builder
 }
 
 func newTextCmp(op rpeq.TextOp, value string, cfg *netConfig) *textCmpT {
@@ -47,40 +48,35 @@ func (t *textCmpT) stackStats() StackStats {
 }
 
 func (t *textCmpT) feed(_ int, m *Message, emit emitFn) {
-	switch m.Kind {
-	case MsgActivation:
+	if m.Kind == MsgActivation {
 		t.pending = t.cfg.or(t.pending, m.Formula)
 		t.st.noteFormula(t.pending)
-	case MsgDet:
-		emit(0, *m)
-	case MsgDoc:
-		ev := m.Ev
-		switch {
-		case isStart(ev):
-			var s *textScope
-			if t.pending != nil {
-				s = &textScope{f: t.pending}
-				t.pending = nil
-			}
-			t.scopes = append(t.scopes, s)
-			t.st.noteStack(len(t.scopes))
-			emit(0, *m)
-		case isEnd(ev):
+		return
+	}
+	emit(0, *m)
+}
+
+func (t *textCmpT) doc(r *docReg, emit emitFn) bool {
+	switch {
+	case isStart(r.ev.Kind):
+		if t.pending != nil {
+			t.scopes = append(t.scopes, &textScope{depth: r.depth, f: t.pending})
 			t.pending = nil
-			if n := len(t.scopes); n > 0 {
-				if s := t.scopes[n-1]; s != nil && t.op.Holds(s.buf.String(), t.value) {
-					emit(0, actMsg(s.f))
-				}
-				t.scopes = t.scopes[:n-1]
+			t.st.noteStack(len(t.scopes))
+		}
+	case isEnd(r.ev.Kind):
+		t.pending = nil
+		if n := len(t.scopes); n > 0 && t.scopes[n-1].depth == r.depth {
+			if s := t.scopes[n-1]; t.op.Holds(s.buf.String(), t.value) {
+				emit(0, actMsg(s.f))
 			}
-			emit(0, *m)
-		default: // text: accumulate into every armed scope
-			for _, s := range t.scopes {
-				if s != nil {
-					s.buf.WriteString(ev.Data)
-				}
-			}
-			emit(0, *m)
+			t.scopes = t.scopes[:n-1]
+		}
+	default: // text: accumulate into every armed scope
+		for _, s := range t.scopes {
+			s.buf.WriteString(r.ev.Data)
 		}
 	}
+	emit(0, docMark)
+	return len(t.scopes) > 0 || t.pending != nil
 }

@@ -7,29 +7,81 @@ import (
 )
 
 // emitFn delivers a message to one output port of a transducer. All
-// transducers have a single output port (port 0) except the split
-// transducer, which also writes port 1.
+// transducers have a single output port (port 0) except the split and
+// fan-out transducers. Emitting docMark fixes the position of the step's
+// document event on that port's tape.
 type emitFn func(port int, m Message)
 
-// transducer is one node of a SPEX network. feed processes a single message
-// arriving on the given input port (always 0 except for the join
-// transducer) and emits resulting messages in order. The runner guarantees
-// the paper's discipline: exactly one document message is in flight at a
-// time, and all messages belonging to that step are delivered before the
-// next step begins.
+// docReg is the document-stream register: the one copy of the step's event
+// that every visited transducer reads. The document stream is not a message
+// any more — nothing copies the event from tape to tape — so a transducer
+// that holds no state and receives no message this step is simply not
+// visited (Network.propagate).
+type docReg struct {
+	ev xmlstream.Event
+	// depth is the level of the node ev opens or closes: 0 for the document
+	// root <$>, 1 for the top element. For character data it is the level of
+	// the enclosing node. Depth-tagged stack entries compare against it.
+	depth int
+	// index is the document-order number of the node a start event opens
+	// (<$> is 0, elements count from 1).
+	index int64
+	// step counts document events, starting at 1 for <$>.
+	step int64
+}
+
+// transducer is one node of a SPEX network. The runner guarantees the
+// paper's discipline: one document event is in flight at a time, and within
+// a step a visited transducer receives, in order, the activation and
+// determination messages that precede the event (feed), the event itself
+// (doc), and the messages that follow it (feed).
 //
-// The message is passed by pointer into the runner's tape storage and is
-// valid only for the duration of the call: implementations forward it as
-// emit(port, *m) and must copy (*m) if they buffer it across calls. Passing
-// a pointer halves the per-hop copy traffic of the ~100-byte Message — with
-// every transducer forwarding every document message, the copies are a
-// measurable share of the per-event cost Lemma V.2 bounds.
+// A message is passed by pointer into the runner's tape storage and is valid
+// only for the duration of the call: implementations forward it as
+// emit(port, *m) and must copy (*m) if they buffer it across calls.
 type transducer interface {
+	// feed processes one activation or determination message arriving on
+	// the given input port (always 0 except for the join transducer).
 	feed(input int, m *Message, emit emitFn)
+	// doc processes the step's document event, emitting docMark on every
+	// output port at the point where the event belongs. It reports whether
+	// the transducer stays armed — holds state that a later document event
+	// can act on even if no message arrives with it. An unarmed transducer
+	// with empty input tapes is skipped until a message reaches it, so its
+	// stacks hold depth-tagged entries for armed levels only, never one entry
+	// per open element. Messages following the event are determinations,
+	// which arm nothing, so the answer given here stands for the whole step.
+	doc(r *docReg, emit emitFn) (armed bool)
 	name() string
 	// stackStats returns the current and maximum depth-stack size and the
 	// maximum condition-formula size handled, for the §V experiments.
 	stackStats() StackStats
+}
+
+// passDoc is embedded by the single-output transducers that keep nothing
+// across document events (the variable filter and determinants, the join):
+// the event passes straight through and never arms them.
+type passDoc struct{}
+
+func (passDoc) doc(_ *docReg, emit emitFn) bool {
+	emit(0, docMark)
+	return false
+}
+
+// scope is one entry of a depth-tagged sparse stack: the formula attached to
+// the open node at the given depth. Levels carrying no formula have no entry
+// (they were the nil entries of a one-per-open-node stack), which bounds the
+// stack by the armed levels — a tighter statement of Lemma V.2's depth bound.
+type scope struct {
+	depth int
+	f     *cond.Formula
+}
+
+// varScope is the sparse-stack entry of the variable-allocating transducers:
+// the condition variable whose scope is the open node at the given depth.
+type varScope struct {
+	depth int
+	v     cond.VarID
 }
 
 // StackStats reports per-transducer resource usage.
@@ -129,15 +181,15 @@ type netConfig struct {
 	traceID string
 }
 
-// isStart reports whether the event opens a tree node (element or document
-// root).
-func isStart(ev xmlstream.Event) bool {
-	return ev.Kind == xmlstream.StartElement || ev.Kind == xmlstream.StartDocument
+// isStart reports whether an event of kind k opens a tree node (element or
+// document root).
+func isStart(k xmlstream.Kind) bool {
+	return k == xmlstream.StartElement || k == xmlstream.StartDocument
 }
 
-// isEnd reports whether the event closes a tree node.
-func isEnd(ev xmlstream.Event) bool {
-	return ev.Kind == xmlstream.EndElement || ev.Kind == xmlstream.EndDocument
+// isEnd reports whether an event of kind k closes a tree node.
+func isEnd(k xmlstream.Kind) bool {
+	return k == xmlstream.EndElement || k == xmlstream.EndDocument
 }
 
 // labelTest is a compiled label guard: the per-event test every CH, CL, FO
@@ -164,7 +216,7 @@ func (n *netConfig) compileLabelTest(label string) labelTest {
 // wildcard matches every element, but never the document root <$>). Events
 // reaching a transducer are already resolved against the network's table
 // (Network.Step), so the symbol comparison is exact.
-func (t labelTest) matches(ev xmlstream.Event) bool {
+func (t *labelTest) matches(ev *xmlstream.Event) bool {
 	if ev.Kind != xmlstream.StartElement {
 		return false
 	}

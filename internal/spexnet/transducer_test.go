@@ -7,30 +7,92 @@ import (
 	"repro/internal/xmlstream"
 )
 
+// tapeItem is one message of a hand-written tape. The engine keeps the
+// document event in a register and only its position on tapes; here a
+// document message carries its event, so that input sequences read — and
+// outputs render — in the paper's notation.
+type tapeItem struct {
+	Message
+	ev xmlstream.Event
+}
+
+func (it tapeItem) String() string {
+	if it.Kind == MsgDoc {
+		return it.ev.String()
+	}
+	return it.Message.String()
+}
+
+// docFeeder plays the runner for one transducer under test: it maintains the
+// document register across the document messages of a hand-written tape.
+type docFeeder struct {
+	reg   docReg
+	depth int
+}
+
+// deliver hands one item to the transducer the way Network.Step and
+// propagate would: a document message loads the register and calls doc, with
+// the mark the transducer emits recorded as the event it stands for.
+func (f *docFeeder) deliver(t transducer, input int, it tapeItem, out func(port int, it tapeItem)) {
+	emit := func(port int, m Message) { out(port, tapeItem{Message: m, ev: f.reg.ev}) }
+	if it.Kind != MsgDoc {
+		t.feed(input, &it.Message, emit)
+		return
+	}
+	r := &f.reg
+	r.step++
+	r.ev, r.depth = it.ev, f.depth
+	switch it.ev.Kind {
+	case xmlstream.StartElement:
+		f.depth++
+		r.depth = f.depth
+		r.index++
+	case xmlstream.EndElement:
+		f.depth--
+	}
+	t.doc(r, emit)
+}
+
 // feedAll drives a transducer with a message sequence and collects its
 // port-0 output (port 1 for the second return value, used by split).
-func feedAll(t transducer, input int, msgs []Message) (port0, port1 []Message) {
-	emit := func(port int, m Message) {
-		if port == 0 {
-			port0 = append(port0, m)
-		} else {
-			port1 = append(port1, m)
-		}
-	}
-	for i := range msgs {
-		t.feed(input, &msgs[i], emit)
+func feedAll(t transducer, input int, items []tapeItem) (port0, port1 []tapeItem) {
+	var f docFeeder
+	for _, it := range items {
+		f.deliver(t, input, it, func(port int, it tapeItem) {
+			if port == 0 {
+				port0 = append(port0, it)
+			} else {
+				port1 = append(port1, it)
+			}
+		})
 	}
 	return port0, port1
 }
 
-func msgs(evs ...Message) []Message { return evs }
+// msgs builds a tape from messages (Message) and document messages
+// (tapeItem, from start/end/startDoc/endDoc/chars).
+func msgs(items ...any) []tapeItem {
+	out := make([]tapeItem, len(items))
+	for i, it := range items {
+		switch it := it.(type) {
+		case tapeItem:
+			out[i] = it
+		case Message:
+			out[i] = tapeItem{Message: it}
+		}
+	}
+	return out
+}
 
-func start(name string) Message { return docMsg(xmlstream.Start(name)) }
-func end(name string) Message   { return docMsg(xmlstream.End(name)) }
-func startDoc() Message         { return docMsg(xmlstream.Event{Kind: xmlstream.StartDocument}) }
-func endDoc() Message           { return docMsg(xmlstream.Event{Kind: xmlstream.EndDocument}) }
+func docItem(ev xmlstream.Event) tapeItem { return tapeItem{Message: docMark, ev: ev} }
 
-func render(ms []Message) string {
+func start(name string) tapeItem { return docItem(xmlstream.Start(name)) }
+func end(name string) tapeItem   { return docItem(xmlstream.End(name)) }
+func startDoc() tapeItem         { return docItem(xmlstream.Event{Kind: xmlstream.StartDocument}) }
+func endDoc() tapeItem           { return docItem(xmlstream.Event{Kind: xmlstream.EndDocument}) }
+func chars(data string) tapeItem { return docItem(xmlstream.Chars(data)) }
+
+func render(ms []tapeItem) string {
 	out := ""
 	for i, m := range ms {
 		if i > 0 {
@@ -61,8 +123,9 @@ func TestChildTransducerDirect(t *testing.T) {
 	if render(out) != want {
 		t.Fatalf("got  %s\nwant %s", render(out), want)
 	}
-	if st := ch.stackStats(); st.MaxStack != 3 {
-		t.Errorf("MaxStack: %d, want 3", st.MaxStack)
+	// Only <$> was armed: the three open levels need one sparse entry.
+	if st := ch.stackStats(); st.MaxStack != 1 {
+		t.Errorf("MaxStack: %d, want 1", st.MaxStack)
 	}
 }
 
@@ -150,38 +213,35 @@ func TestSplitDuplicates(t *testing.T) {
 	}
 }
 
-// TestJoinANDGate: the join buffers the whole step, then forwards each
-// document message once with the non-document messages of both branches
-// kept on their side of it (Fig. 9), deduplicating identical determination
-// messages that arrived via both branches of a split.
+// TestJoinANDGate: the join marks each document event once and forwards the
+// non-document messages of both branches on their side of it (Fig. 9),
+// deduplicating identical determination messages that arrived via both
+// branches of a split — within one step only.
 func TestJoinANDGate(t *testing.T) {
-	jo := newJoin()
-	var out []Message
-	emit := func(_ int, m Message) { out = append(out, m) }
-	det := Message{Kind: MsgDet, Var: 7, Final: true}
-	act, sa := actMsg(cond.Var(1)), start("a")
-	// Left branch delivers an activation + doc + trailing det, right
-	// branch the same det after its doc copy.
-	jo.feed(0, &act, emit)
-	jo.feed(0, &sa, emit)
-	jo.feed(0, &det, emit)
-	jo.feed(1, &sa, emit)
-	jo.feed(1, &det, emit)
-	if len(out) != 0 {
-		t.Fatalf("join fired before the step ended: %s", render(out))
-	}
-	jo.endStep(emit)
+	var f docFeeder
+	jo := newJoin(&f.reg)
+	var out []tapeItem
+	collect := func(_ int, it tapeItem) { out = append(out, it) }
+	det := tapeItem{Message: Message{Kind: MsgDet, Var: 7, Final: true}}
+	act := tapeItem{Message: actMsg(cond.Var(1))}
+	// The runner's order: what precedes the event from both ports, the
+	// event, what follows it from both ports. The left branch delivers an
+	// activation and a trailing det, the right branch the same det.
+	f.deliver(jo, 0, act, collect)
+	f.deliver(jo, 0, start("a"), collect)
+	f.deliver(jo, 0, det, collect)
+	f.deliver(jo, 1, det, collect)
 	want := "[v1] <a> {v7,close}"
 	if render(out) != want {
 		t.Fatalf("got  %s\nwant %s", render(out), want)
 	}
-	// The buffers reset for the next step.
-	ea := end("a")
-	jo.feed(0, &ea, emit)
-	jo.feed(1, &ea, emit)
+	// The dedupe does not reach across steps: the same determination in the
+	// next step is a new message.
 	out = nil
-	jo.endStep(emit)
-	if render(out) != "</a>" {
+	f.deliver(jo, 0, end("a"), collect)
+	f.deliver(jo, 0, det, collect)
+	f.deliver(jo, 1, det, collect)
+	if render(out) != "</a> {v7,close}" {
 		t.Fatalf("second step: %s", render(out))
 	}
 }

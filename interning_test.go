@@ -16,47 +16,88 @@ import (
 )
 
 // TestCountModeZeroAlloc is the acceptance gate of the symbol pipeline: the
-// count-mode inner loop over a warm network, replaying pre-resolved events,
-// performs zero allocations per document. CI runs this test in the bench
-// smoke job; a regression that re-introduces steady-state allocation fails
-// it rather than just shifting a benchmark number.
+// qualifier-free answer loop performs zero steady-state allocations. CI runs
+// this test in the bench smoke job; a regression that re-introduces
+// steady-state allocation fails it rather than just shifting a benchmark
+// number. It has one arm per way the loop is reached: a count-mode network
+// replaying pre-resolved events, and Set.EvaluateBytes — the path the
+// benchmark's feed_count workload takes — whose sinks run in ModeNodes.
 func TestCountModeZeroAlloc(t *testing.T) {
-	var doc bytes.Buffer
-	doc.WriteString("<RDF>")
-	for i := 0; i < 200; i++ {
-		doc.WriteString("<Topic><Title></Title><editor></editor></Topic>")
-	}
-	doc.WriteString("</RDF>")
+	t.Run("network", func(t *testing.T) {
+		var doc bytes.Buffer
+		doc.WriteString("<RDF>")
+		for i := 0; i < 200; i++ {
+			doc.WriteString("<Topic><Title></Title><editor></editor></Topic>")
+		}
+		doc.WriteString("</RDF>")
 
-	symtab := xmlstream.NewSymtab()
-	events, err := xmlstream.Collect(xmlstream.NewScanner(&doc,
-		xmlstream.WithText(false), xmlstream.WithSymtab(symtab)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := spexnet.Build(rpeq.MustParse("_*.Topic.Title"), spexnet.Options{
-		Mode:   spexnet.ModeCount,
-		Symtab: symtab,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := &xmlstream.SliceSource{Events: events}
-	feed := func() {
-		src.Reset()
-		if _, err := net.Run(src); err != nil {
+		symtab := xmlstream.NewSymtab()
+		events, err := xmlstream.Collect(xmlstream.NewScanner(&doc,
+			xmlstream.WithText(false), xmlstream.WithSymtab(symtab)))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// One warm pass grows the tapes and transducer stacks to their steady
-	// size (AllocsPerRun adds its own warm-up run on top).
-	feed()
-	if allocs := testing.AllocsPerRun(5, feed); allocs != 0 {
-		t.Fatalf("count-mode steady state allocates: %.1f allocs per document, want 0", allocs)
-	}
-	if n := net.Matches(); n == 0 {
-		t.Fatal("zero-alloc run found no answers; workload broken")
-	}
+		net, err := spexnet.Build(rpeq.MustParse("_*.Topic.Title"), spexnet.Options{
+			Mode:   spexnet.ModeCount,
+			Symtab: symtab,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := &xmlstream.SliceSource{Events: events}
+		feed := func() {
+			src.Reset()
+			if _, err := net.Run(src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// One warm pass grows the tapes and transducer stacks to their steady
+		// size (AllocsPerRun adds its own warm-up run on top).
+		feed()
+		if allocs := testing.AllocsPerRun(5, feed); allocs != 0 {
+			t.Fatalf("count-mode steady state allocates: %.1f allocs per document, want 0", allocs)
+		}
+		if n := net.Matches(); n == 0 {
+			t.Fatal("zero-alloc run found no answers; workload broken")
+		}
+	})
+	t.Run("set", func(t *testing.T) {
+		// An unconditional answer with nothing queued ahead of it is
+		// delivered straight from its start event in ModeNodes too — no
+		// candidate record. Each evaluation compiles a fresh engine, so the
+		// steady-state figure is the growth with the document: five times
+		// the answers must cost no more allocations.
+		feedDoc := func(entries int) []byte {
+			var doc bytes.Buffer
+			doc.WriteString("<feed>")
+			for i := 0; i < entries; i++ {
+				doc.WriteString("<entry><title>t</title><body>text</body></entry>")
+			}
+			doc.WriteString("</feed>")
+			return doc.Bytes()
+		}
+		var answers int64
+		set := NewSet([]*Query{MustCompile("feed.entry.title")}, func(int, Match) { answers++ })
+		allocsFor := func(entries int) float64 {
+			doc := feedDoc(entries)
+			eval := func() {
+				if err := set.EvaluateBytes(doc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			answers = 0
+			eval()
+			if answers != int64(entries) {
+				t.Fatalf("%d answers for %d entries; workload broken", answers, entries)
+			}
+			return testing.AllocsPerRun(5, eval)
+		}
+		small, large := allocsFor(200), allocsFor(1000)
+		if large > small {
+			t.Fatalf("Set.EvaluateBytes allocates per answer: %.1f allocs for 200 answers, %.1f for 1000 (%.3f per extra answer), want no growth",
+				small, large, (large-small)/800)
+		}
+	})
 }
 
 // interningCorpus pairs documents with the queries cross-validated on them.
