@@ -50,9 +50,12 @@ fuzz-smoke:
 ## writing machine-readable BENCH_*.json reports into $(BENCH_DIR); also
 ## gates the hot loop — immediate answers must stay allocation-free (a
 ## count-mode network and Set.EvaluateBytes, the two arms of
-## TestCountModeZeroAlloc), ingest too, idle transducers must stay unvisited
-## (deliveries per event against the network degree) — and the interning
-## ablation must run end to end
+## TestCountModeZeroAlloc), ingest too, rendering an answer must take one
+## buffer (TestSerializeAllocs), a transducer must be visited only for an
+## activation or an event it asked for (deliveries and visits per event:
+## TestIdleTransducersSkipped, TestWakeConditions) and a determination applied
+## once (TestDeterminationsAppliedOnce) — and the interning ablation must run
+## end to end
 bench-smoke:
 	mkdir -p $(BENCH_DIR)
 	$(GO) run ./cmd/spexbench -fig 14 -scale 0.1 -check -json $(BENCH_DIR)
@@ -63,8 +66,8 @@ bench-smoke:
 	$(GO) run ./cmd/spexbench -fig value-pred -scale 0.1 -check -json $(BENCH_DIR)
 	$(GO) run ./cmd/spexbench -fig ingest -scale 0.05 -check -json $(BENCH_DIR)
 	$(GO) test -run 'TestCountModeZeroAlloc$$' -count 1 .
-	$(GO) test -run 'TestIngestZeroAlloc$$' -count 1 ./internal/xmlstream
-	$(GO) test -run 'TestIdleTransducersSkipped$$' -count 1 ./internal/spexnet
+	$(GO) test -run 'TestIngestZeroAlloc$$|TestSerializeAllocs$$' -count 1 ./internal/xmlstream
+	$(GO) test -run 'TestIdleTransducersSkipped$$|TestWakeConditions$$|TestDeterminationsAppliedOnce$$' -count 1 ./internal/spexnet
 	$(GO) test -run NONE -bench 'BenchmarkAblationInterning$$' -benchtime 1x .
 
 ## ingest-race: the ingest lockdown under the race detector — the

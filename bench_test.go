@@ -493,11 +493,12 @@ func BenchmarkMultiQueryScaling(b *testing.B) {
 // benchStep times the transducer network alone: each iteration builds a fresh
 // engine and pre-scans the document against its symbol table with the timer
 // stopped, then feeds the events. It reports the per-event cost and the
-// per-event work (Stats.Deliveries: transducer visits plus messages
-// delivered), so the cost per delivery can be read in seconds instead of from
-// a full contract run of benchmark/.
+// per-event work — Stats.Deliveries (transducer visits, activations delivered,
+// determinations applied) and its first term alone, Stats.Visits — so the cost
+// per delivery and the two halves of a delivery can be read in seconds instead
+// of from a full contract run of benchmark/.
 func benchStep(b *testing.B, doc []byte, fresh func() (symtab *xmlstream.Symtab, step func(xmlstream.Event) error, stats func() spexnet.Stats)) {
-	var events, deliveries int64
+	var events, deliveries, visits int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		symtab, step, stats := fresh()
@@ -514,9 +515,11 @@ func benchStep(b *testing.B, doc []byte, fresh func() (symtab *xmlstream.Symtab,
 		st := stats()
 		events += st.Events
 		deliveries += st.Deliveries
+		visits += st.Visits
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 	b.ReportMetric(float64(deliveries)/float64(events), "deliveries/event")
+	b.ReportMetric(float64(visits)/float64(events), "visits/event")
 }
 
 // BenchmarkStepSDI steps the benchmark's sdi_merged subscription corpus (128

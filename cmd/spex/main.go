@@ -21,8 +21,10 @@
 //	           which activation/determination at which stream event — the
 //	           traces the paper walks through in Figs. 4, 5 and 13
 //	-trace-kind  message kinds to trace (doc,act,det; default act,det); a
-//	           transducer traces the document event only when it is visited —
-//	           one that is idle at that event is skipped and traces nothing
+//	           determination is traced once where it originates and once at
+//	           each sink (OU) whose candidates it changes, the document event
+//	           at every transducer it visits — one that neither receives an
+//	           activation nor asked for the event is skipped
 //	-trace-node  only trace transducers whose name contains a substring
 //	-window N  evaluate in windows of N top-level records (see §I of the
 //	           paper on the exactness caveat of windows)
@@ -75,7 +77,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		nodes     = fs.Bool("nodes", false, "print answer positions instead of XML")
 		stats     = fs.Bool("stats", false, "print evaluation statistics to stderr")
 		trace     = fs.Bool("trace", false, "print the transition trace (Figs. 4/5/13) to stderr")
-		traceKind = fs.String("trace-kind", "act,det", "message kinds to trace: doc,act,det (empty = all); doc shows only the transducers the event visits")
+		traceKind = fs.String("trace-kind", "act,det", "message kinds to trace: doc,act,det (empty = all); det shows a determination at its origin and at each sink it changes, doc only the transducers the event visits")
 		traceNode = fs.String("trace-node", "", "only trace transducers whose name contains one of these comma-separated substrings")
 		traceID   = fs.String("trace-id", "", "stream trace id stamped on every -trace record (correlates runs in shared logs)")
 		windowN   = fs.Int("window", 0, "evaluate in windows of N top-level records (0 = exact whole-stream evaluation)")
@@ -319,18 +321,19 @@ func parseTraceFilter(kinds, nodes string) (obs.TraceFilter, error) {
 
 // writeTransducerTable renders the per-transducer instruments: deliveries by
 // direction and kind — visits are the document events delivered to the
-// transducer (an idle one is skipped), marks the document positions it wrote
-// (one per output tape per visit) — and the stack/formula maxima Lemma V.2
-// bounds by the depth d and the formula size o(φ).
+// transducer (it is skipped unless an activation arrives or it asked for the
+// event), out det the determinations it originated, in det (sinks only) the
+// resolutions that touched one of its candidates — and the stack/formula
+// maxima Lemma V.2 bounds by the depth d and the formula size o(φ).
 func writeTransducerTable(w io.Writer, s obs.Snapshot) {
 	if !s.Enabled || len(s.Transducers) == 0 {
 		return
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "transducer\tvisits\tin act\tin det\tmarks\tout act\tout det\tmax stack\tmax formula\t")
+	fmt.Fprintln(tw, "transducer\tvisits\tin act\tin det\tout act\tout det\tmax stack\tmax formula\t")
 	for _, t := range s.Transducers {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t\n",
-			t.Name, t.InDoc, t.InAct, t.InDet, t.OutDoc, t.OutAct, t.OutDet, t.MaxStack, t.MaxFormula)
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t\n",
+			t.Name, t.InDoc, t.InAct, t.InDet, t.OutAct, t.OutDet, t.MaxStack, t.MaxFormula)
 	}
 	tw.Flush()
 }

@@ -66,7 +66,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		govFormula   = fs.Int("gov-max-formula", 0, "governor: max condition-formula size per evaluation (0 = unlimited)")
 		govCand      = fs.Int("gov-max-candidates", 0, "governor: max undecided answer candidates per query (0 = unlimited)")
 		govBuffered  = fs.Int("gov-max-buffered", 0, "governor: max buffered result events per query (0 = unlimited)")
-		govStepMsgs  = fs.Int("gov-max-step-messages", 0, "governor: max deliveries (transducer visits + messages) per stream event (0 = unlimited)")
+		govStepMsgs  = fs.Int("gov-max-step-messages", 0, "governor: max deliveries (transducer visits + activations delivered + determinations applied) per stream event (0 = unlimited)")
 		govLiveVars  = fs.Int("gov-max-live-vars", 0, "governor: max live condition variables (0 = unlimited)")
 		govDepth     = fs.Int("gov-max-depth", 0, "governor: max document nesting depth (0 = unlimited)")
 		govPolicy    = fs.String("gov-policy", "fail", "governor trip policy: fail (429), degrade (count-only) or shed (drop query)")

@@ -121,21 +121,37 @@ func FuzzEngineEquivalence(f *testing.F) {
 	attrNoise[len(attrNoise)-9] |= 8 | 32
 	f.Add("r.a.@k", attrNoise)
 	f.Add(`r.a[@k="1"].c`, attrNoise)
+	// Shapes for the condition store: a witness or kill in the step of, or
+	// the step before, the scope-exit finalization (text tests compare the
+	// empty string here — the documents are element-only), residual witnesses
+	// resolved by a cascade, and variables that outlive their scope under the
+	// extension axes.
+	store := fuzzProg("ac.b..ab.c..aac.b..c.b..qa.c.bc...c.")
+	for _, q := range []string{
+		`_*.a[b=""].c`, `_*.a[not(b="")].c`, `_*.a[not(b)].c`, "_*.a[b[c]].c", "_*.a[b[not(c)]].c",
+		"_*.a[_*.b[c]]._*.c", "//a[b]/following::c", "//a[b]/preceding::c", "//b/preceding::a/c",
+	} {
+		f.Add(q, store)
+	}
 
 	f.Fuzz(func(t *testing.T, query string, prog []byte) {
 		if len(query) > 48 {
 			return // keep per-input cost bounded
 		}
+		var plan *core.Plan
 		expr, err := rpeq.Parse(query)
-		if err != nil {
+		if err == nil {
+			if plan, err = core.Prepare(query); err != nil {
+				return // parsed but outside the compiled fragment
+			}
+		} else {
 			if expr, err = rpeq.Parse(query, rpeq.WithXPath()); err != nil {
 				return
 			}
-			query = expr.String() // the engines take rpeq syntax
-		}
-		plan, err := core.Prepare(query)
-		if err != nil {
-			return // parsed but outside the compiled fragment
+			// The engines take the tree: the rpeq rendering of an XPath-only
+			// construct (the following/preceding axes) does not parse back.
+			plan = core.FromAST(expr)
+			query = expr.String()
 		}
 		doc := fuzzDoc(prog)
 

@@ -14,7 +14,7 @@
 package cond
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -182,7 +182,9 @@ func combine(op Op, dedupe bool, fs []*Formula) *Formula {
 	if op == OpOr {
 		unit, zero = falseF, trueF
 	}
-	var kids []*Formula
+	// Sized for the operands as given; only flattening a nested same-operator
+	// child makes it grow.
+	kids := make([]*Formula, 0, len(fs))
 	var flatten func(f *Formula) bool // returns false when result is the absorbing constant
 	flatten = func(f *Formula) bool {
 		switch {
@@ -222,27 +224,30 @@ func combine(op Op, dedupe bool, fs []*Formula) *Formula {
 	return newNode(op, kids, dedupe)
 }
 
-// dedupeByKey sorts children by canonical key and removes exact duplicates.
-// Sorting also canonicalizes operand order so that commutatively equal
-// formulas share one key.
+// dedupeByKey sorts children by canonical key and removes exact duplicates,
+// in place: the caller owns kids. Sorting also canonicalizes operand order so
+// that commutatively equal formulas share one key.
 func dedupeByKey(kids []*Formula) []*Formula {
-	sorted := make([]*Formula, len(kids))
-	copy(sorted, kids)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].key < sorted[j].key })
-	out := sorted[:0]
-	var prev string
-	for i, k := range sorted {
-		if i > 0 && k.key == prev {
-			continue
+	if len(kids) <= 1 {
+		return kids
+	}
+	slices.SortFunc(kids, func(a, b *Formula) int { return strings.Compare(a.key, b.key) })
+	out := kids[:1]
+	for _, k := range kids[1:] {
+		if k.key != out[len(out)-1].key {
+			out = append(out, k)
 		}
-		out = append(out, k)
-		prev = k.key
 	}
 	return out
 }
 
 func newNode(op Op, kids []*Formula, canonical bool) *Formula {
+	n := len("(&)")
+	for _, k := range kids {
+		n += 1 + len(k.key)
+	}
 	var b strings.Builder
+	b.Grow(n)
 	if op == OpAnd {
 		b.WriteString("(&")
 	} else {

@@ -90,8 +90,9 @@ const (
 	ResBuffered
 	// ResStepMessages is the number of deliveries the network makes for a
 	// single document event: one per transducer the event visits (idle
-	// transducers are skipped) plus one per activation or determination
-	// message delivered — the per-event work of Lemma V.2.
+	// transducers are skipped), one per activation message delivered and one
+	// per determination applied by the condition store — the per-event work
+	// of Lemma V.2.
 	ResStepMessages
 	// ResLiveVars is the number of live condition variables in the run's
 	// pool (allocated and not yet released).
@@ -139,7 +140,7 @@ type Limits struct {
 	// MaxBufferedEvents caps buffered answer-content events per output sink.
 	MaxBufferedEvents int
 	// MaxStepMessages caps the deliveries made per document event
-	// (transducer visits plus activation/determination messages).
+	// (transducer visits, activations delivered, determinations applied).
 	MaxStepMessages int
 	// MaxLiveVars caps live condition variables in the run's pool.
 	MaxLiveVars int

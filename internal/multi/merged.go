@@ -37,21 +37,40 @@ type MergedSet struct {
 // NewMergedSet compiles all subscriptions through the set compiler into
 // one merged network.
 func NewMergedSet(subs []Subscription, opts ...Option) (*MergedSet, error) {
-	return newMergedSetSym(subs, xmlstream.NewSymtab(), resolveOptions(opts))
+	return NewMergedSetFrom(subs, nil, opts...)
 }
 
-// newMergedSetSym compiles the set against a caller-provided symbol table —
-// the parallel wrapper passes its pool-wide table so all shards share one
-// symbol space and the feeder can pre-resolve events once for everyone.
-func newMergedSetSym(subs []Subscription, symtab *xmlstream.Symtab, cfg engineConfig) (*MergedSet, error) {
-	if len(subs) == 0 {
-		return nil, fmt.Errorf("multi: no subscriptions")
-	}
+// NewMergedSetFrom builds the merged network of a set that is already
+// compiled: prog must be Compile(subs) for these same subscriptions (nil
+// compiles here). A caller evaluating one immutable set over many documents
+// compiles it once — the program is a pure function of the queries — and
+// builds a fresh single-use network per document from it.
+func NewMergedSetFrom(subs []Subscription, prog *setcompile.Program, opts ...Option) (*MergedSet, error) {
+	return newMergedSetSym(subs, prog, xmlstream.NewSymtab(), resolveOptions(opts))
+}
+
+// Compile runs the set compiler's static pre-pass over the subscriptions'
+// queries.
+func Compile(subs []Subscription) *setcompile.Program {
 	queries := make([]setcompile.Query, len(subs))
 	for i := range subs {
 		queries[i] = setcompile.Query{Name: subs[i].Name, Expr: subs[i].Plan.Expr(), Limit: subs[i].Plan.Limit()}
 	}
-	prog := setcompile.Compile(queries)
+	return setcompile.Compile(queries)
+}
+
+// newMergedSetSym builds the set against a caller-provided symbol table —
+// the parallel wrapper passes its pool-wide table so all shards share one
+// symbol space and the feeder can pre-resolve events once for everyone.
+func newMergedSetSym(subs []Subscription, prog *setcompile.Program, symtab *xmlstream.Symtab, cfg engineConfig) (*MergedSet, error) {
+	if len(subs) == 0 {
+		return nil, fmt.Errorf("multi: no subscriptions")
+	}
+	if prog == nil {
+		prog = Compile(subs)
+	} else if len(prog.Members) != len(subs) {
+		return nil, fmt.Errorf("multi: program compiled for %d queries, set has %d subscriptions", len(prog.Members), len(subs))
+	}
 	s := &MergedSet{
 		subs:       subs,
 		prog:       prog,

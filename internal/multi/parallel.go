@@ -214,7 +214,7 @@ func NewParallelSet(subs []Subscription, opts ParallelOptions) (*ParallelSet, er
 			})
 		}
 		var err error
-		w.set, err = newMergedSetSym(wrapped, p.symtab,
+		w.set, err = newMergedSetSym(wrapped, nil, p.symtab,
 			engineConfig{gov: opts.Governor, metrics: opts.Metrics, traceID: opts.TraceID})
 		if err != nil {
 			return nil, fmt.Errorf("multi: shard %d: %w", id, err)

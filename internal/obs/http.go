@@ -189,7 +189,7 @@ func WritePrometheus(w io.Writer, s Snapshot) {
 	p.Gauge("spex_setcompile_collapsed_queries", "queries collapsed onto an equivalent representative's sink", s.SetcompileCollapsed)
 	p.Gauge("spex_setcompile_contained_queries", "one-way query containments detected by the set compiler", s.SetcompileContained)
 
-	p.Histogram("spex_step_messages", "deliveries per document event: transducers visited plus activation/determination messages delivered", s.StepMessages)
+	p.Histogram("spex_step_messages", "deliveries per document event: transducers visited, activations delivered and determinations applied", s.StepMessages)
 	p.Histogram("spex_decision_latency_events", "stream events from candidate creation to condition resolution", s.DecisionLatency)
 	p.Histogram("spex_candidate_lifetime_events", "stream events from candidate creation to leaving the sink", s.CandidateLifetime)
 	p.Histogram("spex_stream_latency_ns", "nanoseconds from last input read to answer emission", s.StreamLatency)
@@ -207,16 +207,13 @@ func WritePrometheus(w io.Writer, s Snapshot) {
 
 	for _, t := range s.Transducers {
 		name := t.Name
+		const help = "deliveries by transducer, direction and kind (doc in: visits; det out: originated, det in: resolutions touching a sink)"
 		for _, d := range []struct {
-			dir string
-			doc int64
-			act int64
-			det int64
-		}{{"in", t.InDoc, t.InAct, t.InDet}, {"out", t.OutDoc, t.OutAct, t.OutDet}} {
-			base := Label("transducer", name) + "," + Label("dir", d.dir) + ","
-			p.Sample("spex_transducer_messages_total", "counter", "deliveries by transducer, direction and kind (doc: visits in, marks out)", base+Label("kind", "doc"), d.doc)
-			p.Sample("spex_transducer_messages_total", "counter", "deliveries by transducer, direction and kind (doc: visits in, marks out)", base+Label("kind", "act"), d.act)
-			p.Sample("spex_transducer_messages_total", "counter", "deliveries by transducer, direction and kind (doc: visits in, marks out)", base+Label("kind", "det"), d.det)
+			dir, kind string
+			n         int64
+		}{{"in", "doc", t.InDoc}, {"in", "act", t.InAct}, {"in", "det", t.InDet}, {"out", "act", t.OutAct}, {"out", "det", t.OutDet}} {
+			p.Sample("spex_transducer_messages_total", "counter", help,
+				Label("transducer", name)+","+Label("dir", d.dir)+","+Label("kind", d.kind), d.n)
 		}
 		tl := Label("transducer", name)
 		p.Sample("spex_transducer_stack", "gauge", "current depth/condition stack entries per transducer", tl, t.Stack)

@@ -225,7 +225,10 @@ type TransducerMetrics struct {
 	// Name labels the transducer as "index:name", e.g. "3:CH(a)"; the index
 	// disambiguates repeated constructs in one network.
 	Name string
-	// In and Out count messages received and emitted, indexed by MsgKind.
+	// In and Out count deliveries by MsgKind. In: visits (doc), activations
+	// received, resolutions touching a sink's candidates (det, output
+	// transducers only). Out: activations emitted and determinations
+	// originated; Out[KindDoc] is never written — nothing re-emits the event.
 	In  [numKinds]Counter
 	Out [numKinds]Counter
 	// Stack is the current and maximum depth/condition stack size.
@@ -346,10 +349,11 @@ type Metrics struct {
 	SymtabMisses Gauge
 
 	// StepMessages is the distribution of deliveries made per document
-	// event: one per transducer the event visits (idle transducers are
-	// skipped) plus one per activation/determination message delivered —
-	// the per-event work the Lemma V.2 time bound is about, and the figure
-	// to read for "how much of the network does an event wake".
+	// event: one per transducer visited (only for an activation or an event
+	// it asked for), one per activation message delivered, one per
+	// determination applied by the condition store — the per-event work the
+	// Lemma V.2 time bound is about, and the figure to read for "how much of
+	// the network does an event wake".
 	StepMessages Histogram
 
 	// Resource-governor instruments: per-resource limit trips and the

@@ -124,15 +124,17 @@ func snapshotHistogram(h *Histogram) HistogramSnapshot {
 
 // TransducerSnapshot is one transducer's instruments at snapshot time. The
 // counts are deliveries: InDoc is the document events delivered to the
-// transducer (its visits — an idle transducer is skipped), OutDoc the
-// document positions it marked (one per output tape per visit), and the
-// act/det fields the messages it received and emitted.
+// transducer (its visits — a transducer is visited only for an activation or
+// an event it asked for), InAct/OutAct the activation messages it received
+// and emitted, OutDet the determinations it originated, and InDet — output
+// transducers only — the resolutions that touched one of the sink's
+// candidates (determinations go to the network's condition store, not through
+// the transducers).
 type TransducerSnapshot struct {
 	Name       string `json:"name"`
 	InDoc      int64  `json:"in_doc"`
 	InAct      int64  `json:"in_act"`
 	InDet      int64  `json:"in_det"`
-	OutDoc     int64  `json:"out_doc"`
 	OutAct     int64  `json:"out_act"`
 	OutDet     int64  `json:"out_det"`
 	Stack      int64  `json:"stack"`
@@ -225,7 +227,6 @@ func (m *Metrics) Snapshot() Snapshot {
 			InDoc:      tm.In[KindDoc].Load(),
 			InAct:      tm.In[KindActivation].Load(),
 			InDet:      tm.In[KindDetermination].Load(),
-			OutDoc:     tm.Out[KindDoc].Load(),
 			OutAct:     tm.Out[KindActivation].Load(),
 			OutDet:     tm.Out[KindDetermination].Load(),
 			Stack:      tm.Stack.Cur(),

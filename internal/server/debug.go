@@ -92,8 +92,9 @@ type DebugSub struct {
 
 // DebugResource is one governed resource's headroom: the engine registry's
 // current reading against the configured cap. Current is -1 when the
-// registry has no live reading for the resource (per-event step messages
-// are not tracked cross-run).
+// registry has no live reading for the resource (per-event step messages —
+// transducer visits, activations delivered, determinations applied — are not
+// tracked cross-run).
 type DebugResource struct {
 	Resource string `json:"resource"`
 	Current  int64  `json:"current"`

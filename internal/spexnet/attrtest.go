@@ -10,8 +10,8 @@ import (
 // element's attributes satisfy pred. The start message carries the complete
 // attribute list, so — unlike the text test, which must wait for the end
 // message — the decision falls at the very message that opens the candidate:
-// the activation is re-emitted (or dropped) before the start message is
-// forwarded, and downstream transducers never learn of filtered-out nodes.
+// the activation is re-emitted (or dropped) ahead of the start message, and
+// downstream transducers never learn of filtered-out nodes.
 //
 // Memory: one pending formula; no stack. The test is constant-memory and
 // adds nothing to the depth bound of Lemma V.2.
@@ -31,29 +31,24 @@ func (t *attrTestT) name() string { return "AT[" + t.pred.String() + "]" }
 
 func (t *attrTestT) stackStats() StackStats { return t.st }
 
-func (t *attrTestT) feed(_ int, m *Message, emit emitFn) {
-	if m.Kind == MsgActivation {
-		t.pending = t.cfg.or(t.pending, m.Formula)
-		t.st.noteFormula(t.pending)
-		return
-	}
-	emit(0, *m)
+func (t *attrTestT) feed(_ int, f *cond.Formula, _ emitFn) {
+	t.pending = t.cfg.or(t.pending, f)
+	t.st.noteFormula(t.pending)
 }
 
-func (t *attrTestT) doc(r *docReg, emit emitFn) bool {
+func (t *attrTestT) doc(r *docReg, emit emitFn) wake {
 	switch {
 	case isStart(r.ev.Kind):
 		if t.pending != nil {
 			// The document root <$> carries no attributes, so a
 			// top-level attribute filter never selects it.
 			if t.pred.Eval(func(name string) (string, bool) { return r.ev.Attr(name) }) {
-				emit(0, actMsg(t.pending))
+				emit(0, t.pending)
 			}
 			t.pending = nil
 		}
 	case isEnd(r.ev.Kind):
 		t.pending = nil
 	}
-	emit(0, docMark)
-	return t.pending != nil
+	return wakeIf(t.pending != nil)
 }

@@ -37,20 +37,18 @@ func (t *followingT) stackStats() StackStats {
 	return s
 }
 
-func (t *followingT) feed(_ int, m *Message, emit emitFn) {
-	if m.Kind == MsgActivation {
-		t.pending = t.cfg.or(t.pending, m.Formula)
-		t.st.noteFormula(t.pending)
-		return
-	}
-	emit(0, *m)
+func (t *followingT) feed(_ int, f *cond.Formula, _ emitFn) {
+	t.pending = t.cfg.or(t.pending, f)
+	t.st.noteFormula(t.pending)
 }
 
-func (t *followingT) doc(r *docReg, emit emitFn) bool {
+// doc: once a context has closed every later element start is a potential
+// match, so the transducer asks for every event while it holds anything.
+func (t *followingT) doc(r *docReg, emit emitFn) wake {
 	switch {
 	case isStart(r.ev.Kind):
 		if t.active != nil && t.test.matches(&r.ev) {
-			emit(0, actMsg(t.active))
+			emit(0, t.active)
 		}
 		if t.pending != nil {
 			t.armed = append(t.armed, scope{r.depth, t.pending})
@@ -65,8 +63,7 @@ func (t *followingT) doc(r *docReg, emit emitFn) bool {
 			t.armed = t.armed[:n-1]
 		}
 	}
-	emit(0, docMark)
-	return t.active != nil || len(t.armed) > 0 || t.pending != nil
+	return wakeIf(t.active != nil || len(t.armed) > 0 || t.pending != nil)
 }
 
 // precedingT implements the preceding axis: elements whose end message
@@ -83,6 +80,7 @@ func (t *followingT) doc(r *docReg, emit emitFn) bool {
 // candidate whether or not a context has been seen, so the transducer is
 // armed for the whole stream.
 type precedingT struct {
+	detOrigin
 	test labelTest
 	q    cond.QualID
 	pool *cond.Pool
@@ -98,8 +96,10 @@ type precedingT struct {
 	st     StackStats
 }
 
-func newPreceding(test string, q cond.QualID, pool *cond.Pool, cfg *netConfig) *precedingT {
-	return &precedingT{test: cfg.compileLabelTest(test), q: q, pool: pool, cfg: cfg}
+func newPreceding(test string, q cond.QualID, pool *cond.Pool, cfg *netConfig, store *condStore) *precedingT {
+	t := &precedingT{test: cfg.compileLabelTest(test), q: q, pool: pool, cfg: cfg}
+	t.detOrigin = detOrigin{store: store, node: t.name()}
+	return t
 }
 
 func (t *precedingT) name() string { return "PR(" + t.test.label + ")" }
@@ -110,25 +110,24 @@ func (t *precedingT) stackStats() StackStats {
 	return s
 }
 
-func (t *precedingT) feed(_ int, m *Message, emit emitFn) {
-	if m.Kind == MsgActivation {
-		t.pendingCtx = t.cfg.or(t.pendingCtx, m.Formula)
-		t.st.noteFormula(t.pendingCtx)
-		return
-	}
-	emit(0, *m)
+func (t *precedingT) feed(_ int, f *cond.Formula, _ emitFn) {
+	t.pendingCtx = t.cfg.or(t.pendingCtx, f)
+	t.st.noteFormula(t.pendingCtx)
 }
 
-func (t *precedingT) doc(r *docReg, emit emitFn) bool {
+// doc: every determination the preceding axis originates precedes the event it
+// is found at (a context's start, the end of the document), so all of them
+// take effect at once.
+func (t *precedingT) doc(r *docReg, emit emitFn) wake {
 	switch {
 	case isStart(r.ev.Kind):
 		if t.pendingCtx != nil {
-			t.creditClosed(t.pendingCtx, emit)
+			t.creditClosed(t.pendingCtx)
 			t.pendingCtx = nil
 		}
 		if t.test.matches(&r.ev) {
 			v := t.pool.Fresh(t.q)
-			emit(0, actMsg(t.pool.Var(v)))
+			emit(0, t.pool.Var(v))
 			t.open = append(t.open, varScope{r.depth, v})
 			t.st.noteStack(len(t.open) + len(t.closed))
 		}
@@ -138,7 +137,7 @@ func (t *precedingT) doc(r *docReg, emit emitFn) bool {
 			// No context can follow: finalize the stragglers. (No
 			// Release: networks with axes retain ids, see netConfig.)
 			for _, v := range t.closed {
-				emit(0, Message{Kind: MsgDet, Var: v, Final: true})
+				t.determine(v, nil)
 			}
 			t.closed = t.closed[:0]
 		}
@@ -148,23 +147,22 @@ func (t *precedingT) doc(r *docReg, emit emitFn) bool {
 			t.open = t.open[:n-1]
 		}
 	}
-	emit(0, docMark)
-	return true
+	return wake{on: wakeAny}
 }
 
 // creditClosed witnesses every closed candidate with the context formula f.
 // Candidates witnessed unconditionally are fully determined and released;
 // conditionally witnessed ones stay for later contexts.
-func (t *precedingT) creditClosed(f *cond.Formula, emit emitFn) {
+func (t *precedingT) creditClosed(f *cond.Formula) {
 	if f.IsTrue() {
 		for _, v := range t.closed {
-			emit(0, Message{Kind: MsgDet, Var: v, Witness: f})
-			emit(0, Message{Kind: MsgDet, Var: v, Final: true})
+			t.determine(v, f)
+			t.determine(v, nil)
 		}
 		t.closed = t.closed[:0]
 		return
 	}
 	for _, v := range t.closed {
-		emit(0, Message{Kind: MsgDet, Var: v, Witness: f})
+		t.determine(v, f)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cond"
+	"repro/internal/obs"
 	"repro/internal/xmlstream"
 )
 
@@ -28,7 +29,7 @@ func TestFollowingTransducerDirect(t *testing.T) {
 	))
 	var acts int
 	for _, m := range out {
-		if m.Kind == MsgActivation {
+		if m.kind == obs.KindActivation {
 			acts++
 		}
 	}
@@ -40,7 +41,7 @@ func TestFollowingTransducerDirect(t *testing.T) {
 func TestPrecedingTransducerDirect(t *testing.T) {
 	pool := cond.NewPool()
 	q := pool.DeclareQualifier(nil)
-	pr := newPreceding("b", q, pool, testCfg)
+	pr := newPreceding("b", q, pool, testCfg, newCondStore(&netConfig{retainVars: true}, pool))
 	out, _ := feedAll(pr, 0, msgs(
 		startDoc(),
 		start("r"),
@@ -53,11 +54,11 @@ func TestPrecedingTransducerDirect(t *testing.T) {
 	var wit, fin, acts int
 	for _, m := range out {
 		switch {
-		case m.Kind == MsgActivation:
+		case m.kind == obs.KindActivation:
 			acts++
-		case m.Kind == MsgDet && m.Final:
+		case m.kind == obs.KindDetermination && m.det.final():
 			fin++
-		case m.Kind == MsgDet:
+		case m.kind == obs.KindDetermination:
 			wit++
 		}
 	}
@@ -83,7 +84,7 @@ func TestTextCmpTransducerDirect(t *testing.T) {
 	))
 	var acts []int
 	for i, m := range out {
-		if m.Kind == MsgActivation {
+		if m.kind == obs.KindActivation {
 			acts = append(acts, i)
 		}
 	}

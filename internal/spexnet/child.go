@@ -41,21 +41,19 @@ func (t *childT) stackStats() StackStats {
 	return s
 }
 
-func (t *childT) feed(_ int, m *Message, emit emitFn) {
-	if m.Kind == MsgActivation {
-		t.pending = t.cfg.or(t.pending, m.Formula)
-		t.st.noteFormula(t.pending)
-		return
-	}
-	emit(0, *m)
+func (t *childT) feed(_ int, f *cond.Formula, _ emitFn) {
+	t.pending = t.cfg.or(t.pending, f)
+	t.st.noteFormula(t.pending)
 }
 
-func (t *childT) doc(r *docReg, emit emitFn) bool {
+// doc: while a scope is armed, CH can act on two events only — the start of a
+// child of the innermost armed node carrying its label, and that node's end.
+func (t *childT) doc(r *docReg, emit emitFn) wake {
 	switch {
 	case isStart(r.ev.Kind):
 		// Match: is the parent level an armed scope and the label right?
 		if n := len(t.scopes); n > 0 && t.scopes[n-1].depth == r.depth-1 && t.label.matches(&r.ev) {
-			emit(0, actMsg(t.scopes[n-1].f))
+			emit(0, t.scopes[n-1].f)
 		}
 		// Arm the children of this node if an activation preceded it.
 		if t.pending != nil {
@@ -69,6 +67,5 @@ func (t *childT) doc(r *docReg, emit emitFn) bool {
 			t.scopes = t.scopes[:n-1]
 		}
 	}
-	emit(0, docMark)
-	return len(t.scopes) > 0 || t.pending != nil
+	return scopeWake(t.scopes, t.label.sym, t.pending != nil)
 }

@@ -38,16 +38,15 @@ func (t *closureT) stackStats() StackStats {
 	return s
 }
 
-func (t *closureT) feed(_ int, m *Message, emit emitFn) {
-	if m.Kind == MsgActivation {
-		t.pending = t.cfg.or(t.pending, m.Formula)
-		t.st.noteFormula(t.pending)
-		return
-	}
-	emit(0, *m)
+func (t *closureT) feed(_ int, f *cond.Formula, _ emitFn) {
+	t.pending = t.cfg.or(t.pending, f)
+	t.st.noteFormula(t.pending)
 }
 
-func (t *closureT) doc(r *docReg, emit emitFn) bool {
+// doc: like CH, CL acts only on the start of a labelled child of its innermost
+// scope (a non-matching child suspends the scope for its whole subtree, which
+// pushes nothing) and on that scope's end.
+func (t *closureT) doc(r *docReg, emit emitFn) wake {
 	switch {
 	case isStart(r.ev.Kind):
 		// The scope continues below this node only along l-chains (a
@@ -56,7 +55,7 @@ func (t *closureT) doc(r *docReg, emit emitFn) bool {
 		var child *cond.Formula
 		if n := len(t.scopes); n > 0 && t.scopes[n-1].depth == r.depth-1 && t.label.matches(&r.ev) {
 			child = t.scopes[n-1].f
-			emit(0, actMsg(child))
+			emit(0, child)
 		}
 		if t.pending != nil {
 			child = t.cfg.or(child, t.pending)
@@ -73,6 +72,5 @@ func (t *closureT) doc(r *docReg, emit emitFn) bool {
 			t.scopes = t.scopes[:n-1]
 		}
 	}
-	emit(0, docMark)
-	return len(t.scopes) > 0 || t.pending != nil
+	return scopeWake(t.scopes, t.label.sym, t.pending != nil)
 }

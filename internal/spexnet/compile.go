@@ -21,9 +21,11 @@ type Options struct {
 	// RawFormulas disables duplicate elimination in condition formulas —
 	// the Remark V.1 normalization ablation.
 	RawFormulas bool
-	// Tracer, if set, observes every message every transducer emits, in
-	// the paper's notation — the transition traces of Figs. 4, 5 and 13 as
-	// a first-class feature (cmd/spex -trace). Steps count document-stream
+	// Tracer, if set, observes every activation a transducer emits, every
+	// determination — once where it originates and once at each sink it
+	// changes — and the document event at every transducer it visits, in the
+	// paper's notation: the transition traces of Figs. 4, 5 and 13 as a
+	// first-class feature (cmd/spex -trace). Steps count document-stream
 	// events, starting at 1 for <$>.
 	Tracer obs.Tracer
 	// Metrics, if set, attaches live instrumentation: per-transducer
@@ -136,6 +138,13 @@ func BuildSet(specs []Spec, opts Options) (*Network, error) {
 		},
 		pool:    cond.NewPool(),
 		metrics: opts.Metrics,
+		tracer:  opts.Tracer,
+	}
+	n.store = newCondStore(&n.cfg, n.pool)
+	if tracer := opts.Tracer; tracer != nil {
+		n.store.trace = func(node string, d det) {
+			tracer.Trace(obs.TraceEvent{Step: n.reg.step, Node: node, Kind: obs.KindDetermination, Msg: d.String(), TraceID: n.cfg.traceID})
+		}
 	}
 	b := &builder{net: n, tracer: opts.Tracer, metrics: opts.Metrics, memo: make(map[memoKey]memoEntry)}
 	n.source = b.newTape()
@@ -159,6 +168,7 @@ func BuildSet(specs []Spec, opts Options) (*Network, error) {
 			out.attr, out.attrLabel = attr, "@"+attr
 		}
 		b.addNode(out, []*tape{final}, 0)
+		n.store.addSink(out)
 		n.outs = append(n.outs, out)
 	}
 	// When every query carries an answer limit, the whole network's answer
@@ -206,12 +216,14 @@ func splitAttrStep(expr rpeq.Node) (rpeq.Node, string) {
 
 // wireActiveSet finishes the wiring once the node order is final: every tape
 // learns which bit of the active set its reader is, and every node starts
-// hot, so that each sees the first event (<$>) and reports for itself
-// whether it is armed — the preceding-axis transducer is from the start.
+// hot, so that each sees the first event (<$>) and declares its wake
+// condition for itself — the preceding-axis transducer asks for every event
+// from the start.
 func (b *builder) wireActiveSet() {
 	n := b.net
 	words := (len(n.nodes) + 63) / 64
-	n.hot, n.next = make([]uint64, words), make([]uint64, words)
+	n.hot, n.armed = make([]uint64, words), make([]uint64, words)
+	n.wakes = make([]wake, len(n.nodes))
 	for i := range n.nodes {
 		n.hot[i>>6] |= 1 << (i & 63)
 		for _, tp := range n.nodes[i].ins {
@@ -242,14 +254,10 @@ type builder struct {
 	memo    map[memoKey]memoEntry
 }
 
-// newTape allocates a fresh tape — and, on instrumented builds, its message
-// counter row. Tapes are individually allocated so an emit closure can hold a
-// stable pointer to the tape it writes.
+// newTape allocates a fresh tape. Tapes are individually allocated so an emit
+// closure can hold a stable pointer to the tape it writes.
 func (b *builder) newTape() *tape {
 	tp := &tape{}
-	if b.metrics != nil {
-		tp.counts = &[kindMask + 1]int64{}
-	}
 	b.net.tapes = append(b.net.tapes, tp)
 	return tp
 }
@@ -258,9 +266,9 @@ func (b *builder) newTape() *tape {
 // numOuts fresh output tapes. Construction order is topological by
 // compositionality of C.
 //
-// The instrumentation and tracing wrappers are composed into the node's emit
-// closure here, at build time, so the uninstrumented emit path is the bare
-// tape.put with no per-message instrumentation branch.
+// The tracing wrapper is composed into the node's emit closure here, at build
+// time, so the untraced emit path is the bare tape.put. Instrumentation adds
+// nothing to it: the delivery counts are kept by the reader (tape.read).
 func (b *builder) addNode(t transducer, ins []*tape, numOuts int) []*tape {
 	outs := make([]*tape, numOuts)
 	for i := range outs {
@@ -268,45 +276,29 @@ func (b *builder) addNode(t transducer, ins []*tape, numOuts int) []*tape {
 	}
 	node := netNode{t: t, ins: ins, outs: outs}
 	net := b.net
-	var emit emitFn
-	switch {
-	case b.metrics != nil:
-		tm := obs.NewTransducerMetrics(fmt.Sprintf("%d:%s", len(net.nodes), t.name()))
-		node.tm = tm
-		b.tms = append(b.tms, tm)
+	if o, ok := t.(interface{ origin() *detOrigin }); ok {
+		node.dets = o.origin()
+	}
+	if b.metrics != nil {
+		node.tm = obs.NewTransducerMetrics(fmt.Sprintf("%d:%s", len(net.nodes), t.name()))
 		node.mc = &msgCounters{}
-		// The whole per-message instrumentation cost is one plain increment
-		// on the written tape's counter row, indexed by the message kind
-		// directly — kindMask keeps the compiler from bounds-checking, the
-		// shared numbering with obs.MsgKind makes the index meaningful.
-		// syncMetrics derives both sides' per-transducer counts from the
-		// tape counters on the gauge stride; an atomic add per message here
-		// would be the dominant instrumentation cost on the hot path.
-		emit = func(port int, m Message) {
-			tp := outs[port]
-			tp.counts[m.Kind&kindMask]++
-			tp.put(net, m)
-		}
-	case numOuts == 1:
+		b.tms = append(b.tms, node.tm)
+	}
+	var emit emitFn
+	if numOuts == 1 {
 		// Single-output nodes — nearly all of them — capture their tape.
 		tp := outs[0]
-		emit = func(_ int, m Message) { tp.put(net, m) }
-	default:
-		emit = func(port int, m Message) { outs[port].put(net, m) }
+		emit = func(_ int, f *cond.Formula) { tp.put(net, f) }
+	} else {
+		emit = func(port int, f *cond.Formula) { outs[port].put(net, f) }
 	}
 	if b.tracer != nil {
 		tracer := b.tracer
 		nodeName := t.name()
 		inner := emit
-		emit = func(port int, m Message) {
-			// The document message carries no event of its own: render the
-			// register, which is what the mark stands for.
-			msg := m.String()
-			if m.Kind == MsgDoc {
-				msg = net.reg.ev.String()
-			}
-			tracer.Trace(obs.TraceEvent{Step: net.reg.step, Node: nodeName, Kind: obsKind(m.Kind), Msg: msg, TraceID: net.cfg.traceID})
-			inner(port, m)
+		emit = func(port int, f *cond.Formula) {
+			tracer.Trace(obs.TraceEvent{Step: net.reg.step, Node: nodeName, Kind: obs.KindActivation, Msg: "[" + f.String() + "]", TraceID: net.cfg.traceID})
+			inner(port, f)
 		}
 	}
 	node.emit = emit
@@ -351,7 +343,7 @@ func (b *builder) compileNew(expr rpeq.Node, in *tape) (*tape, []cond.QualID, er
 		if err != nil {
 			return nil, nil, err
 		}
-		return b.addNode(newJoin(&b.net.reg), []*tape{sp[0], plus}, 1)[0], quals, nil
+		return b.addNode(newJoin(), []*tape{sp[0], plus}, 1)[0], quals, nil
 
 	case *rpeq.Optional:
 		sp := b.addNode(newSplit(), []*tape{in}, 2)
@@ -359,7 +351,7 @@ func (b *builder) compileNew(expr rpeq.Node, in *tape) (*tape, []cond.QualID, er
 		if err != nil {
 			return nil, nil, err
 		}
-		return b.addNode(newJoin(&b.net.reg), []*tape{sp[0], inner}, 1)[0], quals, nil
+		return b.addNode(newJoin(), []*tape{sp[0], inner}, 1)[0], quals, nil
 
 	case *rpeq.Concat:
 		mid, lq, err := b.compile(n.Left, in)
@@ -382,7 +374,7 @@ func (b *builder) compileNew(expr rpeq.Node, in *tape) (*tape, []cond.QualID, er
 		if err != nil {
 			return nil, nil, err
 		}
-		jo := b.addNode(newJoin(&b.net.reg), []*tape{left, right}, 1)[0]
+		jo := b.addNode(newJoin(), []*tape{left, right}, 1)[0]
 		un := b.addNode(newUnion(&b.net.cfg), []*tape{jo}, 1)[0]
 		return un, append(lq, rq...), nil
 
@@ -407,7 +399,7 @@ func (b *builder) compileNew(expr rpeq.Node, in *tape) (*tape, []cond.QualID, er
 		// (the variable-creator precedes the condition sub-network on
 		// the tape); the nesting relation is recorded afterwards.
 		q := b.net.pool.DeclareQualifier(nil)
-		vc := b.addNode(newVC(q, b.net.pool, &b.net.cfg), []*tape{base}, 1)[0]
+		vc := b.addNode(newVC(q, false, b.net.pool, &b.net.cfg, b.net.store), []*tape{base}, 1)[0]
 		sp := b.addNode(newSplit(), []*tape{vc}, 2)
 		inner, cq, err := b.compile(n.Cond, sp[1])
 		if err != nil {
@@ -415,8 +407,8 @@ func (b *builder) compileNew(expr rpeq.Node, in *tape) (*tape, []cond.QualID, er
 		}
 		b.net.pool.SetNested(q, cq)
 		vf := b.addNode(newVF(q, b.net.pool, true), []*tape{inner}, 1)[0]
-		vd := b.addNode(newVD(q, b.net.pool, &b.net.cfg), []*tape{vf}, 1)[0]
-		out := b.addNode(newJoin(&b.net.reg), []*tape{sp[0], vd}, 1)[0]
+		vd := b.addNode(newVD(q, b.net.pool, &b.net.cfg, b.net.store), []*tape{vf}, 1)[0]
+		out := b.addNode(newJoin(), []*tape{sp[0], vd}, 1)[0]
 		quals := append(bq, cq...)
 		return out, append(quals, q), nil
 
@@ -457,7 +449,7 @@ func (b *builder) compileNew(expr rpeq.Node, in *tape) (*tape, []cond.QualID, er
 		// qualifier id owning them so variable filters of enclosing
 		// qualifiers keep them.
 		q := b.net.pool.DeclareQualifier(nil)
-		out := b.addNode(newPreceding(n.Test, q, b.net.pool, &b.net.cfg), []*tape{in}, 1)[0]
+		out := b.addNode(newPreceding(n.Test, q, b.net.pool, &b.net.cfg, b.net.store), []*tape{in}, 1)[0]
 		return out, []cond.QualID{q}, nil
 
 	default:
@@ -471,7 +463,7 @@ func (b *builder) compileNew(expr rpeq.Node, in *tape) (*tape, []cond.QualID, er
 // protocol flipped: the negated variable-creator presumes each instance
 // satisfied and announces {c,true} at scope exit, while the negated
 // determinant nvdT kills {c,false} any instance whose scope cond selects
-// into. The kill arrives no later than the inner match's document message,
+// into. The kill takes effect ahead of the inner match's document message,
 // so rejected candidates drop as early as the positive construction accepts
 // them; candidates whose condition is an attribute test inside not(...) never
 // even reach here — those fold into the attribute formula as AttrNot.
@@ -488,7 +480,7 @@ func (b *builder) compileNegQualifier(baseExpr rpeq.Node, cn *rpeq.CondNot, in *
 		return out, bq, nil
 	}
 	q := b.net.pool.DeclareQualifier(nil)
-	vc := b.addNode(newNegVC(q, b.net.pool, &b.net.cfg), []*tape{base}, 1)[0]
+	vc := b.addNode(newVC(q, true, b.net.pool, &b.net.cfg, b.net.store), []*tape{base}, 1)[0]
 	sp := b.addNode(newSplit(), []*tape{vc}, 2)
 	inner, cq, err := b.compile(cn.Expr, sp[1])
 	if err != nil {
@@ -502,7 +494,7 @@ func (b *builder) compileNegQualifier(baseExpr rpeq.Node, cn *rpeq.CondNot, in *
 	}
 	b.net.pool.SetNested(q, cq)
 	vf := b.addNode(newVF(q, b.net.pool, true), []*tape{inner}, 1)[0]
-	nvd := b.addNode(newNVD(q, b.net.pool), []*tape{vf}, 1)[0]
-	out := b.addNode(newJoin(&b.net.reg), []*tape{sp[0], nvd}, 1)[0]
+	nvd := b.addNode(newNVD(q, b.net.pool, b.net.store), []*tape{vf}, 1)[0]
+	out := b.addNode(newJoin(), []*tape{sp[0], nvd}, 1)[0]
 	return out, append(bq, q), nil
 }

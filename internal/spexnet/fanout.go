@@ -1,5 +1,7 @@
 package spexnet
 
+import "repro/internal/cond"
+
 // fanoutT is the fan-out junction FO: an explicit k-way multicast inserted
 // where the output tape of a shared subexpression feeds several downstream
 // consumers. It generalizes the binary split SP of §III.6 to k output ports
@@ -12,6 +14,7 @@ package spexnet
 // its own in traces, metrics and TransducerStats, so the fan-out work of an
 // SDI workload is attributable instead of hidden in tape multicast.
 type fanoutT struct {
+	passDoc
 	ports int
 	st    StackStats
 }
@@ -22,17 +25,10 @@ func (t *fanoutT) name() string { return "FO" }
 
 func (t *fanoutT) stackStats() StackStats { return t.st }
 
-func (t *fanoutT) feed(_ int, m *Message, emit emitFn) {
+func (t *fanoutT) feed(_ int, f *cond.Formula, emit emitFn) {
 	for p := 0; p < t.ports; p++ {
-		emit(p, *m)
+		emit(p, f)
 	}
-}
-
-func (t *fanoutT) doc(_ *docReg, emit emitFn) bool {
-	for p := 0; p < t.ports; p++ {
-		emit(p, docMark)
-	}
-	return false
 }
 
 // portRef identifies one input port of one node.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,11 +20,28 @@ import (
 
 // The trace goldens under testdata/traces were recorded from the per-hop
 // broadcast engine (every transducer re-emitting every document message)
-// immediately before it was replaced by the register + active-set engine.
-// They list every activation and determination message any transducer
-// emitted, as "step node message" lines in emission order, so the engine may
-// elide document messages but may not drop, add or reorder a single
-// non-document message.
+// immediately before it was replaced by the register + active-set engine, as
+// "step node message" lines in emission order. When determinations left the
+// tapes for the condition store they were not re-recorded but DERIVED from
+// those files, step by step, by rule:
+//
+//  1. every activation line is kept, in place;
+//  2. every determination line is kept once, at its originating transducer
+//     (the node whose visit — a run of consecutive lines by one node — first
+//     emits it in the step), and the copies the transducers between it and
+//     the sinks used to forward are dropped;
+//  3. a determination originated behind the step's event — all of VC's: the
+//     scope-exit {c,true} of a negated qualifier and every {c,close} — moves
+//     behind the step's other messages, in emission order, which is where it
+//     takes effect;
+//  4. the answers delivered during a step are listed at its end, in ascending
+//     sink order and each sink's in delivery order: a determination now decides
+//     candidates where it originates, not when it reaches the sink, so only
+//     the step of an answer is comparable, and only that is guaranteed.
+//
+// So the engine may not drop, add or reorder a single activation, may not
+// originate a determination anywhere else or in another step, and may not
+// move an answer to another step.
 //
 // Regenerate with: go test ./internal/spexnet -run TestTraceGoldens -update-traces
 // (only ever legitimate when the message protocol itself changes).
@@ -37,14 +55,15 @@ const (
 )
 
 // traceOf evaluates the queries in one BuildSet network over src and returns
-// the activation/determination trace followed by the answers of each sink.
-// Emissions of the attribute-selection transducer AS(@a) are left out: that
-// node had the output transducer as its only reader and was folded into it,
-// so the activation it re-emitted is no longer a message on any tape; the
-// answers it produced are pinned by the "answer" lines instead.
+// the activation/determination trace with the answers of each step behind the
+// step's messages. Left out are the document event, which is traced at every
+// visit, and the sink-side record of a determination ("OU": one per sink a
+// resolution changed), which the parent engine had no counterpart for; the
+// answers pin what the sinks made of the determinations instead.
 func traceOf(t *testing.T, src xmlstream.Source, queries ...string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
+	answers := make([][]string, len(queries)) // of the current step, by sink
 	specs := make([]spexnet.Spec, len(queries))
 	for i, q := range queries {
 		// The following/preceding axes exist in the XPath surface only.
@@ -58,12 +77,12 @@ func traceOf(t *testing.T, src xmlstream.Source, queries ...string) []byte {
 		}
 		i := i
 		specs[i] = spexnet.Spec{Expr: expr, Mode: spexnet.ModeNodes, Sink: func(r spexnet.Result) {
-			fmt.Fprintf(&buf, "answer q%d %s@%d\n", i, r.Name, r.Index)
+			answers[i] = append(answers[i], fmt.Sprintf("answer q%d %s@%d\n", i, r.Name, r.Index))
 		}}
 	}
 	net, err := spexnet.BuildSet(specs, spexnet.Options{
 		Tracer: obs.TracerFunc(func(ev obs.TraceEvent) {
-			if ev.Kind == obs.KindDoc || strings.HasPrefix(ev.Node, "AS(") {
+			if ev.Kind == obs.KindDoc || ev.Node == "OU" {
 				return
 			}
 			fmt.Fprintf(&buf, "%d %s %s\n", ev.Step, ev.Node, ev.Msg)
@@ -72,7 +91,25 @@ func traceOf(t *testing.T, src xmlstream.Source, queries ...string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Run(src); err != nil {
+	for {
+		ev, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.Step(ev); err != nil {
+			t.Fatal(err)
+		}
+		for i := range answers {
+			for _, a := range answers[i] {
+				buf.WriteString(a)
+			}
+			answers[i] = answers[i][:0]
+		}
+	}
+	if err := net.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

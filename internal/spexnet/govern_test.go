@@ -172,11 +172,12 @@ func TestGovernorLiveVarsFail(t *testing.T) {
 }
 
 // TestGovernorStepMessagesFail pins what the per-step cap counts: deliveries
-// actually made — one per transducer the document event visits plus one per
-// activation/determination message delivered. For a.c (CH(a), CH(c), OU) the
-// costliest steps make four: <$> visits all three transducers and delivers
-// the initial activation; the matching <c> visits the two armed CH, whose
-// activation wakes OU (two visits, one message, one more visit).
+// actually made — one per transducer visited, one per activation message
+// delivered, one per determination applied by the condition store. For a.c
+// (CH(a), CH(c), OU) the costliest step makes four: <$> visits all three
+// transducers and delivers the initial activation. (The matching <c> makes
+// three: it wakes CH(c) alone — CH(a) asked for children of <$> — whose
+// activation is delivered to OU, which is visited for it.)
 func TestGovernorStepMessagesFail(t *testing.T) {
 	const doc = `<a><c/><x><y/></x></a>`
 	cfg := &governor.Config{Limits: governor.Limits{MaxStepMessages: 4}, Policy: governor.PolicyFail}
@@ -191,6 +192,25 @@ func TestGovernorStepMessagesFail(t *testing.T) {
 	}
 	if le.Observed != 4 || stats.Events != 1 {
 		t.Errorf("tripped at event %d observing %d deliveries, want event 1 (<$>) observing 4", stats.Events, le.Observed)
+	}
+
+	// Determinations count where the store applies them. a[b] is CH(a) VC SP
+	// CH(b) VF VD JO OU; over <a><b/></a> the six steps make
+	//   <$>  8 visits + the initial activation                        =  9
+	//   <a>  CH(a) VC SP CH(b) JO OU visited, 5 activations delivered = 11
+	//   <b>  CH(b) VF VD visited, 2 activations, {v0,true} applied    =  6
+	//   </b> nobody asked for it                                      =  0
+	//   </a> VC and CH(b) close their scope, {v0,close} applied       =  3
+	//   </$> CH(a) closes its scope                                   =  1
+	_, stats, err = governedRun(t, "a[b]", `<a><b/></a>`, ModeCount,
+		&governor.Config{Limits: governor.Limits{MaxStepMessages: 11}, Policy: governor.PolicyFail}, nil)
+	if err != nil || stats.Deliveries != 30 || stats.Visits != 20 {
+		t.Errorf("a[b]: err %v, %d deliveries of which %d visits; want 30 and 20", err, stats.Deliveries, stats.Visits)
+	}
+	_, stats, err = governedRun(t, "a[b]", `<a><b/></a>`, ModeCount,
+		&governor.Config{Limits: governor.Limits{MaxStepMessages: 10}, Policy: governor.PolicyFail}, nil)
+	if !errors.As(err, &le) || le.Observed != 11 || stats.Events != 2 {
+		t.Errorf("a[b] under cap 10: %v at event %d, want 11 deliveries observed at event 2 (<a>)", err, stats.Events)
 	}
 }
 

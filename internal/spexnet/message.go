@@ -5,65 +5,40 @@
 // document message at a time. Result fragments leave the output transducer
 // progressively, in document order, buffered only while their membership in
 // the result is undetermined (§III.8).
+//
+// Of the paper's three message kinds (Definition 2) only one travels on a
+// tape here. The document message sits in the network's register (docReg) for
+// the whole step and reaches a transducer as a visit. The activation message
+// [f] is the tape payload: a formula pointer, always preceding the step's
+// event. The condition determination message {c,·} is consumed by the output
+// transducers alone, so it is not forwarded hop by hop: its originator hands
+// it to the network's condition store (condStore), which applies it to the
+// candidates waiting on c.
 package spexnet
 
 import "repro/internal/cond"
 
-// MsgKind classifies messages exchanged between SPEX transducers
-// (Definition 2 of the paper).
-type MsgKind uint8
-
-const (
-	// MsgDoc is the document message: an element or document boundary event
-	// (or character data). The event itself never travels — it sits in the
-	// network's register (docReg) for the whole step — so on a tape the
-	// document message is only a position: see docMark.
-	MsgDoc MsgKind = iota
-	// MsgActivation is an activation message [f]: it arms the receiving
-	// transducer with condition formula f for the document message that
-	// immediately follows.
-	MsgActivation
-	// MsgDet is a condition determination message. The paper's {c,true}
-	// is Det{Var: c, Witness: cond.True()}; the paper's {c,false}, sent
-	// by the variable-creator when an instance's scope closes, is
-	// Det{Var: c, Final: true}. A Witness carrying an undetermined
-	// formula generalizes {c,true} to nested qualifiers: the variable is
-	// satisfied as soon as the witness formula is (see DESIGN.md §2).
-	MsgDet
-)
-
-// Message is one message on a transducer tape.
-type Message struct {
-	Kind    MsgKind
-	Final   bool          // MsgDet: scope-exit finalization from VC
-	Var     cond.VarID    // MsgDet
-	Formula *cond.Formula // MsgActivation
-	Witness *cond.Formula // MsgDet: witness contribution from VD
+// det is a condition determination. The paper's {c,true} is
+// det{v: c, witness: cond.True()}; the paper's {c,false}, sent by the
+// variable-creator when an instance's scope closes, is the scope-exit
+// finalization det{v: c}, without a witness. A witness carrying an
+// undetermined formula generalizes {c,true} to nested qualifiers: the variable
+// is satisfied as soon as the witness formula is (see DESIGN.md §2). A false
+// witness is the kill of a negated qualifier.
+type det struct {
+	v       cond.VarID
+	witness *cond.Formula // witness contribution; nil for the finalization
+	// from is the originating transducer, for the trace and its out_det count.
+	from *detOrigin
 }
 
-// docMark is the document message as a transducer emits it: it fixes where
-// the step's event falls among the messages the transducer writes — those
-// emitted before it precede the event, those emitted after it follow it. A
-// tape records it as an index (tape.mark), not as a stored message.
-var docMark = Message{Kind: MsgDoc}
+// final reports whether d is a scope-exit finalization.
+func (d det) final() bool { return d.witness == nil }
 
-// actMsg wraps a formula as an activation message.
-func actMsg(f *cond.Formula) Message { return Message{Kind: MsgActivation, Formula: f} }
-
-// String renders the message in the paper's notation. The document message
-// renders as a placeholder: its event is in the register, not in the message.
-func (m Message) String() string {
-	switch m.Kind {
-	case MsgDoc:
-		return "<·>"
-	case MsgActivation:
-		return "[" + m.Formula.String() + "]"
-	case MsgDet:
-		if m.Final {
-			return "{" + cond.Var(m.Var).String() + ",close}"
-		}
-		return "{" + cond.Var(m.Var).String() + "," + m.Witness.String() + "}"
-	default:
-		return "?"
+// String renders the determination in the paper's notation.
+func (d det) String() string {
+	if d.final() {
+		return "{" + cond.Var(d.v).String() + ",close}"
 	}
+	return "{" + cond.Var(d.v).String() + "," + d.witness.String() + "}"
 }

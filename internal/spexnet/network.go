@@ -20,64 +20,46 @@ type netNode struct {
 	// visits counts the steps in which the node was visited: the document
 	// events delivered to it.
 	visits int64
-	tm     *obs.TransducerMetrics
-	mc     *msgCounters
+	// dets is the transducer's handle on the condition store, if it
+	// originates determinations (its out_det count lives there).
+	dets *detOrigin
+	tm   *obs.TransducerMetrics
+	mc   *msgCounters
 }
 
-// tape is one edge of the network: the activation and determination messages
-// its single writer emitted this step, with the position of the document
-// event among them. An untouched tape (no messages, mark 0) reads as the
-// bare document event, which is what lets an idle writer stay unvisited.
+// msgCounters holds a node's delivery counts already published into its
+// atomic TransducerMetrics counters, by message kind, so syncMetrics adds
+// deltas (the registry is cumulative across evaluations).
+type msgCounters struct {
+	flushedIn, flushedOut [numKinds]int64
+}
+
+// tape is one edge of the network: the activation messages its single writer
+// emitted this step. All of them precede the step's document event — nothing
+// else travels on a tape — so an empty tape reads as the bare event, which is
+// what lets an idle writer stay unvisited.
 type tape struct {
-	msgs []Message
-	// mark is the document position: msgs[:mark] precede the step's event,
-	// msgs[mark:] follow it.
-	mark int
+	msgs []*cond.Formula
 	// rword/rbit locate the tape's single reader in the active-set bitset
 	// (every tape has exactly one reader, see insertFanouts).
 	rword int
 	rbit  uint64
-	// counts (instrumented networks only) counts what was written to the
-	// tape, by kind; the document kind counts marks.
-	counts *[kindMask + 1]int64
+	// read counts the activations the reader has consumed. A written tape is
+	// always read in the same step, so this is at once the writer's out_act
+	// and the reader's in_act contribution.
+	read int64
 }
 
-// put appends a message and puts the tape's reader into the step's active
-// set; the document mark only records its position — by itself it gives the
-// reader nothing to do.
-func (tp *tape) put(n *Network, m Message) {
-	if m.Kind == MsgDoc {
-		tp.mark = len(tp.msgs)
-		return
-	}
-	tp.msgs = append(tp.msgs, m)
+// put appends an activation and puts the tape's reader into the step's
+// active set.
+func (tp *tape) put(n *Network, f *cond.Formula) {
+	tp.msgs = append(tp.msgs, f)
 	n.hot[tp.rword] |= tp.rbit
 }
 
-// msgCounters holds the per-node flush bookkeeping for the delivery-count
-// instrumentation: the totals already published into the node's atomic
-// TransducerMetrics counters, so syncMetrics adds deltas (the registry is
-// cumulative across evaluations).
-type msgCounters struct {
-	flushedIn  [kindMask + 1]int64
-	flushedOut [kindMask + 1]int64
-}
-
-// numKinds mirrors the obs package's message-kind count for the batched
-// counter arrays (doc, activation, determination).
+// numKinds mirrors the obs package's message-kind count (doc, activation,
+// determination) for the per-node delivery counts.
 const numKinds = 3
-
-// kindMask sizes the batched counter arrays to the next power of two above
-// numKinds: indexing with Kind&kindMask is provably in bounds, so the
-// per-message increments compile without a bounds check. Index 3 is never
-// written (there is no fourth kind).
-const kindMask = 3
-
-// The batched counters index by Message.Kind directly; this only works
-// because the engine's and the obs package's kind numbering coincide.
-var _ = [1]struct{}{}[MsgDoc-MsgKind(obs.KindDoc)]
-var _ = [1]struct{}{}[MsgActivation-MsgKind(obs.KindActivation)]
-var _ = [1]struct{}{}[MsgDet-MsgKind(obs.KindDetermination)]
 
 // Network is a compiled SPEX network: a single-source single-sink DAG of
 // transducers (Definition 3). It is stateful and evaluates exactly one
@@ -90,17 +72,26 @@ type Network struct {
 	tapes  []*tape
 	source *tape
 	outs   []*outputT
+	// store is the condition store: every determination goes there, never
+	// onto a tape.
+	store *condStore
 	// reg is the document-stream register: the step's event, read in place
 	// by every visited transducer.
 	reg docReg
-	// hot is the step's active set, one bit per node in topological order:
-	// nodes armed by an earlier step plus the readers of tapes written so
-	// far in this one. propagate drains it in order; next collects the nodes
-	// that stay armed and becomes the following step's hot.
-	hot, next []uint64
-	// deliveries totals what propagate delivered: one per node visit (the
-	// document event) plus one per activation/determination message.
+	// hot and armed are the active set, one bit per node in topological
+	// order. hot holds the readers of the tapes written so far in this step.
+	// armed holds the nodes that declared a wake condition at their last
+	// visit; wakes[i] is node i's condition, and propagate visits an armed
+	// node without input only if the register matches it.
+	hot, armed []uint64
+	wakes      []wake
+	// tracer, when set, observes the document event at every visit.
+	tracer obs.Tracer
+	// deliveries totals the per-event work: one per node visit (the document
+	// event), one per activation delivered, one per determination applied by
+	// the condition store. visits is the first of the three alone.
 	deliveries int64
+	visits     int64
 	elements   int64
 	depth      int
 	maxDepth   int
@@ -142,11 +133,14 @@ type Stats struct {
 	MaxStack    int   // max depth/condition stack entries over all transducers
 	MaxFormula  int   // max condition formula size σ
 	// Deliveries is the per-event work summed over the stream: one per
-	// transducer visited by a document event plus one per activation or
-	// determination message delivered. Idle transducers are not visited, so
-	// Deliveries/Events is the active part of the network, not its degree.
+	// transducer visited by a document event, one per activation message
+	// delivered, one per determination applied by the condition store. A
+	// transducer is visited only for an activation or an event it asked for,
+	// so Deliveries/Events is the active part of the network, not its degree.
 	Deliveries int64
-	Output     OutputStats // sink-side accounting
+	// Visits is the first term of Deliveries alone: transducer visits.
+	Visits int64
+	Output OutputStats // sink-side accounting
 	// Governor summarizes resource-governor activity (zero when no
 	// governor was configured or nothing tripped).
 	Governor GovernorOutcome
@@ -269,13 +263,14 @@ func (n *Network) Step(ev xmlstream.Event) error {
 	// The input transducer: the initial activation with formula true
 	// precedes the start-document message (§III.2, Example III.1).
 	if ev.Kind == xmlstream.StartDocument {
-		n.source.put(n, actMsg(cond.True()))
-		n.source.put(n, docMark)
-		if n.source.counts != nil {
-			n.source.counts[MsgActivation&kindMask]++
-		}
+		n.source.put(n, cond.True())
 	}
+	applied := n.store.applied
 	total := n.propagate()
+	// What the transducers emitted behind the event — scope-exit
+	// finalizations — takes effect now that every sink has seen the event.
+	n.store.drain()
+	total += n.store.applied - applied
 	n.deliveries += total
 	if n.metrics != nil {
 		n.stepMsgs.Observe(total)
@@ -333,8 +328,9 @@ func (n *Network) shedAllSinks() {
 		out.shedSelf()
 	}
 	for _, tp := range n.tapes {
-		tp.msgs, tp.mark = nil, 0
+		tp.msgs = nil
 	}
+	n.store.reset()
 	if n.pool != nil {
 		n.pool.Reset()
 	}
@@ -349,55 +345,78 @@ func (n *Network) shedAllSinks() {
 // exact. Must be a power of two.
 const gaugeSyncStride = 32
 
-// propagate delivers the step's document event, and the activation and
-// determination messages it causes, to the active part of the network in
-// topological order. A node is in the step's active set when an earlier step
-// left it armed or when a tape it reads was written in this one; every other
-// node would only have re-emitted the event, which now needs no emitting, so
-// it is skipped. A visited node gets the messages preceding the event from
-// all its ports, the event, then the messages following it, and its input
+// propagate delivers the step's document event, and the activation messages
+// it causes, to the part of the network they concern, in topological order. A
+// node is visited when a tape it reads was written in this step, or when it
+// is armed and the event in the register satisfies the wake condition it
+// declared at its last visit; the check reads the dense wakes array only, not
+// the node, its tapes or its transducer. Every other node would only have
+// re-emitted the event, which needs no emitting, so it is skipped. A visited
+// node gets the activations of all its ports, then the event, and its input
 // tapes are cleared as soon as it has read them — each tape has exactly one
 // reader (shared-subexpression networks route multi-reader tapes through
 // explicit fan-out junctions at build time, insertFanouts), and writing to a
 // tape is what makes that reader active, so no written tape is left behind.
 //
 // It returns the deliveries made: one per visit for the document event plus
-// one per message — the per-event work, which Lemma V.2 bounds by the network
-// degree and which an idle sub-network no longer contributes to.
+// one per activation — the per-event work, which Lemma V.2 bounds by the
+// network degree and which an idle sub-network does not contribute to. (Step
+// adds the determinations the condition store applied.)
 func (n *Network) propagate() int64 {
-	var total int64
-	hot, next := n.hot, n.next
+	r := &n.reg
+	class, depth, sym := eventClass[r.ev.Kind&7], int32(r.depth), r.ev.Sym
+	var visits, msgs int64
+	hot, armed, wakes := n.hot, n.armed, n.wakes
 	for w := range hot {
 		// Writers precede their readers, so bits set during a visit are
 		// always ahead of the cursor: re-reading the word picks them up.
-		for hot[w] != 0 {
-			b := bits.TrailingZeros64(hot[w])
-			hot[w] &^= 1 << b
-			node := &n.nodes[w<<6|b]
-			node.visits++
-			total++
-			for port, tp := range node.ins {
-				for j := 0; j < tp.mark; j++ {
-					node.t.feed(port, &tp.msgs[j], node.emit)
-				}
+		var behind uint64
+		for {
+			m := (hot[w] | armed[w]) &^ behind
+			if m == 0 {
+				break
 			}
-			if node.t.doc(&n.reg, node.emit) {
-				next[w] |= 1 << b
-			}
-			for port, tp := range node.ins {
-				if len(tp.msgs) == 0 {
+			b := bits.TrailingZeros64(m)
+			bit := uint64(1) << b
+			behind |= bit | (bit - 1)
+			i := w<<6 | b
+			node := &n.nodes[i]
+			if hot[w]&bit == 0 {
+				// No tape of the node was written: it is visited for the
+				// event alone, if it asked for it.
+				if !wakes[i].wants(class, depth, sym) {
 					continue
 				}
-				for j := tp.mark; j < len(tp.msgs); j++ {
-					node.t.feed(port, &tp.msgs[j], node.emit)
+			} else {
+				hot[w] &^= bit
+				for port, tp := range node.ins {
+					if len(tp.msgs) == 0 {
+						continue
+					}
+					for _, f := range tp.msgs {
+						node.t.feed(port, f, node.emit)
+					}
+					tp.read += int64(len(tp.msgs))
+					msgs += int64(len(tp.msgs))
+					tp.msgs = tp.msgs[:0]
 				}
-				total += int64(len(tp.msgs))
-				tp.msgs, tp.mark = tp.msgs[:0], 0
+			}
+			node.visits++
+			visits++
+			wk := node.t.doc(r, node.emit)
+			wakes[i] = wk
+			if wk.on != 0 {
+				armed[w] |= bit
+			} else {
+				armed[w] &^= bit
+			}
+			if n.tracer != nil {
+				n.tracer.Trace(obs.TraceEvent{Step: r.step, Node: node.t.name(), Kind: obs.KindDoc, Msg: r.ev.String(), TraceID: n.cfg.traceID})
 			}
 		}
 	}
-	n.hot, n.next = next, hot
-	return total
+	n.visits += visits
+	return visits + msgs
 }
 
 // syncMetrics publishes the per-transducer and sink-side state into the
@@ -424,33 +443,35 @@ func (n *Network) syncMetrics() {
 		tm.Stack.Set(int64(ts.Cur))
 		tm.Stack.NoteMax(int64(ts.MaxStack))
 		tm.Formula.NoteMax(int64(ts.MaxFormula))
-		if mc := node.mc; mc != nil {
-			// Messages: every tape has one writer and one reader, and a
-			// written tape is always read in the same step, so the tape
-			// counts are simultaneously the producer's out- and the
-			// consumer's in-counts. The document event is delivered by a
-			// visit, not by a tape: in-count is the node's visits, out-count
-			// the marks it wrote.
-			for k := 0; k < numKinds; k++ {
-				var in, out int64
-				if MsgKind(k) == MsgDoc {
-					in = node.visits
-				} else {
-					for _, tp := range node.ins {
-						in += tp.counts[k]
-					}
-				}
-				for _, tp := range node.outs {
-					out += tp.counts[k]
-				}
-				if d := in - mc.flushedIn[k]; d != 0 {
-					tm.In[k].Add(d)
-					mc.flushedIn[k] = in
-				}
-				if d := out - mc.flushedOut[k]; d != 0 {
-					tm.Out[k].Add(d)
-					mc.flushedOut[k] = out
-				}
+		// Deliveries by kind. The document event is delivered by a visit.
+		// Every tape has one writer and one reader, and a written tape is
+		// always read in the same step, so the tapes' read counts are the
+		// producer's out- and the consumer's in-counts of activations. A
+		// determination is counted out where it originates and in at every
+		// sink where its resolution touched a candidate.
+		var in, out [numKinds]int64
+		in[obs.KindDoc] = node.visits
+		for _, tp := range node.ins {
+			in[obs.KindActivation] += tp.read
+		}
+		for _, tp := range node.outs {
+			out[obs.KindActivation] += tp.read
+		}
+		if node.dets != nil {
+			out[obs.KindDetermination] = node.dets.n
+		}
+		if ou, ok := node.t.(*outputT); ok {
+			in[obs.KindDetermination] = ou.detsIn
+		}
+		mc := node.mc
+		for k := 0; k < numKinds; k++ {
+			if d := in[k] - mc.flushedIn[k]; d != 0 {
+				tm.In[k].Add(d)
+				mc.flushedIn[k] = in[k]
+			}
+			if d := out[k] - mc.flushedOut[k]; d != 0 {
+				tm.Out[k].Add(d)
+				mc.flushedOut[k] = out[k]
 			}
 		}
 	}
@@ -483,18 +504,6 @@ func (n *Network) syncMetrics() {
 		m.SymtabSize.Set(int64(st.Len()))
 		m.SymtabHits.Set(hits)
 		m.SymtabMisses.Set(misses)
-	}
-}
-
-// obsKind maps the engine's message kinds onto the observability package's.
-func obsKind(k MsgKind) obs.MsgKind {
-	switch k {
-	case MsgActivation:
-		return obs.KindActivation
-	case MsgDet:
-		return obs.KindDetermination
-	default:
-		return obs.KindDoc
 	}
 }
 
@@ -535,6 +544,7 @@ func (n *Network) Release() {
 	n.tapes = nil
 	n.source = nil
 	n.outs = nil
+	n.store.reset()
 	if n.pool != nil {
 		n.pool.Reset()
 	}
@@ -580,6 +590,7 @@ func (n *Network) stats() Stats {
 		Events:      n.reg.step,
 		Elements:    n.elements,
 		Deliveries:  n.deliveries,
+		Visits:      n.visits,
 		MaxDepth:    n.maxDepth,
 		Transducers: len(n.nodes),
 		Determined:  n.AnswerDetermined(),

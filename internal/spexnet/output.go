@@ -95,14 +95,18 @@ type candidate struct {
 	// streaming marks the head candidate whose content goes straight to
 	// the StreamSink (ModeStream).
 	streaming bool
-	// unqueued marks a candidate tracked only through byVar after the sink
-	// degraded to count-only mode: it is counted directly when its formula
-	// determines instead of travelling through the document-order queue.
+	// unqueued marks a candidate tracked only through the condition store
+	// after the sink degraded to count-only mode: it is counted directly when
+	// its formula determines instead of travelling through the
+	// document-order queue.
 	unqueued bool
 	// born is the sink's event count when the candidate was created — the
 	// reference point of the decision-latency and candidate-lifetime
 	// histograms (both measured in stream events, §V's unit).
 	born int64
+	// sink is the output transducer holding the candidate: the condition
+	// store reaches it from the variables the formula mentions.
+	sink *outputT
 }
 
 // outputT is the output transducer OU of §III.8. It is the network's sink:
@@ -137,14 +141,16 @@ type outputT struct {
 	// last (content modes only): each is tagged with the depth of its node,
 	// and while it is non-empty the sink is armed for every document event.
 	openStack []*candidate
-	byVar     map[cond.VarID][]*candidate
-	bindings  map[cond.VarID]*cond.Formula
-	// resolved maps each determined variable to its value: a constant,
-	// or a residual formula over nested-qualifier variables. Keeping the
-	// values lets the sink handle "past conditions" (query class 4 of
-	// §VI): an activation may mention a variable determined before the
-	// candidate was encountered.
-	resolved map[cond.VarID]*cond.Formula
+
+	// store is the network's condition store; undecided candidates register
+	// with it under the variables of their formulas. idx is this sink's index
+	// there (the order the queries were given in).
+	store *condStore
+	idx   int
+	// detsIn counts the resolutions that touched one of the sink's candidates
+	// (its in_det), seenResolution the last one counted.
+	detsIn         int64
+	seenResolution int64
 
 	stats    OutputStats
 	buffered int
@@ -159,7 +165,7 @@ type outputT struct {
 	sub string
 	// degraded: the governor switched the sink to count-only mode; the
 	// queue and content buffers are gone, undecided candidates are tracked
-	// through byVar only and counted on determination.
+	// through the condition store only and counted on determination.
 	degraded bool
 	// pendingN counts undecided candidates while degraded (the degraded
 	// replacement for len(queue), governed by the same cap).
@@ -177,16 +183,7 @@ type outputT struct {
 }
 
 func newOutput(mode ResultMode, sink Sink, cfg *netConfig, reg *docReg) *outputT {
-	return &outputT{
-		mode:     mode,
-		sink:     sink,
-		cfg:      cfg,
-		reg:      reg,
-		om:       cfg.sinkMetrics,
-		byVar:    make(map[cond.VarID][]*candidate),
-		bindings: make(map[cond.VarID]*cond.Formula),
-		resolved: make(map[cond.VarID]*cond.Formula),
-	}
+	return &outputT{mode: mode, sink: sink, cfg: cfg, reg: reg, om: cfg.sinkMetrics}
 }
 
 // observeDecision records the decision latency of a candidate born at the
@@ -226,22 +223,19 @@ func (t *outputT) stackStats() StackStats {
 	return s
 }
 
-func (t *outputT) feed(_ int, m *Message, _ emitFn) {
+func (t *outputT) feed(_ int, f *cond.Formula, _ emitFn) {
 	if t.shed || t.determined {
 		return
 	}
-	if m.Kind == MsgActivation {
-		t.pending = t.cfg.or(t.pending, m.Formula)
-		t.st.noteFormula(t.pending)
-		return
-	}
-	t.handleDet(m)
-	t.flushQueue()
+	t.pending = t.cfg.or(t.pending, f)
+	t.st.noteFormula(t.pending)
 }
 
-func (t *outputT) doc(r *docReg, _ emitFn) bool {
+// doc: the sink needs every event while a candidate collects content, and
+// otherwise only the ones an activation comes with.
+func (t *outputT) doc(r *docReg, _ emitFn) wake {
 	if t.shed || t.determined {
-		return false
+		return wake{}
 	}
 	index := r.index + t.attrNodes
 	if t.attr != "" && isStart(r.ev.Kind) && t.pending != nil {
@@ -251,14 +245,14 @@ func (t *outputT) doc(r *docReg, _ emitFn) bool {
 		if v, ok := r.ev.Attr(t.attr); ok {
 			t.selectAttr(f, v, r.depth, index)
 			if t.shed || t.determined {
-				return false
+				return wake{}
 			}
 			index++
 		}
 	}
 	t.handleDoc(&r.ev, r.depth, index)
 	t.flushQueue()
-	return t.pending != nil || len(t.openStack) > 0
+	return wakeIf(t.pending != nil || len(t.openStack) > 0)
 }
 
 // selectAttr passes the synthesized attribute node <@attr> value </@attr>
@@ -338,31 +332,10 @@ func nodeName(ev *xmlstream.Event) string {
 	return ev.Name
 }
 
-// applyResolved substitutes every already-determined variable occurring in
-// f by its value, iterating because a value may itself mention variables
-// that were determined later.
-func (t *outputT) applyResolved(f *cond.Formula) *cond.Formula {
-	for {
-		var hit cond.VarID
-		found := false
-		f.Visit(func(v cond.VarID) {
-			if !found {
-				if _, ok := t.resolved[v]; ok {
-					hit, found = v, true
-				}
-			}
-		})
-		if !found {
-			return f
-		}
-		f = f.Assign(hit, t.resolved[hit])
-	}
-}
-
 // openCandidate creates a candidate for the node whose start event is ev.
 func (t *outputT) openCandidate(index int64, ev *xmlstream.Event, depth int, f *cond.Formula) {
 	name := nodeName(ev)
-	f = t.applyResolved(f)
+	f = t.store.substitute(f)
 	if t.cfg.gov != nil {
 		t.cfg.checkFormula(f)
 	}
@@ -371,7 +344,7 @@ func (t *outputT) openCandidate(index int64, ev *xmlstream.Event, depth int, f *
 		t.openDegraded(index, name, f)
 		return
 	}
-	c := &candidate{index: index, name: name, formula: f, startDepth: depth, born: t.reg.step}
+	c := &candidate{index: index, name: name, formula: f, sink: t, startDepth: depth, born: t.reg.step}
 	switch {
 	case f.IsTrue():
 		c.state = candAccepted
@@ -382,7 +355,7 @@ func (t *outputT) openCandidate(index int64, ev *xmlstream.Event, depth int, f *
 		t.observeDecision(c.born)
 		t.observeLifetime(c.born)
 	default:
-		f.Visit(func(v cond.VarID) { t.byVar[v] = append(t.byVar[v], c) })
+		t.store.register(c, f)
 	}
 	if c.state != candRejected {
 		t.queue = append(t.queue, c)
@@ -398,8 +371,8 @@ func (t *outputT) openCandidate(index int64, ev *xmlstream.Event, depth int, f *
 }
 
 // openDegraded is openCandidate in count-only mode: decided candidates are
-// counted on the spot, undecided ones tracked through byVar only (no queue,
-// no content) and counted when their formula determines.
+// counted on the spot, undecided ones tracked through the condition store only
+// (no queue, no content) and counted when their formula determines.
 func (t *outputT) openDegraded(index int64, name string, f *cond.Formula) {
 	switch {
 	case f.IsTrue():
@@ -414,13 +387,13 @@ func (t *outputT) openDegraded(index int64, name string, f *cond.Formula) {
 		t.observeDecision(t.reg.step)
 		t.observeLifetime(t.reg.step)
 	default:
-		c := &candidate{index: index, name: name, formula: f, unqueued: true, born: t.reg.step}
-		f.Visit(func(v cond.VarID) { t.byVar[v] = append(t.byVar[v], c) })
+		c := &candidate{index: index, name: name, formula: f, sink: t, unqueued: true, born: t.reg.step}
+		t.store.register(c, f)
 		t.pendingN++
 		if t.pendingN > t.stats.MaxQueued {
 			t.stats.MaxQueued = t.pendingN
 		}
-		// A count-only candidate is just a formula and a byVar entry — no
+		// A count-only candidate is just a formula and a store entry — no
 		// queue slot, no content buffer — so the degraded sink tolerates a
 		// much larger pending population before the hard backstop fails the
 		// run (degradation shrank each candidate, not the count of them).
@@ -493,7 +466,8 @@ func (t *outputT) degrade() {
 // shedSelf drops the subscription (PolicyShed): every piece of state is
 // released and the sink ignores the rest of the stream. Counts freeze at
 // the trip point; an in-flight streaming answer is closed so the consumer's
-// frame terminates.
+// frame terminates. Candidates still registered with the condition store are
+// skipped there from now on and leave with their variables.
 func (t *outputT) shedSelf() {
 	if t.shed {
 		return
@@ -505,9 +479,6 @@ func (t *outputT) shedSelf() {
 	t.stats.Shed = true
 	t.queue = nil
 	t.openStack = nil
-	t.byVar = make(map[cond.VarID][]*candidate)
-	t.bindings = make(map[cond.VarID]*cond.Formula)
-	t.resolved = make(map[cond.VarID]*cond.Formula)
 	t.pending = nil
 	t.buffered = 0
 	t.pendingN = 0
@@ -546,127 +517,39 @@ func (t *outputT) appendToOpen(ev *xmlstream.Event) {
 	}
 }
 
-// handleDet processes a condition determination message.
-func (t *outputT) handleDet(m *Message) {
-	if _, done := t.resolved[m.Var]; done {
-		// First determination wins: a later scope-exit finalization
-		// cannot undo a satisfied instance (cf. Fig. 13, variable co1).
-		// The finalization does end the instance's lifetime, though, so
-		// it retires the resolution record (see below) — unless the
-		// network contains following/preceding steps, whose formulas
-		// outlive the scopes they mention.
-		if m.Final && !t.cfg.retainVars {
-			delete(t.resolved, m.Var)
-		}
-		return
+// assign substitutes val for variable v in the formula of the undecided
+// candidate c — the condition store's resolve calls it for every candidate of
+// this sink waiting on v — and moves c to accepted or rejected when that
+// decides it. A count-only candidate is counted here, which may exhaust the
+// answer limit and determine the sink in the middle of a resolution; the store
+// skips the sink's remaining candidates from then on.
+func (t *outputT) assign(c *candidate, v cond.VarID, val *cond.Formula) {
+	c.formula = c.formula.Assign(v, val)
+	t.st.noteFormula(c.formula)
+	if t.cfg.gov != nil {
+		t.cfg.checkFormula(c.formula)
 	}
-	if m.Final {
-		w, ok := t.bindings[m.Var]
-		if !ok {
-			w = cond.False()
-		}
-		delete(t.bindings, m.Var)
-		t.resolve(m.Var, w)
-		// Nothing downstream can mention the variable after its
-		// finalization (when the network has no following/preceding
-		// steps), so the resolution record can go: this keeps the sink's
-		// state bounded on unbounded streams (the id itself is recycled
-		// by the variable-creator).
-		if !t.cfg.retainVars {
-			delete(t.resolved, m.Var)
-		}
-		return
-	}
-	w := t.applyResolved(m.Witness)
-	if prev, ok := t.bindings[m.Var]; ok {
-		w = t.cfg.or(prev, w)
-	}
-	if w.IsFalse() {
-		// A kill from a negated qualifier's determinant: the instance is
-		// unsatisfiable outright. Resolve it false now — candidates mentioning
-		// it drop immediately — but keep the resolution record until the
-		// scope-exit finalization retires it: the negated variable-creator
-		// still sends its {c,true} witness at scope exit, which the record
-		// absorbs under first-determination-wins (and variable-id recycling
-		// stays safe, since the record lives exactly as long as the id).
-		delete(t.bindings, m.Var)
-		t.resolve(m.Var, cond.False())
-		return
-	}
-	if w.IsTrue() {
-		delete(t.bindings, m.Var)
-		t.resolve(m.Var, cond.True())
-		return
-	}
-	t.bindings[m.Var] = w
-}
-
-// resolve binds variable v to val (a constant, or a residual formula over
-// variables of nested qualifiers) and substitutes it through candidate
-// formulas and pending bindings, cascading as bindings determine.
-func (t *outputT) resolve(v cond.VarID, val *cond.Formula) {
-	if t.determined {
-		// A cascaded resolution may land after the answer limit was reached
-		// mid-cascade; the sink's maps are gone and the answer is fixed.
-		return
-	}
-	t.resolved[v] = val
-	cands := t.byVar[v]
-	delete(t.byVar, v)
-	for _, c := range cands {
-		if c.state != candPending || !c.formula.HasVar(v) {
-			continue
-		}
-		c.formula = c.formula.Assign(v, val)
-		t.st.noteFormula(c.formula)
-		if t.cfg.gov != nil {
-			t.cfg.checkFormula(c.formula)
-		}
-		switch {
-		case c.formula.IsTrue():
-			c.state = candAccepted
-			t.observeDecision(c.born)
-			if c.unqueued {
-				t.stats.Matches++
-				t.pendingN--
-				t.observeLifetime(c.born)
-				if t.limitReached() {
-					t.determine()
-					return
-				}
+	switch {
+	case c.formula.IsTrue():
+		c.state = candAccepted
+		t.observeDecision(c.born)
+		if c.unqueued {
+			t.stats.Matches++
+			t.pendingN--
+			t.observeLifetime(c.born)
+			if t.limitReached() {
+				t.determine()
 			}
-		case c.formula.IsFalse():
-			c.state = candRejected
-			t.stats.Dropped++
-			t.releaseContent(c)
-			t.observeDecision(c.born)
-			if c.unqueued {
-				t.pendingN--
-				t.observeLifetime(c.born)
-			}
-		default:
-			c.formula.Visit(func(w cond.VarID) {
-				if w != v {
-					t.byVar[w] = append(t.byVar[w], c)
-				}
-			})
 		}
-	}
-	// Substitute into pending bindings; collect cascaded resolutions.
-	var cascade []cond.VarID
-	for owner, b := range t.bindings {
-		if !b.HasVar(v) {
-			continue
+	case c.formula.IsFalse():
+		c.state = candRejected
+		t.stats.Dropped++
+		t.releaseContent(c)
+		t.observeDecision(c.born)
+		if c.unqueued {
+			t.pendingN--
+			t.observeLifetime(c.born)
 		}
-		nb := b.Assign(v, val)
-		if nb.IsTrue() {
-			cascade = append(cascade, owner)
-		}
-		t.bindings[owner] = nb
-	}
-	for _, owner := range cascade {
-		delete(t.bindings, owner)
-		t.resolve(owner, cond.True())
 	}
 }
 
@@ -677,10 +560,13 @@ func (t *outputT) releaseContent(c *candidate) {
 }
 
 // flushQueue emits decided candidates from the front of the document-order
-// queue.
+// queue. What it pops is closed up in place, so the queue keeps its storage
+// instead of creeping forward through it and reallocating.
 func (t *outputT) flushQueue() {
-	for len(t.queue) > 0 {
-		c := t.queue[0]
+	done := 0
+loop:
+	for done < len(t.queue) {
+		c := t.queue[done]
 		switch c.state {
 		case candRejected:
 			t.releaseContent(c)
@@ -697,14 +583,14 @@ func (t *outputT) flushQueue() {
 					c.streaming = true
 				}
 				if !c.closed {
-					return // content still arriving, streamed directly
+					break loop // content still arriving, streamed directly
 				}
 				t.ssink.ResultEnd(c.index)
 				t.stats.Matches++
 				t.observeEmit()
 			} else {
 				if t.mode == ModeSerialize && !c.closed {
-					return // content still arriving
+					break loop // content still arriving
 				}
 				t.emit(c)
 			}
@@ -717,11 +603,15 @@ func (t *outputT) flushQueue() {
 				return
 			}
 		default:
-			return
+			break loop
 		}
 		t.observeLifetime(c.born)
-		t.queue[0] = nil
-		t.queue = t.queue[1:]
+		done++
+	}
+	if done > 0 {
+		n := copy(t.queue, t.queue[done:])
+		clear(t.queue[n:])
+		t.queue = t.queue[:n]
 	}
 }
 
@@ -747,11 +637,11 @@ func (t *outputT) limitReached() bool {
 // determine marks the sink's answer as fixed — the first limit answers have
 // been delivered in document order, and nothing in the stream's suffix can
 // add to or retract them — and releases every piece of candidate state:
-// queued candidates, buffered content, formula bindings and resolution
-// records all go at once, so the memory the governor polices is returned at
-// the determination event rather than at end of stream. From here on feed is
-// a no-op; the network notices via the shared config's determined-sink count
-// and can disconnect the stream.
+// queued candidates and buffered content go at once, so the memory the
+// governor polices is returned at the determination event rather than at end
+// of stream (the condition store skips what the sink still has registered).
+// From here on feed is a no-op; the network notices via the shared config's
+// determined-sink count and can disconnect the stream.
 func (t *outputT) determine() {
 	if t.determined || t.shed {
 		return
@@ -760,9 +650,6 @@ func (t *outputT) determine() {
 	t.stats.Determined = true
 	t.queue = nil
 	t.openStack = nil
-	t.byVar = nil
-	t.bindings = nil
-	t.resolved = nil
 	t.pending = nil
 	t.buffered = 0
 	t.pendingN = 0

@@ -14,8 +14,9 @@ import (
 // the activation iff the comparison holds — from where the ordinary
 // variable-filter/-determinant pair witnesses the qualifier instance.
 // Because the test decides at the end message, the variable-creator's
-// scope-exit finalization (which travels after end messages) still arrives
-// afterwards, preserving first-determination-wins.
+// scope-exit finalization (which follows end messages: the condition store
+// applies it after the step's sweep) still lands afterwards, preserving
+// first-determination-wins.
 //
 // Memory: one text buffer per armed open node — bounded by the text of the
 // candidate subtrees, the price of a value test on streams.
@@ -47,16 +48,14 @@ func (t *textCmpT) stackStats() StackStats {
 	return s
 }
 
-func (t *textCmpT) feed(_ int, m *Message, emit emitFn) {
-	if m.Kind == MsgActivation {
-		t.pending = t.cfg.or(t.pending, m.Formula)
-		t.st.noteFormula(t.pending)
-		return
-	}
-	emit(0, *m)
+func (t *textCmpT) feed(_ int, f *cond.Formula, _ emitFn) {
+	t.pending = t.cfg.or(t.pending, f)
+	t.st.noteFormula(t.pending)
 }
 
-func (t *textCmpT) doc(r *docReg, emit emitFn) bool {
+// doc: character data anywhere below an armed node counts towards its string
+// value, and the innermost armed node decides at its end message.
+func (t *textCmpT) doc(r *docReg, emit emitFn) wake {
 	switch {
 	case isStart(r.ev.Kind):
 		if t.pending != nil {
@@ -68,7 +67,7 @@ func (t *textCmpT) doc(r *docReg, emit emitFn) bool {
 		t.pending = nil
 		if n := len(t.scopes); n > 0 && t.scopes[n-1].depth == r.depth {
 			if s := t.scopes[n-1]; t.op.Holds(s.buf.String(), t.value) {
-				emit(0, actMsg(s.f))
+				emit(0, s.f)
 			}
 			t.scopes = t.scopes[:n-1]
 		}
@@ -77,6 +76,11 @@ func (t *textCmpT) doc(r *docReg, emit emitFn) bool {
 			s.buf.WriteString(r.ev.Data)
 		}
 	}
-	emit(0, docMark)
-	return len(t.scopes) > 0 || t.pending != nil
+	switch {
+	case t.pending != nil:
+		return wake{on: wakeAny}
+	case len(t.scopes) == 0:
+		return wake{}
+	}
+	return wake{on: wakeText | wakeEnd, depth: int32(t.scopes[len(t.scopes)-1].depth)}
 }

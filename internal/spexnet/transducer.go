@@ -6,17 +6,17 @@ import (
 	"repro/internal/xmlstream"
 )
 
-// emitFn delivers a message to one output port of a transducer. All
-// transducers have a single output port (port 0) except the split and
-// fan-out transducers. Emitting docMark fixes the position of the step's
-// document event on that port's tape.
-type emitFn func(port int, m Message)
+// emitFn delivers an activation message [f] to one output port of a
+// transducer. All transducers have a single output port (port 0) except the
+// split and fan-out transducers. Whatever a transducer emits during a step
+// precedes the step's document event on that port's tape.
+type emitFn func(port int, f *cond.Formula)
 
 // docReg is the document-stream register: the one copy of the step's event
 // that every visited transducer reads. The document stream is not a message
 // any more — nothing copies the event from tape to tape — so a transducer
-// that holds no state and receives no message this step is simply not
-// visited (Network.propagate).
+// that receives no activation this step and did not ask for this event is
+// simply not visited (Network.propagate).
 type docReg struct {
 	ev xmlstream.Event
 	// depth is the level of the node ev opens or closes: 0 for the document
@@ -32,41 +32,104 @@ type docReg struct {
 
 // transducer is one node of a SPEX network. The runner guarantees the
 // paper's discipline: one document event is in flight at a time, and within
-// a step a visited transducer receives, in order, the activation and
-// determination messages that precede the event (feed), the event itself
-// (doc), and the messages that follow it (feed).
-//
-// A message is passed by pointer into the runner's tape storage and is valid
-// only for the duration of the call: implementations forward it as
-// emit(port, *m) and must copy (*m) if they buffer it across calls.
+// a step a visited transducer receives the activation messages that precede
+// the event (feed), then the event itself (doc). Condition determinations do
+// not pass through transducers: whoever originates one hands it to the
+// network's condition store (detOrigin).
 type transducer interface {
-	// feed processes one activation or determination message arriving on
-	// the given input port (always 0 except for the join transducer).
-	feed(input int, m *Message, emit emitFn)
-	// doc processes the step's document event, emitting docMark on every
-	// output port at the point where the event belongs. It reports whether
-	// the transducer stays armed — holds state that a later document event
-	// can act on even if no message arrives with it. An unarmed transducer
-	// with empty input tapes is skipped until a message reaches it, so its
-	// stacks hold depth-tagged entries for armed levels only, never one entry
-	// per open element. Messages following the event are determinations,
-	// which arm nothing, so the answer given here stands for the whole step.
-	doc(r *docReg, emit emitFn) (armed bool)
+	// feed processes one activation message arriving on the given input port
+	// (always 0 except for the join transducer).
+	feed(input int, f *cond.Formula, emit emitFn)
+	// doc processes the step's document event and returns the transducer's
+	// wake condition: the events it can act on even if no activation arrives
+	// with them. The runner visits it again only for an activation or for an
+	// event matching that condition, so its stacks hold depth-tagged entries
+	// for armed levels only, never one entry per open element.
+	doc(r *docReg, emit emitFn) wake
 	name() string
 	// stackStats returns the current and maximum depth-stack size and the
 	// maximum condition-formula size handled, for the §V experiments.
 	stackStats() StackStats
 }
 
-// passDoc is embedded by the single-output transducers that keep nothing
-// across document events (the variable filter and determinants, the join):
-// the event passes straight through and never arms them.
+// wake is a transducer's wake condition: which document events it has to be
+// visited for although no activation arrives with them. The zero value asks
+// for none (the transducer is unarmed). Only the innermost armed level
+// matters: while the scope on top of a sparse stack is open, every event is
+// inside it, and the events that concern the levels below come after its end.
+type wake struct {
+	on wakeSet
+	// depth is the level of the innermost armed node: wakeChild asks for the
+	// start of its children (depth+1), wakeEnd for its own end.
+	depth int32
+	// sym restricts wakeChild to one label symbol; 0 asks for any label.
+	sym xmlstream.Sym
+}
+
+// wakeSet is the set of event classes a wake condition asks for.
+type wakeSet uint8
+
+const (
+	wakeChild wakeSet = 1 << iota // start of a child of the node at depth
+	wakeEnd                       // end of the node at depth
+	wakeText                      // character data
+	wakeAny                       // every event
+)
+
+// wakeIf asks for every event if armed, for none otherwise: the conservative
+// condition of the transducers whose state is not tied to one open node.
+func wakeIf(armed bool) wake {
+	if armed {
+		return wake{on: wakeAny}
+	}
+	return wake{}
+}
+
+// scopeWake is the wake condition of the child and closure transducers: the
+// start of a child of the innermost scope carrying the label symbol (0 = any
+// label), and that scope's end. A pending activation that no start or end
+// event consumed (it arrived with character data) asks for everything.
+func scopeWake(scopes []scope, sym xmlstream.Sym, pending bool) wake {
+	switch {
+	case pending:
+		return wake{on: wakeAny}
+	case len(scopes) == 0:
+		return wake{}
+	}
+	return wake{on: wakeChild | wakeEnd, depth: int32(scopes[len(scopes)-1].depth), sym: sym}
+}
+
+// eventClass maps an event kind to the wake class it can satisfy; the
+// document boundaries count as the start and end of the node at depth 0.
+var eventClass = [8]wakeSet{
+	xmlstream.StartDocument: wakeChild,
+	xmlstream.EndDocument:   wakeEnd,
+	xmlstream.StartElement:  wakeChild,
+	xmlstream.EndElement:    wakeEnd,
+	xmlstream.Text:          wakeText,
+}
+
+// wants reports whether an event of the given class, at the given depth and
+// (for a start event) with the given label symbol, satisfies the condition.
+func (k wake) wants(class wakeSet, depth int32, sym xmlstream.Sym) bool {
+	if k.on&class == 0 {
+		return k.on&wakeAny != 0
+	}
+	switch class {
+	case wakeChild:
+		return depth == k.depth+1 && (k.sym == 0 || k.sym == sym)
+	case wakeEnd:
+		return depth == k.depth
+	}
+	return true
+}
+
+// passDoc is embedded by the transducers that keep nothing across document
+// events (split, join, fan-out, the variable filter and determinants): the
+// event never arms them.
 type passDoc struct{}
 
-func (passDoc) doc(_ *docReg, emit emitFn) bool {
-	emit(0, docMark)
-	return false
-}
+func (passDoc) doc(*docReg, emitFn) wake { return wake{} }
 
 // scope is one entry of a depth-tagged sparse stack: the formula attached to
 // the open node at the given depth. Levels carrying no formula have no entry
@@ -144,7 +207,7 @@ type netConfig struct {
 	rawFormulas bool // disable duplicate elimination (ablation)
 	// retainVars disables condition-variable retirement and id reuse.
 	// The core constructs guarantee that nothing mentions a variable
-	// after its scope-exit finalization, which lets the sink drop
+	// after its scope-exit finalization, which lets the condition store drop
 	// resolution records and the pool recycle ids (bounded memory on
 	// unbounded streams). The following/preceding extension breaks that
 	// guarantee — a following-scope formula outlives the qualifier scopes

@@ -4,39 +4,57 @@ import (
 	"testing"
 
 	"repro/internal/cond"
+	"repro/internal/obs"
 	"repro/internal/xmlstream"
 )
 
-// tapeItem is one message of a hand-written tape. The engine keeps the
-// document event in a register and only its position on tapes; here a
-// document message carries its event, so that input sequences read — and
-// outputs render — in the paper's notation.
+// tapeItem is one message of a hand-written tape, or of a transducer's
+// observed output, in the paper's three kinds. The engine keeps the document
+// event in a register and determinations in the condition store; here each is
+// an item of its own, so that input sequences read — and outputs render — in
+// the paper's notation.
 type tapeItem struct {
-	Message
-	ev xmlstream.Event
+	kind obs.MsgKind
+	f    *cond.Formula   // activation
+	det  det             // determination (output only: originated by the transducer)
+	ev   xmlstream.Event // document message
 }
 
 func (it tapeItem) String() string {
-	if it.Kind == MsgDoc {
+	switch it.kind {
+	case obs.KindDoc:
 		return it.ev.String()
+	case obs.KindActivation:
+		return "[" + it.f.String() + "]"
+	default:
+		return it.det.String()
 	}
-	return it.Message.String()
 }
 
 // docFeeder plays the runner for one transducer under test: it maintains the
-// document register across the document messages of a hand-written tape.
+// document register across the document messages of a hand-written tape and
+// observes the condition store the transducer originates determinations into.
 type docFeeder struct {
 	reg   docReg
 	depth int
 }
 
 // deliver hands one item to the transducer the way Network.Step and
-// propagate would: a document message loads the register and calls doc, with
-// the mark the transducer emits recorded as the event it stands for.
+// propagate would. An activation is fed. A document message loads the
+// register and calls doc; the output records what the transducer emitted
+// ahead of the event, the event, and then the determinations it queued behind
+// the event, which the store applies when the (one-node) sweep has drained. A
+// determination originated ahead of the event is recorded where it takes
+// effect: at once.
 func (f *docFeeder) deliver(t transducer, input int, it tapeItem, out func(port int, it tapeItem)) {
-	emit := func(port int, m Message) { out(port, tapeItem{Message: m, ev: f.reg.ev}) }
-	if it.Kind != MsgDoc {
-		t.feed(input, &it.Message, emit)
+	emit := func(port int, f *cond.Formula) { out(port, tapeItem{kind: obs.KindActivation, f: f}) }
+	var store *condStore
+	if o, ok := t.(interface{ origin() *detOrigin }); ok {
+		store = o.origin().store
+		store.trace = func(_ string, d det) { out(0, tapeItem{kind: obs.KindDetermination, det: d}) }
+	}
+	if it.kind != obs.KindDoc {
+		t.feed(input, it.f, emit)
 		return
 	}
 	r := &f.reg
@@ -51,7 +69,17 @@ func (f *docFeeder) deliver(t transducer, input int, it tapeItem, out func(port 
 		f.depth--
 	}
 	t.doc(r, emit)
+	out(0, it)
+	if p, ok := t.(interface{ ports() int }); ok && p.ports() > 1 {
+		out(1, it)
+	}
+	if store != nil {
+		store.drain()
+	}
 }
+
+// ports lets the feeder show the document event on both tapes of a split.
+func (t *splitT) ports() int { return 2 }
 
 // feedAll drives a transducer with a message sequence and collects its
 // port-0 output (port 1 for the second return value, used by split).
@@ -69,22 +97,12 @@ func feedAll(t transducer, input int, items []tapeItem) (port0, port1 []tapeItem
 	return port0, port1
 }
 
-// msgs builds a tape from messages (Message) and document messages
-// (tapeItem, from start/end/startDoc/endDoc/chars).
-func msgs(items ...any) []tapeItem {
-	out := make([]tapeItem, len(items))
-	for i, it := range items {
-		switch it := it.(type) {
-		case tapeItem:
-			out[i] = it
-		case Message:
-			out[i] = tapeItem{Message: it}
-		}
-	}
-	return out
-}
+// msgs builds a tape from tapeItems (actMsg, start/end/startDoc/endDoc/chars).
+func msgs(items ...tapeItem) []tapeItem { return items }
 
-func docItem(ev xmlstream.Event) tapeItem { return tapeItem{Message: docMark, ev: ev} }
+func actMsg(f *cond.Formula) tapeItem { return tapeItem{kind: obs.KindActivation, f: f} }
+
+func docItem(ev xmlstream.Event) tapeItem { return tapeItem{kind: obs.KindDoc, ev: ev} }
 
 func start(name string) tapeItem { return docItem(xmlstream.Start(name)) }
 func end(name string) tapeItem   { return docItem(xmlstream.End(name)) }
@@ -142,10 +160,10 @@ func TestChildTransducerMergesActivations(t *testing.T) {
 	// The match formula is v1∨v2.
 	found := false
 	for _, m := range out {
-		if m.Kind == MsgActivation {
+		if m.kind == obs.KindActivation {
 			found = true
-			if m.Formula.String() != "v1∨v2" {
-				t.Fatalf("formula: %s", m.Formula)
+			if m.f.String() != "v1∨v2" {
+				t.Fatalf("formula: %s", m.f)
 			}
 		}
 	}
@@ -172,7 +190,7 @@ func TestClosureTransducerChain(t *testing.T) {
 	))
 	var matches int
 	for _, m := range out {
-		if m.Kind == MsgActivation {
+		if m.kind == obs.KindActivation {
 			matches++
 		}
 	}
@@ -186,14 +204,14 @@ func TestClosureTransducerChain(t *testing.T) {
 func TestVCTransducerLifecycle(t *testing.T) {
 	pool := cond.NewPool()
 	q := pool.DeclareQualifier(nil)
-	vc := newVC(q, pool, testCfg)
+	vc := newVC(q, false, pool, testCfg, newCondStore(testCfg, pool))
 	out, _ := feedAll(vc, 0, msgs(
 		actMsg(cond.True()), start("a"),
 		end("a"),
 		actMsg(cond.True()), start("b"),
 		end("b"),
 	))
-	// Finalization travels after the end message (see vcT.feed).
+	// The finalization follows the end message (see vcT.doc).
 	want := "[v0] <a> </a> {v0,close} [v0] <b> </b> {v0,close}"
 	if render(out) != want {
 		t.Fatalf("got  %s\nwant %s", render(out), want)
@@ -213,35 +231,27 @@ func TestSplitDuplicates(t *testing.T) {
 	}
 }
 
-// TestJoinANDGate: the join marks each document event once and forwards the
-// non-document messages of both branches on their side of it (Fig. 9),
-// deduplicating identical determination messages that arrived via both
-// branches of a split — within one step only.
+// TestJoinANDGate: the join gates nothing any more — both branches read the
+// step's one document event from the register — and merges the activations of
+// both branches ahead of it, left branch first (Fig. 9). Determinations do not
+// reach it: they go to the condition store.
 func TestJoinANDGate(t *testing.T) {
 	var f docFeeder
-	jo := newJoin(&f.reg)
+	jo := newJoin()
 	var out []tapeItem
 	collect := func(_ int, it tapeItem) { out = append(out, it) }
-	det := tapeItem{Message: Message{Kind: MsgDet, Var: 7, Final: true}}
-	act := tapeItem{Message: actMsg(cond.Var(1))}
-	// The runner's order: what precedes the event from both ports, the
-	// event, what follows it from both ports. The left branch delivers an
-	// activation and a trailing det, the right branch the same det.
-	f.deliver(jo, 0, act, collect)
+	// The runner's order: the activations of both ports, then the event.
+	f.deliver(jo, 0, actMsg(cond.Var(1)), collect)
+	f.deliver(jo, 1, actMsg(cond.Var(2)), collect)
 	f.deliver(jo, 0, start("a"), collect)
-	f.deliver(jo, 0, det, collect)
-	f.deliver(jo, 1, det, collect)
-	want := "[v1] <a> {v7,close}"
+	want := "[v1] [v2] <a>"
 	if render(out) != want {
 		t.Fatalf("got  %s\nwant %s", render(out), want)
 	}
-	// The dedupe does not reach across steps: the same determination in the
-	// next step is a new message.
+	// Nothing is buffered across steps.
 	out = nil
 	f.deliver(jo, 0, end("a"), collect)
-	f.deliver(jo, 0, det, collect)
-	f.deliver(jo, 1, det, collect)
-	if render(out) != "</a> {v7,close}" {
+	if render(out) != "</a>" {
 		t.Fatalf("second step: %s", render(out))
 	}
 }
@@ -273,25 +283,25 @@ func TestVFRestrictsFormulas(t *testing.T) {
 
 	plus := newVF(q1, pool, true)
 	out, _ := feedAll(plus, 0, msgs(actMsg(f)))
-	if len(out) != 1 || out[0].Formula.String() != "v0" {
+	if len(out) != 1 || out[0].f.String() != "v0" {
 		t.Fatalf("VF(q+): %s", render(out))
 	}
 
 	minus := newVF(q1, pool, false)
 	out, _ = feedAll(minus, 0, msgs(actMsg(f)))
-	if len(out) != 1 || out[0].Formula.String() != "v1" {
+	if len(out) != 1 || out[0].f.String() != "v1" {
 		t.Fatalf("VF(q-): %s", render(out))
 	}
 }
 
-// TestVDEmitsWitnesses: VD turns activations into determination messages,
-// one per variable of its qualifier, consuming the activation.
+// TestVDEmitsWitnesses: VD turns activations into determinations, one per
+// variable of its qualifier, consuming the activation.
 func TestVDEmitsWitnesses(t *testing.T) {
 	pool := cond.NewPool()
 	q := pool.DeclareQualifier(nil)
 	v1 := pool.Fresh(q)
 	v2 := pool.Fresh(q)
-	vd := newVD(q, pool, testCfg)
+	vd := newVD(q, pool, testCfg, newCondStore(testCfg, pool))
 	out, _ := feedAll(vd, 0, msgs(
 		actMsg(cond.Or(cond.Var(v1), cond.Var(v2))),
 		start("x"),
@@ -310,13 +320,13 @@ func TestVDNestedWitness(t *testing.T) {
 	outer := pool.DeclareQualifier([]cond.QualID{inner})
 	vi := pool.Fresh(inner)
 	vo := pool.Fresh(outer)
-	vd := newVD(outer, pool, testCfg)
+	vd := newVD(outer, pool, testCfg, newCondStore(testCfg, pool))
 	out, _ := feedAll(vd, 0, msgs(actMsg(cond.And(cond.Var(vo), cond.Var(vi)))))
 	if len(out) != 1 {
 		t.Fatalf("got %s", render(out))
 	}
 	m := out[0]
-	if m.Kind != MsgDet || m.Var != vo || m.Witness.String() != "v0" {
-		t.Fatalf("got %s (witness %s)", m, m.Witness)
+	if m.kind != obs.KindDetermination || m.det.v != vo || m.det.witness.String() != "v0" {
+		t.Fatalf("got %s", m)
 	}
 }

@@ -2,6 +2,7 @@ package spex
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -168,4 +169,50 @@ func TestMergedEngineLimits(t *testing.T) {
 		MustCompile("r.a[c]"),
 	}
 	crossValidate(t, queries, doc)
+}
+
+// TestSetCompilesOnce: a Set is immutable and its compiled program a pure
+// function of its queries, so the set compiler runs at the first evaluation
+// only — every later one builds a fresh network from the same program — and
+// two evaluations of one document report identical counts and merge
+// statistics.
+func TestSetCompilesOnce(t *testing.T) {
+	queries := []*Query{
+		MustCompile("_*.a[b].c"),
+		MustCompile("_*.a[b].c"), // collapses onto 0
+		MustCompile("_*.c"),
+		MustCompile(`c[@x="1" and @x="2"]`), // pruned
+	}
+	m := NewMetrics()
+	set := NewSet(queries, nil, SetMetrics(m))
+	if err := set.Evaluate(strings.NewReader(paperDoc)); err != nil {
+		t.Fatal(err)
+	}
+	prog := set.prog
+	if prog == nil {
+		t.Fatal("no program kept after the first evaluation")
+	}
+	counts := append([]int64(nil), set.Counts()...)
+	mergeStats := func() [5]int64 {
+		s := m.Snapshot()
+		return [5]int64{s.SetcompileNaive, s.SetcompileMerged, s.SetcompilePruned, s.SetcompileCollapsed, s.SetcompileContained}
+	}
+	stats := mergeStats()
+	for i, doc := range []string{paperDoc, `<a><b/><c/><c/></a>`, paperDoc} {
+		if err := set.Evaluate(strings.NewReader(doc)); err != nil {
+			t.Fatal(err)
+		}
+		if set.prog != prog {
+			t.Fatalf("evaluation %d compiled the set again", i+2)
+		}
+	}
+	if got := set.Counts(); !reflect.DeepEqual(got, counts) {
+		t.Errorf("counts over the same document: %v, then %v", counts, got)
+	}
+	if got := mergeStats(); got != stats {
+		t.Errorf("merge statistics: %v, then %v", stats, got)
+	}
+	if stats[2] != 1 || stats[3] != 1 {
+		t.Errorf("merge statistics %v: want 1 pruned and 1 collapsed", stats)
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/multi"
 	"repro/internal/obs"
 	"repro/internal/rpeq"
+	"repro/internal/setcompile"
 	"repro/internal/spexnet"
 	"repro/internal/xmlstream"
 )
@@ -169,6 +170,14 @@ type Set struct {
 	counts     []int64
 	cfg        setConfig
 	determined bool
+	// subs and prog are the set as the engine takes it and its compiled
+	// program, built at the first evaluation and kept: the set is immutable
+	// and the program a pure function of its queries, so every later
+	// evaluation only builds a fresh network from it. withText/withAttrs
+	// record whether any member query needs text or attribute events.
+	subs                []multi.Subscription
+	prog                *setcompile.Program
+	withText, withAttrs bool
 }
 
 // NewSet prepares a set; fn (which may be nil) receives (query position,
@@ -206,7 +215,7 @@ func (s *Set) Evaluate(r io.Reader) error {
 // deadline, a disconnected client or a draining server stops the evaluation
 // mid-stream instead of running it to completion.
 func (s *Set) EvaluateContext(ctx context.Context, r io.Reader) error {
-	eng, withText, withAttrs, err := s.newEngine()
+	eng, err := s.newEngine()
 	if err != nil {
 		return err
 	}
@@ -215,11 +224,7 @@ func (s *Set) EvaluateContext(ctx context.Context, r io.Reader) error {
 		// sink-side stream-latency histogram measures emissions against.
 		r = &obs.CountingReader{R: r, C: &m.Bytes, LastReadNs: &m.LastReadNs}
 	}
-	// The scanner shares the engine's symbol table, so every event arrives
-	// with its label already resolved to an integer symbol.
-	src := xmlstream.NewScanner(r,
-		xmlstream.WithText(withText), xmlstream.WithAttributes(withAttrs), xmlstream.WithSymtab(eng.Symtab()))
-	return s.finish(ctx, eng, src)
+	return s.finish(ctx, eng, xmlstream.NewScanner(r, s.scanOptions(eng)...))
 }
 
 // EvaluateBytes evaluates an in-memory document — the mmap/file fast path.
@@ -234,12 +239,11 @@ func (s *Set) EvaluateBytes(data []byte) error {
 // EvaluateBytesContext is EvaluateBytes bounded by a context, with the same
 // stride-checked cancellation as EvaluateContext.
 func (s *Set) EvaluateBytesContext(ctx context.Context, data []byte) error {
-	eng, withText, withAttrs, err := s.newEngine()
+	eng, err := s.newEngine()
 	if err != nil {
 		return err
 	}
-	scanOpts := []xmlstream.ScannerOption{
-		xmlstream.WithText(withText), xmlstream.WithAttributes(withAttrs), xmlstream.WithSymtab(eng.Symtab())}
+	scanOpts := s.scanOptions(eng)
 	var src xmlstream.Source
 	if s.cfg.pscan {
 		src = xmlstream.NewParallelScanner(data, s.cfg.pscanWorkers, scanOpts...)
@@ -252,55 +256,64 @@ func (s *Set) EvaluateBytesContext(ctx context.Context, data []byte) error {
 	return s.finish(ctx, eng, src)
 }
 
-// newEngine resets the counts, compiles the set's queries into the engine
-// (sharded under Parallel), and reports whether any member query needs text
-// or attribute events.
-func (s *Set) newEngine() (eng setEngine, withText, withAttrs bool, err error) {
+// scanOptions configures the scanner of one evaluation: text and attribute
+// events only if some member query needs them, and the engine's symbol table,
+// so every event arrives with its label already resolved to an integer symbol.
+func (s *Set) scanOptions(eng setEngine) []xmlstream.ScannerOption {
+	return []xmlstream.ScannerOption{
+		xmlstream.WithText(s.withText), xmlstream.WithAttributes(s.withAttrs), xmlstream.WithSymtab(eng.Symtab())}
+}
+
+// newEngine resets the counts and builds the set's single-use engine — from
+// the program compiled at the first evaluation, or sharded under Parallel
+// (each shard compiles its own partition).
+func (s *Set) newEngine() (setEngine, error) {
 	for i := range s.counts {
 		s.counts[i] = 0
 	}
-	subs := make([]multi.Subscription, len(s.queries))
-	for i, q := range s.queries {
-		i := i
-		if rpeq.HasTextTest(q.plan.Expr()) {
-			withText = true
-		}
-		if rpeq.HasAttrTest(q.plan.Expr()) {
-			withAttrs = true
-		}
-		subs[i] = multi.Subscription{
-			Name: strconv.Itoa(i),
-			Plan: q.plan,
-			OnHit: func(_ string, res spexnet.Result) {
-				s.counts[i]++
-				if s.fn != nil {
-					s.fn(i, Match{Index: res.Index, Name: res.Name})
-				}
-			},
+	if s.subs == nil {
+		s.subs = make([]multi.Subscription, len(s.queries))
+		for i, q := range s.queries {
+			i := i
+			s.withText = s.withText || rpeq.HasTextTest(q.plan.Expr())
+			s.withAttrs = s.withAttrs || rpeq.HasAttrTest(q.plan.Expr())
+			s.subs[i] = multi.Subscription{
+				Name: strconv.Itoa(i),
+				Plan: q.plan,
+				OnHit: func(_ string, res spexnet.Result) {
+					s.counts[i]++
+					if s.fn != nil {
+						s.fn(i, Match{Index: res.Index, Name: res.Name})
+					}
+				},
+			}
 		}
 	}
 	if s.cfg.parallel {
-		ps, err := multi.NewParallelSet(subs, multi.ParallelOptions{
+		ps, err := multi.NewParallelSet(s.subs, multi.ParallelOptions{
 			Shards:   s.cfg.shards,
 			Governor: s.cfg.gov,
 			Metrics:  s.cfg.metrics,
 			TraceID:  s.cfg.traceID,
 		})
 		if err != nil {
-			return nil, false, false, err
+			return nil, err
 		}
-		return ps, withText, withAttrs, nil
+		return ps, nil
 	}
-	ms, err := multi.NewMergedSet(subs,
+	if s.prog == nil {
+		s.prog = multi.Compile(s.subs)
+	}
+	ms, err := multi.NewMergedSetFrom(s.subs, s.prog,
 		multi.WithGovernor(s.cfg.gov), multi.WithMetrics(s.cfg.metrics), multi.WithTraceID(s.cfg.traceID))
 	if err != nil {
-		return nil, false, false, err
+		return nil, err
 	}
 	if m := s.cfg.metrics; m != nil {
 		st := ms.MergeStats()
 		m.SetSetcompile(st.NaiveTransducers, st.MergedTransducers, st.Pruned, st.Collapsed, st.Contained)
 	}
-	return ms, withText, withAttrs, nil
+	return ms, nil
 }
 
 // finish runs the engine over the source and folds its counters back into
