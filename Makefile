@@ -50,7 +50,9 @@ fuzz-smoke:
 ## writing machine-readable BENCH_*.json reports into $(BENCH_DIR); also
 ## gates the hot loop — immediate answers must stay allocation-free (a
 ## count-mode network and Set.EvaluateBytes, the two arms of
-## TestCountModeZeroAlloc), ingest too, rendering an answer must take one
+## TestCountModeZeroAlloc), conditional ones must find their formulas and
+## candidate records (TestSetSteadyStateAllocs: at most 64 B per event on the
+## sdi_merged shape), ingest too, rendering an answer must take one
 ## buffer (TestSerializeAllocs), a transducer must be visited only for an
 ## activation or an event it asked for (deliveries and visits per event:
 ## TestIdleTransducersSkipped, TestWakeConditions) and a determination applied
@@ -65,7 +67,7 @@ bench-smoke:
 	$(GO) run ./cmd/spexbench -fig early-term -scale 0.02 -check -json $(BENCH_DIR)
 	$(GO) run ./cmd/spexbench -fig value-pred -scale 0.1 -check -json $(BENCH_DIR)
 	$(GO) run ./cmd/spexbench -fig ingest -scale 0.05 -check -json $(BENCH_DIR)
-	$(GO) test -run 'TestCountModeZeroAlloc$$' -count 1 .
+	$(GO) test -run 'TestCountModeZeroAlloc$$|TestSetSteadyStateAllocs$$' -count 1 .
 	$(GO) test -run 'TestIngestZeroAlloc$$|TestSerializeAllocs$$' -count 1 ./internal/xmlstream
 	$(GO) test -run 'TestIdleTransducersSkipped$$|TestWakeConditions$$|TestDeterminationsAppliedOnce$$' -count 1 ./internal/spexnet
 	$(GO) test -run NONE -bench 'BenchmarkAblationInterning$$' -benchtime 1x .

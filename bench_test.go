@@ -167,32 +167,6 @@ func BenchmarkCompileLinear(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNormalization measures the Remark V.1 design choice:
-// duplicate elimination in condition formulas, on the closure-with-
-// qualifier workload where nested scopes create disjunctions.
-func BenchmarkAblationNormalization(b *testing.B) {
-	doc := dataset.Ladder(64).Bytes()
-	node := rpeq.MustParse("_+[q]._")
-	for _, raw := range []bool{false, true} {
-		name := "normalized"
-		if raw {
-			name = "raw"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(len(doc)))
-			for i := 0; i < b.N; i++ {
-				net, err := spexnet.Build(node, spexnet.Options{Mode: spexnet.ModeCount, RawFormulas: raw})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := net.Run(xmlstream.NewScanner(bytes.NewReader(doc))); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationOutputMode compares count, node and serialize output
 // modes on a match-heavy query, quantifying the cost of result assembly
 // (§III.8's output transducer is the only Turing-power component).

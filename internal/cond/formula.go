@@ -4,13 +4,14 @@
 // formulas through the transducer network; the output transducer resolves
 // them as condition determination messages arrive.
 //
-// Formulas are immutable trees over {true, false, variable, ∧, ∨}. The
-// constructors normalize: nested same-operator nodes are flattened, boolean
-// constants absorbed, and duplicate operands eliminated — the normalization
-// the paper relies on so that "a formula contains at most one reference to a
-// condition variable" (§III.4) and that yields the Σnᵢ ≤ d bound of Remark
-// V.1. Raw (non-deduplicating) constructors exist for the ablation
-// benchmarks.
+// Formulas are immutable trees over {true, false, variable, ∧, ∨}, built by a
+// Pool. The constructors normalize: nested same-operator nodes are flattened,
+// boolean constants absorbed, and duplicate operands eliminated — the
+// normalization the paper relies on so that "a formula contains at most one
+// reference to a condition variable" (§III.4) and that yields the Σnᵢ ≤ d
+// bound of Remark V.1. Nodes are hash-consed in the pool's unique table
+// (table.go): two formulas of one pool are structurally equal exactly if they
+// are the same pointer.
 package cond
 
 import (
@@ -35,20 +36,28 @@ const (
 	OpOr
 )
 
-// Formula is an immutable boolean formula. The zero value is not valid; use
-// the constructors. Two normalized formulas are semantically equal if their
-// Keys are equal.
+// Formula is an immutable boolean formula. The zero value is not valid; the
+// constants come from True and False, everything else from a Pool, and
+// formulas of different pools must not be combined.
 type Formula struct {
-	op   Op
-	v    VarID
-	kids []*Formula
-	key  string
+	op Op
+	v  VarID
+	// id orders the operands of a node canonically and keys the unique table;
+	// a pool never hands out the same id twice.
+	id   uint64
 	size int
+	kids []*Formula // in ascending id order
+	// next chains the nodes of one unique-table bucket.
+	next *Formula
+	// memoTo is the result of the pool's substitution number memoAt on this
+	// node (Pool.Assign).
+	memoAt uint64
+	memoTo *Formula
 }
 
 var (
-	trueF  = &Formula{op: OpTrue, key: "T", size: 1}
-	falseF = &Formula{op: OpFalse, key: "F", size: 1}
+	trueF  = &Formula{op: OpTrue, size: 1}
+	falseF = &Formula{op: OpFalse, size: 1}
 )
 
 // True returns the constant-true formula.
@@ -56,11 +65,6 @@ func True() *Formula { return trueF }
 
 // False returns the constant-false formula.
 func False() *Formula { return falseF }
-
-// Var returns the formula consisting of the single variable v.
-func Var(v VarID) *Formula {
-	return &Formula{op: OpVar, v: v, key: "v" + strconv.FormatUint(uint64(v), 10), size: 1}
-}
 
 // Op returns the operator of the root node.
 func (f *Formula) Op() Op { return f.op }
@@ -74,15 +78,11 @@ func (f *Formula) IsFalse() bool { return f.op == OpFalse }
 // Determined reports whether f is a boolean constant.
 func (f *Formula) Determined() bool { return f.op == OpTrue || f.op == OpFalse }
 
-// Key returns a canonical string key: normalized formulas with equal keys
-// are structurally identical.
-func (f *Formula) Key() string { return f.key }
-
 // Size returns the paper's formula size σ: the number of leaves (variable
 // occurrences, with constants counting one).
 func (f *Formula) Size() int { return f.size }
 
-// Visit calls fn for every distinct variable occurrence in f.
+// Visit calls fn for every variable occurrence in f.
 func (f *Formula) Visit(fn func(VarID)) {
 	switch f.op {
 	case OpVar:
@@ -94,28 +94,6 @@ func (f *Formula) Visit(fn func(VarID)) {
 	}
 }
 
-// VarSet returns the set of variables occurring in f.
-func (f *Formula) VarSet() map[VarID]bool {
-	set := make(map[VarID]bool)
-	f.Visit(func(v VarID) { set[v] = true })
-	return set
-}
-
-// HasVar reports whether v occurs in f.
-func (f *Formula) HasVar(v VarID) bool {
-	switch f.op {
-	case OpVar:
-		return f.v == v
-	case OpAnd, OpOr:
-		for _, k := range f.kids {
-			if k.HasVar(v) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // String renders f in the paper's notation, e.g. "(v1∨v2)∧v3".
 func (f *Formula) String() string {
 	var b strings.Builder
@@ -124,7 +102,6 @@ func (f *Formula) String() string {
 }
 
 func (f *Formula) render(b *strings.Builder, parentPrec int) {
-	prec := 0
 	switch f.op {
 	case OpTrue:
 		b.WriteString("true")
@@ -133,259 +110,66 @@ func (f *Formula) render(b *strings.Builder, parentPrec int) {
 		b.WriteString("false")
 		return
 	case OpVar:
-		b.WriteString("v")
-		b.WriteString(strconv.FormatUint(uint64(f.v), 10))
+		b.WriteString(f.printKey())
 		return
-	case OpAnd:
-		prec = 2
-	case OpOr:
-		prec = 1
 	}
-	sep := "∧"
+	prec, sep := 2, "∧"
 	if f.op == OpOr {
-		sep = "∨"
+		prec, sep = 1, "∨"
 	}
-	needParens := prec < parentPrec
-	if needParens {
+	if prec < parentPrec {
 		b.WriteByte('(')
 	}
-	for i, k := range f.kids {
+	for i, k := range f.printOrder() {
 		if i > 0 {
 			b.WriteString(sep)
 		}
 		k.render(b, prec)
 	}
-	if needParens {
+	if prec < parentPrec {
 		b.WriteByte(')')
 	}
 }
 
-// And returns the normalized conjunction of the given formulas.
-func And(fs ...*Formula) *Formula { return combine(OpAnd, true, fs) }
-
-// Or returns the normalized disjunction of the given formulas.
-func Or(fs ...*Formula) *Formula { return combine(OpOr, true, fs) }
-
-// RawAnd is And without duplicate-operand elimination; used by the
-// normalization ablation. Constants are still absorbed (otherwise formulas
-// would be dominated by "true" leaves rather than by the duplication the
-// ablation studies).
-func RawAnd(fs ...*Formula) *Formula { return combine(OpAnd, false, fs) }
-
-// RawOr is Or without duplicate-operand elimination.
-func RawOr(fs ...*Formula) *Formula { return combine(OpOr, false, fs) }
-
-// combine builds an n-ary ∧ or ∨ node: it flattens same-operator children,
-// absorbs constants and (when dedupe is set) removes duplicate operands.
-func combine(op Op, dedupe bool, fs []*Formula) *Formula {
-	unit, zero := trueF, falseF
-	if op == OpOr {
-		unit, zero = falseF, trueF
-	}
-	// Sized for the operands as given; only flattening a nested same-operator
-	// child makes it grow.
-	kids := make([]*Formula, 0, len(fs))
-	var flatten func(f *Formula) bool // returns false when result is the absorbing constant
-	flatten = func(f *Formula) bool {
-		switch {
-		case f == zero:
-			return false
-		case f == unit:
-			return true
-		case f.op == op:
-			for _, k := range f.kids {
-				if !flatten(k) {
-					return false
-				}
-			}
-			return true
-		default:
-			kids = append(kids, f)
-			return true
-		}
-	}
-	for _, f := range fs {
-		if f == nil {
-			continue
-		}
-		if !flatten(f) {
-			return zero
-		}
-	}
-	if len(kids) == 0 {
-		return unit
-	}
-	if dedupe {
-		kids = dedupeByKey(kids)
-	}
-	if len(kids) == 1 {
-		return kids[0]
-	}
-	return newNode(op, kids, dedupe)
+// printOrder returns f's operands in the order String shows them. The
+// canonical operand order is by node id, which depends on the order nodes
+// were built in; what is printed must not, so operands print ordered by a
+// structural key, as text: composite operands first, ∧ before ∨, then the
+// variables by their decimal spelling ("v10" before "v2"). Print time only.
+func (f *Formula) printOrder() []*Formula {
+	kids := slices.Clone(f.kids)
+	slices.SortFunc(kids, func(a, b *Formula) int { return strings.Compare(a.printKey(), b.printKey()) })
+	return kids
 }
 
-// dedupeByKey sorts children by canonical key and removes exact duplicates,
-// in place: the caller owns kids. Sorting also canonicalizes operand order so
-// that commutatively equal formulas share one key.
-func dedupeByKey(kids []*Formula) []*Formula {
-	if len(kids) <= 1 {
-		return kids
-	}
-	slices.SortFunc(kids, func(a, b *Formula) int { return strings.Compare(a.key, b.key) })
-	out := kids[:1]
-	for _, k := range kids[1:] {
-		if k.key != out[len(out)-1].key {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-func newNode(op Op, kids []*Formula, canonical bool) *Formula {
-	n := len("(&)")
-	for _, k := range kids {
-		n += 1 + len(k.key)
-	}
-	var b strings.Builder
-	b.Grow(n)
-	if op == OpAnd {
-		b.WriteString("(&")
-	} else {
-		b.WriteString("(|")
-	}
-	size := 0
-	for _, k := range kids {
-		b.WriteByte(' ')
-		b.WriteString(k.key)
-		size += k.size
-	}
-	b.WriteByte(')')
-	return &Formula{op: op, kids: kids, key: b.String(), size: size}
-}
-
-// Assign substitutes val for every occurrence of variable v in f and
-// simplifies. val is typically True() or False(), but may be any formula
-// (nested-qualifier determinations bind a variable to the formula of its
-// witnesses).
-func (f *Formula) Assign(v VarID, val *Formula) *Formula {
+func (f *Formula) printKey() string {
 	switch f.op {
-	case OpTrue, OpFalse:
-		return f
 	case OpVar:
-		if f.v == v {
-			return val
-		}
-		return f
+		return "v" + strconv.FormatUint(uint64(f.v), 10)
 	case OpAnd, OpOr:
-		if !f.HasVar(v) {
-			return f
+		key := "(&"
+		if f.op == OpOr {
+			key = "(|"
 		}
-		kids := make([]*Formula, len(f.kids))
-		for i, k := range f.kids {
-			kids[i] = k.Assign(v, val)
+		for _, k := range f.printOrder() {
+			key += " " + k.printKey()
 		}
-		return combine(f.op, true, kids)
-	default:
-		return f
+		return key + ")"
 	}
-}
-
-// Restrict replaces every variable for which keep returns false by true and
-// simplifies. The variable-filter transducer VF(q+) uses it to drop from
-// condition formulas "all other variables that do not belong to q" (§III.5.3).
-func (f *Formula) Restrict(keep func(VarID) bool) *Formula {
-	switch f.op {
-	case OpTrue, OpFalse:
-		return f
-	case OpVar:
-		if keep(f.v) {
-			return f
-		}
-		return trueF
-	case OpAnd, OpOr:
-		kids := make([]*Formula, len(f.kids))
-		for i, k := range f.kids {
-			kids[i] = k.Restrict(keep)
-		}
-		return combine(f.op, true, kids)
-	default:
-		return f
-	}
-}
-
-// Eval evaluates f under the partial assignment given by lookup, which
-// returns the value of a variable or Unknown. The result is three-valued.
-func (f *Formula) Eval(lookup func(VarID) Value) Value {
-	switch f.op {
-	case OpTrue:
-		return ValueTrue
-	case OpFalse:
-		return ValueFalse
-	case OpVar:
-		return lookup(f.v)
-	case OpAnd:
-		result := ValueTrue
-		for _, k := range f.kids {
-			switch k.Eval(lookup) {
-			case ValueFalse:
-				return ValueFalse
-			case ValueUnknown:
-				result = ValueUnknown
-			}
-		}
-		return result
-	case OpOr:
-		result := ValueFalse
-		for _, k := range f.kids {
-			switch k.Eval(lookup) {
-			case ValueTrue:
-				return ValueTrue
-			case ValueUnknown:
-				result = ValueUnknown
-			}
-		}
-		return result
-	default:
-		return ValueUnknown
-	}
-}
-
-// Value is a three-valued truth value.
-type Value uint8
-
-// Truth values.
-const (
-	ValueUnknown Value = iota
-	ValueTrue
-	ValueFalse
-)
-
-// String returns "unknown", "true" or "false".
-func (v Value) String() string {
-	switch v {
-	case ValueTrue:
-		return "true"
-	case ValueFalse:
-		return "false"
-	default:
-		return "unknown"
-	}
+	return ""
 }
 
 // DNF returns f as a disjunction of conjunctions of variables: each element
-// is one disjunct, given as a sorted set of variable ids. It returns
-// (nil, true) for constant true (one empty disjunct is represented as an
-// empty conjunction in the slice) — precisely: for constant true the result
-// is [][]VarID{{}} and for constant false it is nil. DNF is used by the
-// variable-determinant transducer to extract per-instance witness
-// conditions; SPEX formulas stay small (bounded by §V), so the worst-case
-// blow-up is acceptable there.
+// is one disjunct, given as a sorted set of variable ids, and the disjuncts
+// are sorted and distinct, so the result depends on what f means only, not on
+// the order it was built in. For constant true the result is [][]VarID{{}}
+// and for constant false it is nil. DNF is used by the variable-determinant
+// transducer to extract per-instance witness conditions; SPEX formulas stay
+// small (bounded by §V), so the worst-case blow-up is acceptable there.
 func (f *Formula) DNF() [][]VarID {
 	switch f.op {
 	case OpTrue:
 		return [][]VarID{{}}
-	case OpFalse:
-		return nil
 	case OpVar:
 		return [][]VarID{{f.v}}
 	case OpOr:
@@ -410,62 +194,20 @@ func (f *Formula) DNF() [][]VarID {
 			out = next
 		}
 		return dedupeDisjuncts(out)
-	default:
-		return nil
 	}
+	return nil // false
 }
 
+// mergeVars returns the union of two sorted variable sets.
 func mergeVars(a, b []VarID) []VarID {
-	out := make([]VarID, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	out := append(slices.Clone(a), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
+// dedupeDisjuncts sorts the disjuncts (each a sorted variable set) and drops
+// the repeated ones, in place.
 func dedupeDisjuncts(ds [][]VarID) [][]VarID {
-	if len(ds) <= 1 {
-		return ds
-	}
-	seen := make(map[string]bool, len(ds))
-	out := ds[:0]
-	var b strings.Builder
-	for _, d := range ds {
-		b.Reset()
-		for _, v := range d {
-			b.WriteString(strconv.FormatUint(uint64(v), 10))
-			b.WriteByte(',')
-		}
-		key := b.String()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, d)
-	}
-	return out
-}
-
-// FromVars builds a conjunction of the given variables; a convenience for
-// tests and the determinant transducer.
-func FromVars(vars []VarID) *Formula {
-	fs := make([]*Formula, len(vars))
-	for i, v := range vars {
-		fs[i] = Var(v)
-	}
-	return And(fs...)
+	slices.SortFunc(ds, slices.Compare[[]VarID])
+	return slices.CompactFunc(ds, slices.Equal[[]VarID])
 }

@@ -1,5 +1,7 @@
 package cond
 
+import "slices"
+
 // QualID identifies one qualifier construct of a compiled expression.
 // Qualifier ids are assigned at network-construction time; the variables a
 // pool allocates at evaluation time each belong to one qualifier.
@@ -10,13 +12,17 @@ type QualID int
 // the variable-filter for nested qualifiers: the witness condition of an
 // instance of q may mention variables of qualifiers nested inside q's
 // condition expression).
+//
+// A pool also owns the unique table its formulas are interned in (table.go).
+// It belongs to one network and one goroutine; nothing in it is locked, and
+// everything in it is created at first use.
 type Pool struct {
-	next    VarID
-	quals   []QualID   // quals[v] = qualifier owning variable v
-	free    []VarID    // released ids available for reuse
-	vcache  []*Formula // cached single-variable formulas, indexed by id
-	inside  [][]QualID
-	insideM []map[QualID]bool
+	next   VarID
+	quals  []QualID   // quals[v] = qualifier owning variable v
+	free   []VarID    // released ids available for reuse
+	vcache []*Formula // the single-variable formulas, indexed by id
+	inside [][]QualID // inside[q] = the qualifiers nested in q's condition
+	tab    table
 }
 
 // NewPool returns an empty pool.
@@ -27,27 +33,14 @@ func NewPool() *Pool { return &Pool{} }
 // condition expression (transitively); when the condition has not been
 // compiled yet, declare with nil and call SetNested afterwards.
 func (p *Pool) DeclareQualifier(nested []QualID) QualID {
-	id := QualID(len(p.inside))
-	set := make(map[QualID]bool, len(nested)+1)
-	set[id] = true
-	for _, n := range nested {
-		set[n] = true
-	}
-	p.inside = append(p.inside, append([]QualID(nil), nested...))
-	p.insideM = append(p.insideM, set)
-	return id
+	p.inside = append(p.inside, slices.Clone(nested))
+	return QualID(len(p.inside) - 1)
 }
 
 // SetNested records the qualifiers nested inside q's condition expression,
 // for qualifiers declared before their condition was compiled.
 func (p *Pool) SetNested(q QualID, nested []QualID) {
-	set := make(map[QualID]bool, len(nested)+1)
-	set[q] = true
-	for _, n := range nested {
-		set[n] = true
-	}
-	p.inside[q] = append([]QualID(nil), nested...)
-	p.insideM[q] = set
+	p.inside[q] = slices.Clone(nested)
 }
 
 // Qualifiers returns the number of declared qualifiers.
@@ -58,7 +51,9 @@ func (p *Pool) Qualifiers() int { return len(p.inside) }
 // therefore every id-indexed structure — bounded by the number of
 // simultaneously live instances (at most the stream depth times the number
 // of qualifiers), which is what makes evaluation of unbounded streams run
-// in bounded memory.
+// in bounded memory. A recycled id may pass to another qualifier, so the
+// owner of an id is stable only while the variable lives; that is why
+// Restrict, the one formula operation that reads it, is not memoised.
 func (p *Pool) Fresh(q QualID) VarID {
 	if n := len(p.free); n > 0 {
 		v := p.free[n-1]
@@ -72,8 +67,9 @@ func (p *Pool) Fresh(q QualID) VarID {
 	return v
 }
 
-// Var returns the single-variable formula for v, cached per id. Since ids
-// are recycled, the cache stays as small as the live-instance count.
+// Var returns the single-variable formula for v: one node per id, kept for
+// the pool's lifetime. Since ids are recycled, there are as few of them as
+// there were simultaneously live instances.
 func (p *Pool) Var(v VarID) *Formula {
 	for int(v) >= len(p.vcache) {
 		p.vcache = append(p.vcache, nil)
@@ -81,7 +77,8 @@ func (p *Pool) Var(v VarID) *Formula {
 	if f := p.vcache[v]; f != nil {
 		return f
 	}
-	f := Var(v)
+	p.tab.ids++
+	f := &Formula{op: OpVar, v: v, id: p.tab.ids, size: 1}
 	p.vcache[v] = f
 	return f
 }
@@ -90,8 +87,13 @@ func (p *Pool) Var(v VarID) *Formula {
 // variable can no longer occur in any formula — the variable-creator
 // releases an instance after emitting its scope-exit finalization, at which
 // point no transducer stack, candidate or binding can mention it anymore.
+//
+// When the last live variable goes, an oversized unique table goes with it.
 func (p *Pool) Release(v VarID) {
 	p.free = append(p.free, v)
+	if p.Live() == 0 && p.tab.nodes > tableDropSize {
+		p.tab.drop()
+	}
 }
 
 // Allocated returns the number of variables allocated so far.
@@ -103,9 +105,6 @@ func (p *Pool) Allocated() int { return int(p.next) }
 // polls it to detect runs where the invariant is being defeated.
 func (p *Pool) Live() int { return int(p.next) - len(p.free) }
 
-// QualOf returns the qualifier owning variable v.
-func (p *Pool) QualOf(v VarID) QualID { return p.quals[v] }
-
 // BelongsTo reports whether v is a variable of qualifier q itself.
 func (p *Pool) BelongsTo(v VarID, q QualID) bool { return p.quals[v] == q }
 
@@ -113,14 +112,14 @@ func (p *Pool) BelongsTo(v VarID, q QualID) bool { return p.quals[v] == q }
 // inside q's condition expression. The positive variable-filter VF(q+)
 // keeps exactly these variables.
 func (p *Pool) WithinSubtree(v VarID, q QualID) bool {
-	return p.insideM[q][p.quals[v]]
+	return p.quals[v] == q || slices.Contains(p.inside[q], p.quals[v])
 }
 
-// Reset discards all allocated variables but keeps the qualifier
-// declarations; a compiled network calls it between evaluations so variable
-// ids stay small.
+// Reset discards all allocated variables and interned formulas but keeps the
+// qualifier declarations; a network calls it when it is shed or released.
 func (p *Pool) Reset() {
 	p.next = 0
 	p.quals = p.quals[:0]
 	p.free = p.free[:0]
+	p.tab.drop()
 }

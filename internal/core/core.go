@@ -100,8 +100,6 @@ type EvalOptions struct {
 	Ctx context.Context
 	// StreamSink receives answers event by event (spexnet.ModeStream).
 	StreamSink spexnet.StreamSink
-	// RawFormulas disables condition-formula normalization (ablation).
-	RawFormulas bool
 	// Tracer observes every transducer emission (paper-style transition
 	// traces, Figs. 4/5/13); nil disables tracing at zero cost.
 	Tracer obs.Tracer
@@ -177,7 +175,6 @@ func (o EvalOptions) netOptions(p *Plan) spexnet.Options {
 		Mode:            o.Mode,
 		Sink:            o.Sink,
 		StreamSink:      o.StreamSink,
-		RawFormulas:     o.RawFormulas,
 		Tracer:          o.Tracer,
 		Metrics:         o.Metrics,
 		Symtab:          o.symtabFor(p),

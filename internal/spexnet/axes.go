@@ -83,7 +83,6 @@ type precedingT struct {
 	detOrigin
 	test labelTest
 	q    cond.QualID
-	pool *cond.Pool
 	cfg  *netConfig
 
 	pendingCtx *cond.Formula
@@ -96,8 +95,8 @@ type precedingT struct {
 	st     StackStats
 }
 
-func newPreceding(test string, q cond.QualID, pool *cond.Pool, cfg *netConfig, store *condStore) *precedingT {
-	t := &precedingT{test: cfg.compileLabelTest(test), q: q, pool: pool, cfg: cfg}
+func newPreceding(test string, q cond.QualID, cfg *netConfig, store *condStore) *precedingT {
+	t := &precedingT{test: cfg.compileLabelTest(test), q: q, cfg: cfg}
 	t.detOrigin = detOrigin{store: store, node: t.name()}
 	return t
 }
@@ -126,8 +125,8 @@ func (t *precedingT) doc(r *docReg, emit emitFn) wake {
 			t.pendingCtx = nil
 		}
 		if t.test.matches(&r.ev) {
-			v := t.pool.Fresh(t.q)
-			emit(0, t.pool.Var(v))
+			v := t.cfg.pool.Fresh(t.q)
+			emit(0, t.cfg.pool.Var(v))
 			t.open = append(t.open, varScope{r.depth, v})
 			t.st.noteStack(len(t.open) + len(t.closed))
 		}

@@ -41,7 +41,7 @@ func TestFollowingTransducerDirect(t *testing.T) {
 func TestPrecedingTransducerDirect(t *testing.T) {
 	pool := cond.NewPool()
 	q := pool.DeclareQualifier(nil)
-	pr := newPreceding("b", q, pool, testCfg, newCondStore(&netConfig{retainVars: true}, pool))
+	pr := newPreceding("b", q, cfgFor(pool), newCondStore(&netConfig{retainVars: true, pool: pool}))
 	out, _ := feedAll(pr, 0, msgs(
 		startDoc(),
 		start("r"),

@@ -18,9 +18,6 @@ type Options struct {
 	Sink Sink
 	// StreamSink receives answers event by event (ModeStream).
 	StreamSink StreamSink
-	// RawFormulas disables duplicate elimination in condition formulas —
-	// the Remark V.1 normalization ablation.
-	RawFormulas bool
 	// Tracer, if set, observes every activation a transducer emits, every
 	// determination — once where it originates and once at each sink it
 	// changes — and the document event at every transducer it visits, in the
@@ -128,7 +125,7 @@ func BuildSet(specs []Spec, opts Options) (*Network, error) {
 	}
 	n := &Network{
 		cfg: netConfig{
-			rawFormulas: opts.RawFormulas,
+			pool:        cond.NewPool(),
 			retainVars:  retain,
 			symtab:      symtab,
 			noInterning: opts.NoInterning,
@@ -136,11 +133,10 @@ func BuildSet(specs []Spec, opts Options) (*Network, error) {
 			sinkMetrics: sm,
 			traceID:     opts.TraceID,
 		},
-		pool:    cond.NewPool(),
 		metrics: opts.Metrics,
 		tracer:  opts.Tracer,
 	}
-	n.store = newCondStore(&n.cfg, n.pool)
+	n.store = newCondStore(&n.cfg)
 	if tracer := opts.Tracer; tracer != nil {
 		n.store.trace = func(node string, d det) {
 			tracer.Trace(obs.TraceEvent{Step: n.reg.step, Node: node, Kind: obs.KindDetermination, Msg: d.String(), TraceID: n.cfg.traceID})
@@ -398,16 +394,16 @@ func (b *builder) compileNew(expr rpeq.Node, in *tape) (*tape, []cond.QualID, er
 		// The qualifier id is declared before its condition compiles
 		// (the variable-creator precedes the condition sub-network on
 		// the tape); the nesting relation is recorded afterwards.
-		q := b.net.pool.DeclareQualifier(nil)
-		vc := b.addNode(newVC(q, false, b.net.pool, &b.net.cfg, b.net.store), []*tape{base}, 1)[0]
+		q := b.net.cfg.pool.DeclareQualifier(nil)
+		vc := b.addNode(newVC(q, false, &b.net.cfg, b.net.store), []*tape{base}, 1)[0]
 		sp := b.addNode(newSplit(), []*tape{vc}, 2)
 		inner, cq, err := b.compile(n.Cond, sp[1])
 		if err != nil {
 			return nil, nil, err
 		}
-		b.net.pool.SetNested(q, cq)
-		vf := b.addNode(newVF(q, b.net.pool, true), []*tape{inner}, 1)[0]
-		vd := b.addNode(newVD(q, b.net.pool, &b.net.cfg, b.net.store), []*tape{vf}, 1)[0]
+		b.net.cfg.pool.SetNested(q, cq)
+		vf := b.addNode(newVF(q, b.net.cfg.pool, true), []*tape{inner}, 1)[0]
+		vd := b.addNode(newVD(q, &b.net.cfg, b.net.store), []*tape{vf}, 1)[0]
 		out := b.addNode(newJoin(), []*tape{sp[0], vd}, 1)[0]
 		quals := append(bq, cq...)
 		return out, append(quals, q), nil
@@ -448,8 +444,8 @@ func (b *builder) compileNew(expr rpeq.Node, in *tape) (*tape, []cond.QualID, er
 		// allocates condition variables like a qualifier does; declare a
 		// qualifier id owning them so variable filters of enclosing
 		// qualifiers keep them.
-		q := b.net.pool.DeclareQualifier(nil)
-		out := b.addNode(newPreceding(n.Test, q, b.net.pool, &b.net.cfg, b.net.store), []*tape{in}, 1)[0]
+		q := b.net.cfg.pool.DeclareQualifier(nil)
+		out := b.addNode(newPreceding(n.Test, q, &b.net.cfg, b.net.store), []*tape{in}, 1)[0]
 		return out, []cond.QualID{q}, nil
 
 	default:
@@ -479,8 +475,8 @@ func (b *builder) compileNegQualifier(baseExpr rpeq.Node, cn *rpeq.CondNot, in *
 		out := b.addNode(newDropAct(), []*tape{base}, 1)[0]
 		return out, bq, nil
 	}
-	q := b.net.pool.DeclareQualifier(nil)
-	vc := b.addNode(newVC(q, true, b.net.pool, &b.net.cfg, b.net.store), []*tape{base}, 1)[0]
+	q := b.net.cfg.pool.DeclareQualifier(nil)
+	vc := b.addNode(newVC(q, true, &b.net.cfg, b.net.store), []*tape{base}, 1)[0]
 	sp := b.addNode(newSplit(), []*tape{vc}, 2)
 	inner, cq, err := b.compile(cn.Expr, sp[1])
 	if err != nil {
@@ -492,9 +488,9 @@ func (b *builder) compileNegQualifier(baseExpr rpeq.Node, cn *rpeq.CondNot, in *
 		// preceding step) would make the unconditional kill unsound.
 		return nil, nil, fmt.Errorf("spexnet: cannot negate %s: the condition declares condition variables", cn.Expr)
 	}
-	b.net.pool.SetNested(q, cq)
-	vf := b.addNode(newVF(q, b.net.pool, true), []*tape{inner}, 1)[0]
-	nvd := b.addNode(newNVD(q, b.net.pool, b.net.store), []*tape{vf}, 1)[0]
+	b.net.cfg.pool.SetNested(q, cq)
+	vf := b.addNode(newVF(q, b.net.cfg.pool, true), []*tape{inner}, 1)[0]
+	nvd := b.addNode(newNVD(q, b.net.cfg.pool, b.net.store), []*tape{vf}, 1)[0]
 	out := b.addNode(newJoin(), []*tape{sp[0], nvd}, 1)[0]
 	return out, append(bq, q), nil
 }

@@ -11,10 +11,10 @@ import (
 )
 
 // runOn evaluates expr over the given document (as XML text), in count
-// mode, returning the stats; options may tweak the build.
-func runOn(t *testing.T, expr string, doc *dataset.Doc, raw bool) Stats {
+// mode, returning the stats.
+func runOn(t *testing.T, expr string, doc *dataset.Doc) Stats {
 	t.Helper()
-	net, err := Build(rpeq.MustParse(expr), Options{Mode: ModeCount, RawFormulas: raw})
+	net, err := Build(rpeq.MustParse(expr), Options{Mode: ModeCount})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func runOn(t *testing.T, expr string, doc *dataset.Doc, raw bool) Stats {
 // stream.
 func TestDepthStackBound(t *testing.T) {
 	for _, d := range []int{5, 50, 400} {
-		stats := runOn(t, "_*.a[a].a", dataset.Recursive("a", d), false)
+		stats := runOn(t, "_*.a[a].a", dataset.Recursive("a", d))
 		if stats.MaxDepth != d {
 			t.Fatalf("depth %d: stream depth measured %d", d, stats.MaxDepth)
 		}
@@ -77,7 +77,7 @@ func TestSparseStackBound(t *testing.T) {
 // σ(φ) = 1.
 func TestFormulaSizeConstantWithoutQualifiers(t *testing.T) {
 	for _, expr := range []string{"_*.a", "a+.b+", "(a|b).c?", "_*._"} {
-		stats := runOn(t, expr, dataset.RandomTree(11, 6, 3, nil), false)
+		stats := runOn(t, expr, dataset.RandomTree(11, 6, 3, nil))
 		if stats.MaxFormula > 1 {
 			t.Errorf("%s: max formula size %d, want 1", expr, stats.MaxFormula)
 		}
@@ -90,7 +90,7 @@ func TestFormulaSizeConstantWithoutQualifiers(t *testing.T) {
 func TestFormulaSizeQualifiersNoClosure(t *testing.T) {
 	// Query with n=3 qualifiers along a child path.
 	expr := "a[a].a[a].a[a].a"
-	stats := runOn(t, expr, dataset.Recursive("a", 40), false)
+	stats := runOn(t, expr, dataset.Recursive("a", 40))
 	// σ ≤ min(n,d) = 3 variables (+1 tolerance for the conjunction with
 	// a constant during construction).
 	if stats.MaxFormula > 4 {
@@ -104,25 +104,10 @@ func TestFormulaSizeQualifiersNoClosure(t *testing.T) {
 // the depth.
 func TestFormulaSizeClosureQualifier(t *testing.T) {
 	for _, d := range []int{8, 16, 32} {
-		stats := runOn(t, "_+[q]._", dataset.Ladder(d), false)
+		stats := runOn(t, "_+[q]._", dataset.Ladder(d))
 		if stats.MaxFormula > d+1 {
 			t.Errorf("depth %d: max formula %d exceeds d+1", d, stats.MaxFormula)
 		}
-	}
-}
-
-// TestFormulaNormalizationAblation compares normalized and raw formula
-// growth (the Remark V.1 design choice): on nested closure scopes the raw
-// variant produces strictly larger formulas.
-func TestFormulaNormalizationAblation(t *testing.T) {
-	doc := dataset.Ladder(16)
-	norm := runOn(t, "_+[q]._", doc, false)
-	raw := runOn(t, "_+[q]._", doc, true)
-	if norm.Output.Matches != raw.Output.Matches {
-		t.Fatalf("ablation changed the answer: %d vs %d", norm.Output.Matches, raw.Output.Matches)
-	}
-	if raw.MaxFormula < norm.MaxFormula {
-		t.Errorf("raw formulas (%d) smaller than normalized (%d)", raw.MaxFormula, norm.MaxFormula)
 	}
 }
 
@@ -171,7 +156,7 @@ func TestNestedMatchingNeedsStack(t *testing.T) {
 func TestConstantMemoryAcrossSizes(t *testing.T) {
 	var prev Stats
 	for i, scale := range []float64{0.0005, 0.002, 0.008} {
-		stats := runOn(t, "_*.Topic.Title", dataset.DMOZStructure(scale), false)
+		stats := runOn(t, "_*.Topic.Title", dataset.DMOZStructure(scale))
 		if stats.MaxStack > stats.MaxDepth+1 {
 			t.Errorf("scale %v: stack %d exceeds depth bound", scale, stats.MaxStack)
 		}
@@ -195,7 +180,7 @@ func TestConstantMemoryAcrossSizes(t *testing.T) {
 func TestFutureConditionBuffering(t *testing.T) {
 	// name precedes province in each country? No: the generator puts
 	// name first, so _*.country[province].name is a future condition.
-	stats := runOn(t, "_*.country[province].name", dataset.Mondial(0.05), false)
+	stats := runOn(t, "_*.country[province].name", dataset.Mondial(0.05))
 	if stats.Output.MaxQueued == 0 {
 		t.Error("future condition should queue undetermined candidates")
 	}
@@ -208,7 +193,7 @@ func TestFutureConditionBuffering(t *testing.T) {
 	// (whose instance stays open until </country> and then fails) queue,
 	// so the queue stays a handful of entries instead of growing with
 	// the matches.
-	past := runOn(t, "_*.country[province].religions", dataset.Mondial(0.05), false)
+	past := runOn(t, "_*.country[province].religions", dataset.Mondial(0.05))
 	if past.Output.Matches == 0 {
 		t.Error("past-condition query found nothing")
 	}

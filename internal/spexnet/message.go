@@ -16,7 +16,11 @@
 // candidates waiting on c.
 package spexnet
 
-import "repro/internal/cond"
+import (
+	"strconv"
+
+	"repro/internal/cond"
+)
 
 // det is a condition determination. The paper's {c,true} is
 // det{v: c, witness: cond.True()}; the paper's {c,false}, sent by the
@@ -37,8 +41,9 @@ func (d det) final() bool { return d.witness == nil }
 
 // String renders the determination in the paper's notation.
 func (d det) String() string {
+	v := "{v" + strconv.FormatUint(uint64(d.v), 10)
 	if d.final() {
-		return "{" + cond.Var(d.v).String() + ",close}"
+		return v + ",close}"
 	}
-	return "{" + cond.Var(d.v).String() + "," + d.witness.String() + "}"
+	return v + "," + d.witness.String() + "}"
 }

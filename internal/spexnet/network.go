@@ -67,7 +67,6 @@ const numKinds = 3
 // query size and takes microseconds).
 type Network struct {
 	cfg    netConfig
-	pool   *cond.Pool
 	nodes  []netNode
 	tapes  []*tape
 	source *tape
@@ -301,8 +300,8 @@ func (n *Network) governStep(total int64) error {
 		}
 	}
 	if g.err == nil {
-		if max := g.limit(governor.ResLiveVars); max > 0 && n.pool.Live() > max {
-			if g.trip(governor.ResLiveVars, n.pool.Live(), "") == governor.PolicyShed {
+		if max := g.limit(governor.ResLiveVars); max > 0 && n.cfg.pool.Live() > max {
+			if g.trip(governor.ResLiveVars, n.cfg.pool.Live(), "") == governor.PolicyShed {
 				g.shedAll = true
 			}
 		}
@@ -331,9 +330,7 @@ func (n *Network) shedAllSinks() {
 		tp.msgs = nil
 	}
 	n.store.reset()
-	if n.pool != nil {
-		n.pool.Reset()
-	}
+	n.cfg.pool.Reset()
 	n.allShed = true
 }
 
@@ -475,9 +472,7 @@ func (n *Network) syncMetrics() {
 			}
 		}
 	}
-	if n.pool != nil {
-		m.LiveVars.Set(int64(n.pool.Live()))
-	}
+	m.LiveVars.Set(int64(n.cfg.pool.Live()))
 	var cur OutputStats
 	var queued, buffered int
 	for _, out := range n.outs {
@@ -545,9 +540,7 @@ func (n *Network) Release() {
 	n.source = nil
 	n.outs = nil
 	n.store.reset()
-	if n.pool != nil {
-		n.pool.Reset()
-	}
+	n.cfg.pool.Reset()
 }
 
 // Matches returns the number of answers reported so far, summed over all

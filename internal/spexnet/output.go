@@ -84,6 +84,8 @@ const (
 	candRejected
 )
 
+// candidate is the record of one potential answer. Records are recycled
+// (condStore.free): a pointer to one is good only while it is queued or open.
 type candidate struct {
 	index      int64
 	name       string
@@ -91,15 +93,16 @@ type candidate struct {
 	state      candState
 	events     []xmlstream.Event
 	startDepth int
-	closed     bool
+	// queued: the candidate is in the sink's document-order queue. A pending
+	// one that is not — the sink degraded to count-only mode — is tracked
+	// through the condition store alone and counted when its formula determines.
+	queued bool
+	// open: the candidate is on the openStack, collecting content.
+	open bool
 	// streaming marks the head candidate whose content goes straight to
 	// the StreamSink (ModeStream).
 	streaming bool
-	// unqueued marks a candidate tracked only through the condition store
-	// after the sink degraded to count-only mode: it is counted directly when
-	// its formula determines instead of travelling through the
-	// document-order queue.
-	unqueued bool
+	gen       uint32 // times the record was recycled; see waitRef
 	// born is the sink's event count when the candidate was created — the
 	// reference point of the decision-latency and candidate-lifetime
 	// histograms (both measured in stream events, §V's unit).
@@ -107,6 +110,33 @@ type candidate struct {
 	// sink is the output transducer holding the candidate: the condition
 	// store reaches it from the variables the formula mentions.
 	sink *outputT
+}
+
+// newCandidate takes a record off the network's free list, or allocates one.
+func (t *outputT) newCandidate(index int64, name string, f *cond.Formula) *candidate {
+	s := t.store
+	var c *candidate
+	if n := len(s.free); n > 0 {
+		c, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		c = &candidate{}
+	}
+	*c = candidate{index: index, name: name, formula: f, sink: t, born: t.reg.step, gen: c.gen}
+	return c
+}
+
+// recycle returns c's record to the free list once neither the queue nor the
+// openStack holds it (a rejected head leaves the queue before its end tag; an
+// answer may close before the queue reaches it); the generation voids what the
+// store's waiting lists still hold of it. The records of the wholesale drops —
+// degrade, shedSelf, determine — keep their flags and go to the collector.
+func (t *outputT) recycle(c *candidate) {
+	if c.queued || c.open {
+		return
+	}
+	c.gen++
+	c.events = nil
+	t.store.free = append(t.store.free, c)
 }
 
 // outputT is the output transducer OU of §III.8. It is the network's sink:
@@ -316,8 +346,10 @@ func (t *outputT) handleDoc(ev *xmlstream.Event, depth int, index int64) {
 		t.appendToOpen(ev)
 		// Close the candidate rooted at the node this event closes.
 		if n := len(t.openStack); n > 0 && t.openStack[n-1].startDepth == depth {
-			t.openStack[n-1].closed = true
+			c := t.openStack[n-1]
 			t.openStack = t.openStack[:n-1]
+			c.open = false
+			t.recycle(c)
 		}
 	default: // text
 		t.appendToOpen(ev)
@@ -334,73 +366,67 @@ func nodeName(ev *xmlstream.Event) string {
 
 // openCandidate creates a candidate for the node whose start event is ev.
 func (t *outputT) openCandidate(index int64, ev *xmlstream.Event, depth int, f *cond.Formula) {
-	name := nodeName(ev)
 	f = t.store.substitute(f)
 	if t.cfg.gov != nil {
 		t.cfg.checkFormula(f)
 	}
 	t.stats.Candidates++
-	if t.degraded {
-		t.openDegraded(index, name, f)
+	if f.IsFalse() {
+		// Rejected at birth: counted, never recorded.
+		t.stats.Dropped++
+		t.observeDecision(t.reg.step)
+		t.observeLifetime(t.reg.step)
 		return
 	}
-	c := &candidate{index: index, name: name, formula: f, sink: t, startDepth: depth, born: t.reg.step}
-	switch {
-	case f.IsTrue():
+	if t.degraded {
+		t.openDegraded(index, nodeName(ev), f)
+		return
+	}
+	c := t.newCandidate(index, nodeName(ev), f)
+	c.startDepth, c.queued = depth, true
+	if f.IsTrue() {
 		c.state = candAccepted
 		t.observeDecision(c.born)
-	case f.IsFalse():
-		c.state = candRejected
-		t.stats.Dropped++
-		t.observeDecision(c.born)
-		t.observeLifetime(c.born)
-	default:
+	} else {
 		t.store.register(c, f)
 	}
-	if c.state != candRejected {
-		t.queue = append(t.queue, c)
-		if len(t.queue) > t.stats.MaxQueued {
-			t.stats.MaxQueued = len(t.queue)
-		}
-		if t.mode.content() {
-			t.openStack = append(t.openStack, c)
-		}
-		t.st.noteStack(len(t.queue))
-		t.checkCandidates()
+	t.queue = append(t.queue, c)
+	if len(t.queue) > t.stats.MaxQueued {
+		t.stats.MaxQueued = len(t.queue)
 	}
+	if t.mode.content() {
+		c.open = true
+		t.openStack = append(t.openStack, c)
+	}
+	t.st.noteStack(len(t.queue))
+	t.checkCandidates()
 }
 
-// openDegraded is openCandidate in count-only mode: decided candidates are
-// counted on the spot, undecided ones tracked through the condition store only
-// (no queue, no content) and counted when their formula determines.
+// openDegraded is openCandidate in count-only mode: an accepted candidate is
+// counted on the spot, an undecided one tracked through the condition store
+// only (no queue, no content) and counted when its formula determines.
 func (t *outputT) openDegraded(index int64, name string, f *cond.Formula) {
-	switch {
-	case f.IsTrue():
+	if f.IsTrue() {
 		t.stats.Matches++
 		t.observeDecision(t.reg.step)
 		t.observeLifetime(t.reg.step)
 		if t.limitReached() {
 			t.determine()
 		}
-	case f.IsFalse():
-		t.stats.Dropped++
-		t.observeDecision(t.reg.step)
-		t.observeLifetime(t.reg.step)
-	default:
-		c := &candidate{index: index, name: name, formula: f, sink: t, unqueued: true, born: t.reg.step}
-		t.store.register(c, f)
-		t.pendingN++
-		if t.pendingN > t.stats.MaxQueued {
-			t.stats.MaxQueued = t.pendingN
-		}
-		// A count-only candidate is just a formula and a store entry — no
-		// queue slot, no content buffer — so the degraded sink tolerates a
-		// much larger pending population before the hard backstop fails the
-		// run (degradation shrank each candidate, not the count of them).
-		if g := t.cfg.gov; g.active() {
-			if max := g.limit(governor.ResCandidates); max > 0 && t.pendingN > max*degradedCandidateSlack {
-				g.tripFail(governor.ResCandidates, t.pendingN, t.sub)
-			}
+		return
+	}
+	t.store.register(t.newCandidate(index, name, f), f)
+	t.pendingN++
+	if t.pendingN > t.stats.MaxQueued {
+		t.stats.MaxQueued = t.pendingN
+	}
+	// A count-only candidate is just a formula and a store entry — no
+	// queue slot, no content buffer — so the degraded sink tolerates a
+	// much larger pending population before the hard backstop fails the
+	// run (degradation shrank each candidate, not the count of them).
+	if g := t.cfg.gov; g.active() {
+		if max := g.limit(governor.ResCandidates); max > 0 && t.pendingN > max*degradedCandidateSlack {
+			g.tripFail(governor.ResCandidates, t.pendingN, t.sub)
 		}
 	}
 }
@@ -452,7 +478,7 @@ func (t *outputT) degrade() {
 				return
 			}
 		case candPending:
-			c.unqueued = true
+			c.queued, c.open = false, false
 			t.pendingN++
 		}
 		// Rejected candidates were counted as Dropped when they rejected.
@@ -517,38 +543,38 @@ func (t *outputT) appendToOpen(ev *xmlstream.Event) {
 	}
 }
 
-// assign substitutes val for variable v in the formula of the undecided
-// candidate c — the condition store's resolve calls it for every candidate of
-// this sink waiting on v — and moves c to accepted or rejected when that
-// decides it. A count-only candidate is counted here, which may exhaust the
-// answer limit and determine the sink in the middle of a resolution; the store
-// skips the sink's remaining candidates from then on.
-func (t *outputT) assign(c *candidate, v cond.VarID, val *cond.Formula) {
-	c.formula = c.formula.Assign(v, val)
-	t.st.noteFormula(c.formula)
+// assign gives the undecided candidate c the formula f, which a resolution
+// made of its own — the condition store's resolve calls it for every candidate
+// of this sink the resolution changes — and moves c to accepted or rejected
+// when that decides it. A count-only candidate is counted here, which may
+// exhaust the answer limit and determine the sink in the middle of a
+// resolution; the store skips the sink's remaining candidates from then on.
+func (t *outputT) assign(c *candidate, f *cond.Formula) {
+	c.formula = f
+	t.st.noteFormula(f)
 	if t.cfg.gov != nil {
-		t.cfg.checkFormula(c.formula)
+		t.cfg.checkFormula(f)
 	}
 	switch {
-	case c.formula.IsTrue():
+	case f.IsTrue():
 		c.state = candAccepted
-		t.observeDecision(c.born)
-		if c.unqueued {
+		if !c.queued {
 			t.stats.Matches++
-			t.pendingN--
-			t.observeLifetime(c.born)
-			if t.limitReached() {
-				t.determine()
-			}
 		}
-	case c.formula.IsFalse():
+	case f.IsFalse():
 		c.state = candRejected
 		t.stats.Dropped++
 		t.releaseContent(c)
-		t.observeDecision(c.born)
-		if c.unqueued {
-			t.pendingN--
-			t.observeLifetime(c.born)
+	default:
+		return
+	}
+	t.observeDecision(c.born)
+	if !c.queued {
+		t.pendingN--
+		t.observeLifetime(c.born)
+		t.recycle(c)
+		if t.limitReached() {
+			t.determine()
 		}
 	}
 }
@@ -568,32 +594,22 @@ loop:
 	for done < len(t.queue) {
 		c := t.queue[done]
 		switch c.state {
-		case candRejected:
-			t.releaseContent(c)
+		case candRejected: // its content went when it was rejected
 		case candAccepted:
-			if t.mode == ModeStream {
-				if !c.streaming {
-					// Promote to streaming: replay what was buffered
-					// while the candidate waited, then forward live.
-					t.ssink.ResultStart(c.index, c.name)
-					for _, ev := range c.events {
-						t.ssink.ResultEvent(ev)
-					}
-					t.releaseContent(c)
-					c.streaming = true
+			if t.mode == ModeStream && !c.streaming {
+				// Promote to streaming: replay what was buffered while the
+				// candidate waited, then forward live.
+				t.ssink.ResultStart(c.index, c.name)
+				for _, ev := range c.events {
+					t.ssink.ResultEvent(ev)
 				}
-				if !c.closed {
-					break loop // content still arriving, streamed directly
-				}
-				t.ssink.ResultEnd(c.index)
-				t.stats.Matches++
-				t.observeEmit()
-			} else {
-				if t.mode == ModeSerialize && !c.closed {
-					break loop // content still arriving
-				}
-				t.emit(c)
+				t.releaseContent(c)
+				c.streaming = true
 			}
+			if c.open {
+				break loop // content still arriving (streamed directly, if streaming)
+			}
+			t.emit(c)
 			// The k-th answer in document order has been fully delivered
 			// (for ModeStream, its ResultEnd just went out): the answer is
 			// fixed no matter what the rest of the stream holds.
@@ -606,6 +622,8 @@ loop:
 			break loop
 		}
 		t.observeLifetime(c.born)
+		c.queued = false
+		t.recycle(c)
 		done++
 	}
 	if done > 0 {
@@ -616,9 +634,12 @@ loop:
 }
 
 func (t *outputT) emit(c *candidate) {
+	if t.mode == ModeStream {
+		t.ssink.ResultEnd(c.index)
+	}
 	t.stats.Matches++
 	t.observeEmit()
-	if t.mode == ModeCount || t.sink == nil {
+	if t.sink == nil || (t.mode != ModeNodes && t.mode != ModeSerialize) {
 		return
 	}
 	r := Result{Index: c.index, Name: c.name}

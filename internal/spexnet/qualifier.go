@@ -10,9 +10,8 @@ import "repro/internal/cond"
 // c by then, c is false.
 type vcT struct {
 	detOrigin
-	q    cond.QualID
-	pool *cond.Pool
-	cfg  *netConfig
+	q   cond.QualID
+	cfg *netConfig
 	// neg marks the variable-creator of a negated qualifier base[not(cond)]:
 	// its instances are innocent until proven guilty. Surviving to scope exit
 	// with no inner match means not(cond) holds, so the scope-exit messages
@@ -32,8 +31,8 @@ type vcT struct {
 
 // newVC builds the variable-creator of qualifier q, or of the negated
 // qualifier when neg is set (see vcT.neg).
-func newVC(q cond.QualID, neg bool, pool *cond.Pool, cfg *netConfig, store *condStore) *vcT {
-	t := &vcT{q: q, pool: pool, cfg: cfg, neg: neg}
+func newVC(q cond.QualID, neg bool, cfg *netConfig, store *condStore) *vcT {
+	t := &vcT{q: q, cfg: cfg, neg: neg}
 	t.detOrigin = detOrigin{store: store, node: t.name()}
 	return t
 }
@@ -62,8 +61,8 @@ func (t *vcT) doc(r *docReg, emit emitFn) wake {
 	switch {
 	case isStart(r.ev.Kind):
 		if t.pending != nil {
-			v := t.pool.Fresh(t.q)
-			f := t.cfg.and(t.pending, t.pool.Var(v))
+			v := t.cfg.pool.Fresh(t.q)
+			f := t.cfg.and(t.pending, t.cfg.pool.Var(v))
 			t.st.noteFormula(f)
 			emit(0, f)
 			t.pending = nil
@@ -129,12 +128,7 @@ func (t *vfT) name() string {
 func (t *vfT) stackStats() StackStats { return t.st }
 
 func (t *vfT) feed(_ int, f *cond.Formula, emit emitFn) {
-	keep := func(v cond.VarID) bool { return t.pool.WithinSubtree(v, t.q) }
-	if !t.positive {
-		inner := keep
-		keep = func(v cond.VarID) bool { return !inner(v) }
-	}
-	f = f.Restrict(keep)
+	f = t.pool.Restrict(f, t.q, t.positive)
 	t.st.noteFormula(f)
 	emit(0, f)
 }
@@ -152,14 +146,21 @@ func (t *vfT) feed(_ int, f *cond.Formula, emit emitFn) {
 type vdT struct {
 	passDoc
 	detOrigin
-	q    cond.QualID
-	pool *cond.Pool
-	cfg  *netConfig
-	st   StackStats
+	q         cond.QualID
+	cfg       *netConfig
+	st        StackStats
+	witnesses []witness // scratch of the nested-qualifier path
 }
 
-func newVD(q cond.QualID, pool *cond.Pool, cfg *netConfig, store *condStore) *vdT {
-	t := &vdT{q: q, pool: pool, cfg: cfg}
+// witness pairs a variable of q with the condition under which an activation
+// satisfies it.
+type witness struct {
+	v cond.VarID
+	w *cond.Formula
+}
+
+func newVD(q cond.QualID, cfg *netConfig, store *condStore) *vdT {
+	t := &vdT{q: q, cfg: cfg}
 	t.detOrigin = detOrigin{store: store, node: t.name()}
 	return t
 }
@@ -170,43 +171,46 @@ func (t *vdT) stackStats() StackStats { return t.st }
 
 func (t *vdT) feed(_ int, f *cond.Formula, _ emitFn) {
 	t.st.noteFormula(f)
+	pool := t.cfg.pool
 	// Fast path for the overwhelmingly common single-variable formula
 	// (an unnested qualifier): the instance is satisfied outright.
 	if f.Op() == cond.OpVar {
 		var v cond.VarID
 		f.Visit(func(w cond.VarID) { v = w })
-		if t.pool.BelongsTo(v, t.q) {
+		if pool.BelongsTo(v, t.q) {
 			t.determine(v, cond.True())
 		}
 		return
 	}
-	dnf := f.DNF()
 	// Group disjuncts by the q-variables they contain.
-	var order []cond.VarID
-	witnesses := make(map[cond.VarID]*cond.Formula)
-	for _, disjunct := range dnf {
+	ws := t.witnesses[:0]
+	var rest []cond.VarID
+	for _, disjunct := range f.DNF() {
+	vars:
 		for _, v := range disjunct {
-			if !t.pool.BelongsTo(v, t.q) {
+			if !pool.BelongsTo(v, t.q) {
 				continue
 			}
-			rest := make([]cond.VarID, 0, len(disjunct)-1)
+			rest = rest[:0]
 			for _, w := range disjunct {
 				if w != v {
 					rest = append(rest, w)
 				}
 			}
-			w := cond.FromVars(rest)
-			if prev, ok := witnesses[v]; ok {
-				witnesses[v] = t.cfg.or(prev, w)
-			} else {
-				witnesses[v] = w
-				order = append(order, v)
+			w := pool.FromVars(rest)
+			for i := range ws {
+				if ws[i].v == v {
+					ws[i].w = t.cfg.or(ws[i].w, w)
+					continue vars
+				}
 			}
+			ws = append(ws, witness{v, w})
 		}
 	}
-	for _, v := range order {
-		t.determine(v, witnesses[v])
+	for _, w := range ws {
+		t.determine(w.v, w.w)
 	}
+	t.witnesses = ws[:0]
 }
 
 // nvdT is the variable determinant of a negated qualifier base[not(cond)]:

@@ -24,8 +24,7 @@ import (
 // emission order once the step's sweep has drained (drain), so a witness or
 // kill produced anywhere in the same step still wins over the finalization.
 type condStore struct {
-	cfg  *netConfig
-	pool *cond.Pool
+	cfg *netConfig
 	// vars holds one record per variable id. Ids recycle at finalization, so
 	// the slice stays as small as the live instances — except under
 	// retainVars, where records (like ids) are kept for the whole evaluation.
@@ -45,6 +44,9 @@ type condStore struct {
 	// applied counts the determinations applied — each exactly once, so it
 	// equals the determinations originated.
 	applied int64
+	// free holds the candidate records nothing refers to any more, for every
+	// sink of the network to reuse (outputT.newCandidate, recycle).
+	free []*candidate
 	// trace, when set, observes every determination when it is applied, under
 	// the name of its originator, and every resolution at each sink it
 	// changes (as {c,value}).
@@ -61,12 +63,17 @@ type varRec struct {
 	// binding accumulates the undetermined witness contributions.
 	binding *cond.Formula
 	// waiting lists the candidates registered under the variable.
-	waiting []*candidate
+	waiting []waitRef
 }
 
-func newCondStore(cfg *netConfig, pool *cond.Pool) *condStore {
-	return &condStore{cfg: cfg, pool: pool}
+// waitRef refers to a candidate record without keeping it from being recycled:
+// the reference is void once the record's generation has moved on.
+type waitRef struct {
+	c   *candidate
+	gen uint32
 }
+
+func newCondStore(cfg *netConfig) *condStore { return &condStore{cfg: cfg} }
 
 // addSink registers an output transducer and gives it its sink index.
 func (s *condStore) addSink(t *outputT) {
@@ -80,7 +87,7 @@ func (s *condStore) addSink(t *outputT) {
 
 // reset drops every record (network shed or released).
 func (s *condStore) reset() {
-	s.vars, s.bound, s.queue = nil, nil, nil
+	s.vars, s.bound, s.queue, s.free = nil, nil, nil, nil
 	clear(s.dirty)
 }
 
@@ -184,7 +191,7 @@ func (s *condStore) retire(v cond.VarID) {
 		return
 	}
 	s.vars[v].val = nil
-	s.pool.Release(v)
+	s.cfg.pool.Release(v)
 }
 
 func (s *condStore) bind(v cond.VarID, w *cond.Formula) {
@@ -227,7 +234,7 @@ func (s *condStore) substitute(f *cond.Formula) *cond.Formula {
 		if !found {
 			break
 		}
-		f = f.Assign(hit, s.vars[hit].val)
+		f = s.cfg.pool.Assign(f, hit, s.vars[hit].val)
 	}
 	return f
 }
@@ -237,24 +244,31 @@ func (s *condStore) substitute(f *cond.Formula) *cond.Formula {
 func (s *condStore) register(c *candidate, f *cond.Formula) {
 	f.Visit(func(v cond.VarID) {
 		rec := s.rec(v)
-		rec.waiting = append(rec.waiting, c)
+		rec.waiting = append(rec.waiting, waitRef{c, c.gen})
 	})
 }
 
 // resolve binds variable v to val (a constant, or a residual formula over
 // variables of nested qualifiers) and substitutes it through the candidates
-// waiting on v — skipping those already decided and those of shed or
-// determined sinks — and through pending bindings, cascading as bindings
-// determine.
+// waiting on v — skipping records recycled since they registered, candidates
+// already decided and those of shed or determined sinks — and through pending
+// bindings, cascading as bindings determine. Candidates sharing a formula share
+// the substitution (cond.Pool.Assign).
 func (s *condStore) resolve(v cond.VarID, val *cond.Formula) {
 	s.resolutions++
+	pool := s.cfg.pool
 	cands := s.vars[v].waiting
 	s.vars[v].val, s.vars[v].waiting = val, nil
-	for i, c := range cands {
-		cands[i] = nil
+	for i, ref := range cands {
+		cands[i] = waitRef{}
+		c := ref.c
 		t := c.sink
-		if c.state != candPending || t.shed || t.determined || !c.formula.HasVar(v) {
+		if c.gen != ref.gen || c.state != candPending || t.shed || t.determined {
 			continue
+		}
+		f := pool.Assign(c.formula, v, val)
+		if f == c.formula {
+			continue // v left the formula with an earlier resolution
 		}
 		if t.seenResolution != s.resolutions {
 			t.seenResolution = s.resolutions
@@ -264,7 +278,7 @@ func (s *condStore) resolve(v cond.VarID, val *cond.Formula) {
 				s.trace(t.name(), det{v: v, witness: val})
 			}
 		}
-		t.assign(c, v, val)
+		t.assign(c, f)
 		if c.state == candPending && !val.Determined() {
 			s.register(c, val)
 		}
@@ -273,11 +287,7 @@ func (s *condStore) resolve(v cond.VarID, val *cond.Formula) {
 	// Substitute into pending bindings; collect cascaded resolutions.
 	var cascade []cond.VarID
 	for _, owner := range s.bound {
-		b := s.vars[owner].binding
-		if !b.HasVar(v) {
-			continue
-		}
-		nb := b.Assign(v, val)
+		nb := pool.Assign(s.vars[owner].binding, v, val)
 		if nb.IsTrue() {
 			cascade = append(cascade, owner)
 		}

@@ -166,8 +166,7 @@ func (s *StackStats) noteFormula(f *cond.Formula) {
 	}
 }
 
-// or combines activation formulas, honouring the network's normalization
-// setting (the Remark V.1 ablation).
+// or combines activation formulas by disjunction; either may be nil (none).
 func (n *netConfig) or(a, b *cond.Formula) *cond.Formula {
 	if a == nil {
 		return b
@@ -175,26 +174,16 @@ func (n *netConfig) or(a, b *cond.Formula) *cond.Formula {
 	if b == nil {
 		return a
 	}
-	var f *cond.Formula
-	if n.rawFormulas {
-		f = cond.RawOr(a, b)
-	} else {
-		f = cond.Or(a, b)
-	}
+	f := n.pool.Or(a, b)
 	if n.gov != nil {
 		n.checkFormula(f)
 	}
 	return f
 }
 
-// and combines formulas by conjunction under the same setting.
+// and combines formulas by conjunction.
 func (n *netConfig) and(a, b *cond.Formula) *cond.Formula {
-	var f *cond.Formula
-	if n.rawFormulas {
-		f = cond.RawAnd(a, b)
-	} else {
-		f = cond.And(a, b)
-	}
+	f := n.pool.And(a, b)
 	if n.gov != nil {
 		n.checkFormula(f)
 	}
@@ -204,7 +193,9 @@ func (n *netConfig) and(a, b *cond.Formula) *cond.Formula {
 // netConfig carries evaluation-time options shared by all transducers of a
 // network instance.
 type netConfig struct {
-	rawFormulas bool // disable duplicate elimination (ablation)
+	// pool allocates the network's condition variables and interns its
+	// formulas: every formula on a tape, a stack or a candidate is its node.
+	pool *cond.Pool
 	// retainVars disables condition-variable retirement and id reuse.
 	// The core constructs guarantee that nothing mentions a variable
 	// after its scope-exit finalization, which lets the condition store drop

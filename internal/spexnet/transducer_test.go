@@ -121,7 +121,11 @@ func render(ms []tapeItem) string {
 	return out
 }
 
-var testCfg = &netConfig{}
+// testCfg serves the transducers that need no variables of their own; tests
+// declaring qualifiers build a config around their own pool (cfgFor).
+var testCfg = cfgFor(cond.NewPool())
+
+func cfgFor(pool *cond.Pool) *netConfig { return &netConfig{pool: pool} }
 
 // TestChildTransducerDirect exercises CH(l) at the message level: Example
 // III.1's T1 in isolation.
@@ -151,7 +155,7 @@ func TestChildTransducerDirect(t *testing.T) {
 // merge by disjunction (Fig. 2's activated2 handling).
 func TestChildTransducerMergesActivations(t *testing.T) {
 	ch := newChild("a", testCfg)
-	v1, v2 := cond.Var(1), cond.Var(2)
+	v1, v2 := testCfg.pool.Var(1), testCfg.pool.Var(2)
 	out, _ := feedAll(ch, 0, msgs(
 		actMsg(v1), actMsg(v2), start("x"),
 		start("a"), end("a"),
@@ -204,7 +208,7 @@ func TestClosureTransducerChain(t *testing.T) {
 func TestVCTransducerLifecycle(t *testing.T) {
 	pool := cond.NewPool()
 	q := pool.DeclareQualifier(nil)
-	vc := newVC(q, false, pool, testCfg, newCondStore(testCfg, pool))
+	vc := newVC(q, false, cfgFor(pool), newCondStore(cfgFor(pool)))
 	out, _ := feedAll(vc, 0, msgs(
 		actMsg(cond.True()), start("a"),
 		end("a"),
@@ -241,8 +245,8 @@ func TestJoinANDGate(t *testing.T) {
 	var out []tapeItem
 	collect := func(_ int, it tapeItem) { out = append(out, it) }
 	// The runner's order: the activations of both ports, then the event.
-	f.deliver(jo, 0, actMsg(cond.Var(1)), collect)
-	f.deliver(jo, 1, actMsg(cond.Var(2)), collect)
+	f.deliver(jo, 0, actMsg(testCfg.pool.Var(1)), collect)
+	f.deliver(jo, 1, actMsg(testCfg.pool.Var(2)), collect)
 	f.deliver(jo, 0, start("a"), collect)
 	want := "[v1] [v2] <a>"
 	if render(out) != want {
@@ -261,9 +265,9 @@ func TestJoinANDGate(t *testing.T) {
 func TestUnionMergesPerDocMessage(t *testing.T) {
 	un := newUnion(testCfg)
 	out, _ := feedAll(un, 0, msgs(
-		actMsg(cond.Var(1)), actMsg(cond.Var(2)), start("a"),
+		actMsg(testCfg.pool.Var(1)), actMsg(testCfg.pool.Var(2)), start("a"),
 		end("a"),
-		actMsg(cond.Var(3)), start("b"),
+		actMsg(testCfg.pool.Var(3)), start("b"),
 	))
 	want := "[v1∨v2] <a> </a> [v3] <b>"
 	if render(out) != want {
@@ -279,7 +283,7 @@ func TestVFRestrictsFormulas(t *testing.T) {
 	q2 := pool.DeclareQualifier(nil)
 	v1 := pool.Fresh(q1)
 	v2 := pool.Fresh(q2)
-	f := cond.And(cond.Var(v1), cond.Var(v2))
+	f := pool.And(pool.Var(v1), pool.Var(v2))
 
 	plus := newVF(q1, pool, true)
 	out, _ := feedAll(plus, 0, msgs(actMsg(f)))
@@ -301,9 +305,9 @@ func TestVDEmitsWitnesses(t *testing.T) {
 	q := pool.DeclareQualifier(nil)
 	v1 := pool.Fresh(q)
 	v2 := pool.Fresh(q)
-	vd := newVD(q, pool, testCfg, newCondStore(testCfg, pool))
+	vd := newVD(q, cfgFor(pool), newCondStore(cfgFor(pool)))
 	out, _ := feedAll(vd, 0, msgs(
-		actMsg(cond.Or(cond.Var(v1), cond.Var(v2))),
+		actMsg(pool.Or(pool.Var(v1), pool.Var(v2))),
 		start("x"),
 	))
 	want := "{v0,true} {v1,true} <x>"
@@ -320,8 +324,8 @@ func TestVDNestedWitness(t *testing.T) {
 	outer := pool.DeclareQualifier([]cond.QualID{inner})
 	vi := pool.Fresh(inner)
 	vo := pool.Fresh(outer)
-	vd := newVD(outer, pool, testCfg, newCondStore(testCfg, pool))
-	out, _ := feedAll(vd, 0, msgs(actMsg(cond.And(cond.Var(vo), cond.Var(vi)))))
+	vd := newVD(outer, cfgFor(pool), newCondStore(cfgFor(pool)))
+	out, _ := feedAll(vd, 0, msgs(actMsg(pool.And(pool.Var(vo), pool.Var(vi)))))
 	if len(out) != 1 {
 		t.Fatalf("got %s", render(out))
 	}

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/rpeq"
 	"repro/internal/spexnet"
 	"repro/internal/xmlstream"
@@ -98,6 +101,48 @@ func TestCountModeZeroAlloc(t *testing.T) {
 				small, large, (large-small)/800)
 		}
 	})
+}
+
+// TestSetSteadyStateAllocs is the gate on what a set evaluation allocates once
+// conditions and candidates are involved: the benchmark's sdi_merged shape —
+// its 128 overlapping subscriptions over DMOZ-shaped records, its document
+// size — on a warmed Set, in bytes per scanner event, as the benchmark's
+// alloc_b_per_event counts them. A pass builds a network afresh (that is most
+// of what is left); formulas are found in the network's unique table and
+// candidate records come off its free list, so the rest does not grow with
+// the stream. It read 630 B/event while every ∧/∨ built a node with a string
+// key and every candidate was allocated.
+func TestSetSteadyStateAllocs(t *testing.T) {
+	texts := bench.SharedSubscriptions(128, 0.5, 1)
+	queries := make([]*Query, len(texts))
+	for i, q := range texts {
+		queries[i] = MustCompile(q)
+	}
+	doc := dataset.DMOZStructure(1900.0 / 690000).Bytes()
+	events, err := xmlstream.Collect(xmlstream.ScanBytes(doc, xmlstream.WithText(false)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var answers int64
+	set := NewSet(queries, func(int, Match) { answers++ })
+	eval := func() {
+		if err := set.Evaluate(bytes.NewReader(doc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eval()
+	if answers == 0 {
+		t.Fatal("no answers; workload broken")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	eval()
+	runtime.ReadMemStats(&after)
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(events))
+	t.Logf("%d events, %d answers per pass: %.1f B/event", len(events), answers/2, perEvent)
+	if perEvent > 64 {
+		t.Errorf("a steady pass allocates %.1f B/event, want at most 64", perEvent)
+	}
 }
 
 // interningCorpus pairs documents with the queries cross-validated on them.
