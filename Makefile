@@ -3,11 +3,11 @@ FUZZTIME ?= 15s
 BENCH_DIR ?= bench-out
 COVER_MIN ?= 78.0
 
-.PHONY: check fmt vet build test race bench cover fuzz-smoke bench-smoke ingest-race serve-smoke metrics-lint vuln
+.PHONY: check fmt vet build test race poison bench cover fuzz-smoke bench-smoke ingest-race serve-smoke metrics-lint vuln
 
 ## check: the full gate — formatting, vet, build, tests under the race
-## detector, and the metrics-name lint
-check: fmt vet build race metrics-lint
+## detector and with dead storage poisoned, and the metrics-name lint
+check: fmt vet build race poison metrics-lint
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -24,6 +24,16 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## poison: the use-after-reuse net. An event is a view of scanner storage that
+## dies with the next one, and a view kept too long fails silently — it reads
+## whatever was written there since. Under the spexpoison build tag the scanner
+## overwrites rewound arena storage and the consumed part of its window with
+## 0xDB, and Tape.Reset its own; the differential harness at every chunk size,
+## the fuzz seed corpora, the merged/parallel cross-validation and the spexd
+## e2e must read the same under it
+poison:
+	$(GO) test -tags spexpoison ./internal/xmlstream ./internal/spexnet ./internal/multi ./internal/core ./internal/server .
 
 ## cover: full-suite coverage with the recorded floor (COVER_MIN); the
 ## profile lands in coverage.out for the CI artifact
@@ -52,8 +62,12 @@ fuzz-smoke:
 ## count-mode network and Set.EvaluateBytes, the two arms of
 ## TestCountModeZeroAlloc), conditional ones must find their formulas and
 ## candidate records (TestSetSteadyStateAllocs: at most 64 B per event on the
-## sdi_merged shape), ingest too, rendering an answer must take one
-## buffer (TestSerializeAllocs), a transducer must be visited only for an
+## sdi_merged shape), serialized ones must cost their string and hold a
+## constant (TestResultsSteadyStateAllocs; TestResultsMidpointHeap, the
+## benchmark's extract_serialize heap probe as a test: at most 256 KB),
+## ingest must allocate nothing through a reader at any document size
+## (TestIngestZeroAlloc), rendering an answer must take one allocation
+## (TestSerializeAllocs), a transducer must be visited only for an
 ## activation or an event it asked for (deliveries and visits per event:
 ## TestIdleTransducersSkipped, TestWakeConditions) and a determination applied
 ## once (TestDeterminationsAppliedOnce) — and the interning ablation must run
@@ -67,7 +81,7 @@ bench-smoke:
 	$(GO) run ./cmd/spexbench -fig early-term -scale 0.02 -check -json $(BENCH_DIR)
 	$(GO) run ./cmd/spexbench -fig value-pred -scale 0.1 -check -json $(BENCH_DIR)
 	$(GO) run ./cmd/spexbench -fig ingest -scale 0.05 -check -json $(BENCH_DIR)
-	$(GO) test -run 'TestCountModeZeroAlloc$$|TestSetSteadyStateAllocs$$' -count 1 .
+	$(GO) test -run 'TestCountModeZeroAlloc$$|TestSetSteadyStateAllocs$$|TestResultsSteadyStateAllocs$$|TestResultsMidpointHeap$$' -count 1 .
 	$(GO) test -run 'TestIngestZeroAlloc$$|TestSerializeAllocs$$' -count 1 ./internal/xmlstream
 	$(GO) test -run 'TestIdleTransducersSkipped$$|TestWakeConditions$$|TestDeterminationsAppliedOnce$$' -count 1 ./internal/spexnet
 	$(GO) test -run NONE -bench 'BenchmarkAblationInterning$$' -benchtime 1x .

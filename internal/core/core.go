@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/governor"
 	"repro/internal/obs"
@@ -234,19 +235,58 @@ func publishIngest(opts EvalOptions, src xmlstream.Source) {
 	}
 }
 
-// EvaluateReader is Evaluate over raw XML bytes. Character data plays no
-// structural role in rpeq evaluation, so the scanner skips text events
-// entirely unless answers are serialized. When a metrics registry is
-// attached the reader is wrapped so its Bytes instrument counts the input
-// consumed.
+// scanners recycles the scanners of reader- and bytes-fed evaluations: a
+// scanner is a 64 KiB window, a pending ring and two arenas, all of which
+// Reset keeps, so an evaluation that finds one here allocates nothing for
+// ingest. Scanners carry no state from one document to the next beyond that
+// storage — Reset re-applies the evaluation's scan options.
+var scanners sync.Pool
+
+// AcquireScanner returns a scanner over r — or, with r nil, over the
+// in-memory document data — configured by opts, from the pool when it has
+// one. The caller hands it back with ReleaseScanner when the evaluation is
+// over; every event the scanner delivered is dead from then on.
+func AcquireScanner(r io.Reader, data []byte, opts ...xmlstream.ScannerOption) *xmlstream.Scanner {
+	sc, _ := scanners.Get().(*xmlstream.Scanner)
+	if sc == nil {
+		sc = xmlstream.ScanBytes(nil) // owns nothing yet; Reset gives it a window
+	}
+	if r != nil {
+		sc.Reset(r, opts...)
+	} else {
+		sc.ResetBytes(data, opts...)
+	}
+	return sc
+}
+
+// ReleaseScanner returns a scanner taken with AcquireScanner to the pool,
+// dropping its reference to the input first.
+func ReleaseScanner(sc *xmlstream.Scanner) {
+	sc.ResetBytes(nil)
+	scanners.Put(sc)
+}
+
+// scanOptions are the scanner settings of a reader- or bytes-fed evaluation
+// of the plan. Character data plays no structural role in rpeq evaluation, so
+// the scanner skips text events entirely unless answers carry content or a
+// text test reads them; attribute lists ride on start events only when
+// something reads them: an attribute test or step in the query, or serialized
+// answers (which must round-trip the attributes of their subtrees). The
+// evaluation's symbol table is shared with the scanner: events arrive
+// pre-resolved and every label test downstream is one integer comparison.
+func (p *Plan) scanOptions(opts EvalOptions) []xmlstream.ScannerOption {
+	content := opts.Mode == spexnet.ModeSerialize || opts.Mode == spexnet.ModeStream
+	return []xmlstream.ScannerOption{
+		xmlstream.WithText(content || rpeq.HasTextTest(p.expr)),
+		xmlstream.WithAttributes(content || rpeq.HasAttrTest(p.expr)),
+		xmlstream.WithSymtab(opts.symtabFor(p)),
+	}
+}
+
+// EvaluateReader is Evaluate over raw XML bytes, on a pooled scanner. When a
+// metrics registry is attached the reader is wrapped so its Bytes instrument
+// counts the input consumed.
 func (p *Plan) EvaluateReader(r io.Reader, opts EvalOptions) (spexnet.Stats, error) {
-	withText := opts.Mode == spexnet.ModeSerialize || opts.Mode == spexnet.ModeStream ||
-		rpeq.HasTextTest(p.expr)
-	// Attribute lists ride on start events only when something reads them:
-	// an attribute test or step in the query, or serialized answers (which
-	// must round-trip the attributes of their subtrees).
-	withAttrs := opts.Mode == spexnet.ModeSerialize || opts.Mode == spexnet.ModeStream ||
-		rpeq.HasAttrTest(p.expr)
 	if opts.Ctx != nil {
 		r = &ctxReader{ctx: opts.Ctx, r: r}
 	}
@@ -257,14 +297,9 @@ func (p *Plan) EvaluateReader(r io.Reader, opts EvalOptions) (spexnet.Stats, err
 	} else if opts.SinkMetrics != nil {
 		r = &obs.CountingReader{R: r, C: &opts.SinkMetrics.Bytes, LastReadNs: &opts.SinkMetrics.LastReadNs}
 	}
-	scanOpts := []xmlstream.ScannerOption{xmlstream.WithText(withText), xmlstream.WithAttributes(withAttrs)}
-	if st := opts.symtabFor(p); st != nil {
-		// Share the evaluation's symbol table with the scanner: events
-		// arrive pre-resolved and every label test downstream is one
-		// integer comparison.
-		scanOpts = append(scanOpts, xmlstream.WithSymtab(st))
-	}
-	stats, err := p.Evaluate(xmlstream.NewScanner(r, scanOpts...), opts)
+	sc := AcquireScanner(r, nil, p.scanOptions(opts)...)
+	defer ReleaseScanner(sc)
+	stats, err := p.Evaluate(sc, opts)
 	// A cancellation that lands after the reader's final chunk was already
 	// buffered would otherwise go unnoticed; a cancelled evaluation must
 	// never report success.
@@ -275,29 +310,24 @@ func (p *Plan) EvaluateReader(r io.Reader, opts EvalOptions) (spexnet.Stats, err
 }
 
 // EvaluateBytes is Evaluate over an in-memory document — the mmap/file fast
-// path. The scanner works zero-copy on data (names, text and attribute
-// values are arena-backed views, never per-event allocations), and with
-// opts.ParallelScan non-zero the document is chunk-scanned concurrently and
-// the stitched event stream feeds the network. data must not be mutated
-// while the evaluation runs.
+// path. The scanner works zero-copy on data: text and attribute values are
+// views into it (entity-decoded ones and attribute lists are carved from the
+// scanner's arenas), valid for the whole evaluation, never per-event
+// allocations. With opts.ParallelScan non-zero the document is chunk-scanned
+// concurrently and the stitched event stream feeds the network. data must not
+// be mutated while the evaluation runs.
 func (p *Plan) EvaluateBytes(data []byte, opts EvalOptions) (spexnet.Stats, error) {
-	withText := opts.Mode == spexnet.ModeSerialize || opts.Mode == spexnet.ModeStream ||
-		rpeq.HasTextTest(p.expr)
-	withAttrs := opts.Mode == spexnet.ModeSerialize || opts.Mode == spexnet.ModeStream ||
-		rpeq.HasAttrTest(p.expr)
-	scanOpts := []xmlstream.ScannerOption{xmlstream.WithText(withText), xmlstream.WithAttributes(withAttrs)}
-	if st := opts.symtabFor(p); st != nil {
-		scanOpts = append(scanOpts, xmlstream.WithSymtab(st))
-	}
 	var src xmlstream.Source
 	if opts.ParallelScan != 0 {
-		ps := xmlstream.NewParallelScanner(data, opts.ParallelScan, scanOpts...)
+		ps := xmlstream.NewParallelScanner(data, opts.ParallelScan, p.scanOptions(opts)...)
 		// A pass that stops before EOF (answer limit, cancellation) abandons
 		// the source; the chunk workers must be released.
 		defer ps.Stop()
 		src = ps
 	} else {
-		src = xmlstream.ScanBytes(data, scanOpts...)
+		sc := AcquireScanner(nil, data, p.scanOptions(opts)...)
+		defer ReleaseScanner(sc)
+		src = sc
 	}
 	if m := opts.Metrics; m != nil {
 		m.Bytes.Add(int64(len(data)))

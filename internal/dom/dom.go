@@ -7,6 +7,7 @@ package dom
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/xmlstream"
 )
@@ -44,7 +45,9 @@ func (n *Node) Attr(name string) (string, bool) {
 
 // Build materializes the whole stream into a tree and returns the document
 // node. Memory is linear in the stream size — the point the paper's
-// evaluation makes against this processor class.
+// evaluation makes against this processor class. The tree owns its character
+// data and attribute values: a scanner's events are views that die with the
+// next one, so each is cloned as it is stored.
 func Build(src xmlstream.Source) (*Node, error) {
 	doc := &Node{Kind: Document, Name: "$", Index: 0}
 	cur := doc
@@ -62,7 +65,7 @@ func Build(src xmlstream.Source) (*Node, error) {
 		case xmlstream.StartDocument:
 			started = true
 		case xmlstream.StartElement:
-			n := &Node{Kind: Element, Name: ev.Name, Index: next, Parent: cur, Attrs: ev.Attrs}
+			n := &Node{Kind: Element, Name: ev.Name, Index: next, Parent: cur, Attrs: ev.Clone().Attrs}
 			next++
 			cur.Children = append(cur.Children, n)
 			cur = n
@@ -76,7 +79,7 @@ func Build(src xmlstream.Source) (*Node, error) {
 				return nil, fmt.Errorf("dom: end of document with open element <%s>", cur.Name)
 			}
 		case xmlstream.Text:
-			cur.Children = append(cur.Children, &Node{Kind: TextNode, Data: ev.Data, Index: -1, Parent: cur})
+			cur.Children = append(cur.Children, &Node{Kind: TextNode, Data: strings.Clone(ev.Data), Index: -1, Parent: cur})
 		}
 	}
 	if !started {

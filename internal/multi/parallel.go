@@ -63,22 +63,26 @@ type ParallelOptions struct {
 	TraceID string
 }
 
-// eventBatch is a broadcast unit: one slice of events delivered to every
-// shard. It is reference-counted because all shards share the same backing
-// buffer; the last shard to finish returns it to the pool.
+// eventBatch is a broadcast unit: one tape of events delivered to every
+// shard. The events cross goroutines and outlive the feeder's scan step, so
+// the batch owns their payload (the tape copies it in). It is
+// reference-counted because all shards read the same tape; the last shard to
+// finish resets it and returns it to the pool.
 type eventBatch struct {
-	evs  []xmlstream.Event
+	evs  xmlstream.Tape
 	refs atomic.Int32
 }
 
 func (b *eventBatch) release(pool *sync.Pool) {
 	if b.refs.Add(-1) == 0 {
-		b.evs = b.evs[:0]
+		b.evs.Reset()
 		pool.Put(b)
 	}
 }
 
-// hit is one answer tagged with its subscription's global index.
+// hit is one answer tagged with its subscription's global index. The set
+// engine reports nodes only — an index and an interned label, no events — so
+// the Result may wait for the sink goroutine as it is.
 type hit struct {
 	sub int
 	r   spexnet.Result
@@ -166,9 +170,7 @@ func NewParallelSet(subs []Subscription, opts ParallelOptions) (*ParallelSet, er
 		opts.QueueDepth = DefaultQueueDepth
 	}
 	p := &ParallelSet{subs: subs, opts: opts, symtab: xmlstream.NewSymtab()}
-	p.batchPool.New = func() any {
-		return &eventBatch{evs: make([]xmlstream.Event, 0, opts.BatchSize)}
-	}
+	p.batchPool.New = func() any { return new(eventBatch) }
 	p.hitPool.New = func() any { return &hitBatch{} }
 	p.cur = p.batchPool.Get().(*eventBatch)
 	p.hitCh = make(chan *hitBatch, 2*opts.Shards)
@@ -300,8 +302,9 @@ func (w *shardWorker) evalBatch(b *eventBatch) {
 	if w.sm != nil {
 		start = time.Now()
 	}
-	for i := range b.evs {
-		if err := w.set.Feed(b.evs[i]); err != nil {
+	evs := b.evs.Events()
+	for i := range evs {
+		if err := w.set.Feed(evs[i]); err != nil {
 			w.p.setErr(fmt.Errorf("multi: shard %d: %w", w.id, err))
 			break
 		}
@@ -313,7 +316,7 @@ func (w *shardWorker) evalBatch(b *eventBatch) {
 	}
 	if w.sm != nil {
 		w.sm.Batches.Inc()
-		w.sm.Events.Add(int64(len(b.evs)))
+		w.sm.Events.Add(int64(len(evs)))
 		w.sm.BusyNs.Add(time.Since(start).Nanoseconds())
 	}
 }
@@ -415,8 +418,8 @@ func (p *ParallelSet) Feed(ev xmlstream.Event) error {
 	if ev.Sym == 0 && (ev.Kind == xmlstream.StartElement || ev.Kind == xmlstream.EndElement) {
 		ev.Sym = p.symtab.Intern(ev.Name)
 	}
-	p.cur.evs = append(p.cur.evs, ev)
-	if len(p.cur.evs) >= p.opts.BatchSize {
+	p.cur.evs.Append(&ev)
+	if p.cur.evs.Len() >= p.opts.BatchSize {
 		p.dispatch()
 	}
 	return nil
@@ -427,7 +430,7 @@ func (p *ParallelSet) Feed(ev xmlstream.Event) error {
 // feeder instead of queueing unboundedly.
 func (p *ParallelSet) dispatch() {
 	b := p.cur
-	if len(b.evs) == 0 {
+	if b.evs.Len() == 0 {
 		return
 	}
 	p.cur = p.batchPool.Get().(*eventBatch)

@@ -58,7 +58,7 @@ func TestAttrSelectionSerialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []Result
-	net, err := Build(node, Options{Mode: ModeSerialize, Sink: func(r Result) { got = append(got, r) }})
+	net, err := Build(node, Options{Mode: ModeSerialize, Sink: func(r Result) { got = append(got, kept(r)) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestSerializeKeepsAttributes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []Result
-	net, err := Build(node, Options{Mode: ModeSerialize, Sink: func(r Result) { got = append(got, r) }})
+	net, err := Build(node, Options{Mode: ModeSerialize, Sink: func(r Result) { got = append(got, kept(r)) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestNegationDecidesEarly(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []Result
-	net, err := Build(node, Options{Mode: ModeNodes, Limit: 1, Sink: func(r Result) { got = append(got, r) }})
+	net, err := Build(node, Options{Mode: ModeNodes, Limit: 1, Sink: func(r Result) { got = append(got, kept(r)) }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,3 +16,12 @@ func (n *Network) FreeCandidates() int { return len(n.store.free) }
 
 // LiveVars exposes the number of live condition variables.
 func (n *Network) LiveVars() int { return n.cfg.pool.Live() }
+
+// FreeContentBytes exposes the content-buffer storage the records on the
+// candidate free list keep, and the cap a single record may keep.
+func (n *Network) FreeContentBytes() (total, perRecord int) {
+	for _, c := range n.store.free {
+		total += c.content.Size()
+	}
+	return total, maxKeptContent
+}

@@ -79,7 +79,7 @@ func answersIn(t *testing.T, mode spexnet.ResultMode, expr rpeq.Node, doc string
 				}
 				open, events = index, events[:0]
 			},
-			func(ev xmlstream.Event) { events = append(events, ev) },
+			func(ev xmlstream.Event) { events = append(events, ev.Clone()) }, // valid during the call only
 			func(index int64) {
 				if index != open {
 					t.Errorf("answer %d ended, %d is open", index, open)

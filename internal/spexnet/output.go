@@ -47,11 +47,14 @@ type Result struct {
 	Index int64
 	// Name is the element label ("$" for the document root).
 	Name string
-	// Events holds the answer's subtree (ModeSerialize only).
+	// Events holds the answer's subtree (ModeSerialize only). It is the
+	// candidate record's own buffer, valid during the Sink call only: the
+	// record, buffer included, is reused for a later candidate.
 	Events []xmlstream.Event
 }
 
-// Sink receives query answers in document order.
+// Sink receives query answers in document order. What a Result points to is
+// good for the duration of the call.
 type Sink func(Result)
 
 // OutputStats reports the resources the output transducer used: the
@@ -87,11 +90,14 @@ const (
 // candidate is the record of one potential answer. Records are recycled
 // (condStore.free): a pointer to one is good only while it is queued or open.
 type candidate struct {
-	index      int64
-	name       string
-	formula    *cond.Formula
-	state      candState
-	events     []xmlstream.Event
+	index   int64
+	name    string
+	formula *cond.Formula
+	state   candState
+	// content buffers the candidate's subtree (content modes) in storage the
+	// record owns and keeps from one candidate to the next: the events the
+	// sink is shown are the scanner's, dead by the next step.
+	content    xmlstream.Tape
 	startDepth int
 	// queued: the candidate is in the sink's document-order queue. A pending
 	// one that is not — the sink degraded to count-only mode — is tracked
@@ -121,9 +127,14 @@ func (t *outputT) newCandidate(index int64, name string, f *cond.Formula) *candi
 	} else {
 		c = &candidate{}
 	}
-	*c = candidate{index: index, name: name, formula: f, sink: t, born: t.reg.step, gen: c.gen}
+	*c = candidate{index: index, name: name, formula: f, sink: t, born: t.reg.step, gen: c.gen, content: c.content}
 	return c
 }
+
+// maxKeptContent is the storage a record's content buffer may keep while the
+// record waits on the free list. One large answer must not pin its size for
+// the rest of the stream; typical answers are far smaller and reuse theirs.
+const maxKeptContent = 16 << 10
 
 // recycle returns c's record to the free list once neither the queue nor the
 // openStack holds it (a rejected head leaves the queue before its end tag; an
@@ -135,7 +146,11 @@ func (t *outputT) recycle(c *candidate) {
 		return
 	}
 	c.gen++
-	c.events = nil
+	if c.content.Size() > maxKeptContent {
+		c.content = xmlstream.Tape{}
+	} else {
+		c.content.Reset()
+	}
 	t.store.free = append(t.store.free, c)
 }
 
@@ -482,7 +497,7 @@ func (t *outputT) degrade() {
 			t.pendingN++
 		}
 		// Rejected candidates were counted as Dropped when they rejected.
-		c.events = nil
+		c.content = xmlstream.Tape{}
 	}
 	t.queue = nil
 	t.openStack = nil
@@ -511,8 +526,8 @@ func (t *outputT) shedSelf() {
 }
 
 // appendToOpen adds a content event to every open, non-rejected candidate
-// (ModeSerialize and ModeStream). The streaming head candidate forwards the
-// event instead of buffering it.
+// (ModeSerialize and ModeStream), each copying it into its own buffer. The
+// streaming head candidate forwards the event instead of buffering it.
 func (t *outputT) appendToOpen(ev *xmlstream.Event) {
 	if len(t.openStack) == 0 {
 		return
@@ -525,7 +540,7 @@ func (t *outputT) appendToOpen(ev *xmlstream.Event) {
 			t.ssink.ResultEvent(*ev)
 			continue
 		}
-		c.events = append(c.events, *ev)
+		c.content.Append(ev)
 		t.buffered++
 	}
 	if t.buffered > t.stats.MaxBufferedEvs {
@@ -579,10 +594,11 @@ func (t *outputT) assign(c *candidate, f *cond.Formula) {
 	}
 }
 
-// releaseContent frees a rejected candidate's buffer.
+// releaseContent empties a candidate's buffer — rejected, or replayed to the
+// stream sink — at once; its storage stays with the record.
 func (t *outputT) releaseContent(c *candidate) {
-	t.buffered -= len(c.events)
-	c.events = nil
+	t.buffered -= c.content.Len()
+	c.content.Reset()
 }
 
 // flushQueue emits decided candidates from the front of the document-order
@@ -600,7 +616,7 @@ loop:
 				// Promote to streaming: replay what was buffered while the
 				// candidate waited, then forward live.
 				t.ssink.ResultStart(c.index, c.name)
-				for _, ev := range c.events {
+				for _, ev := range c.content.Events() {
 					t.ssink.ResultEvent(ev)
 				}
 				t.releaseContent(c)
@@ -644,8 +660,8 @@ func (t *outputT) emit(c *candidate) {
 	}
 	r := Result{Index: c.index, Name: c.name}
 	if t.mode == ModeSerialize {
-		r.Events = c.events
-		t.buffered -= len(c.events)
+		r.Events = c.content.Events()
+		t.buffered -= c.content.Len()
 	}
 	t.sink(r)
 }

@@ -8,12 +8,23 @@ import (
 	"repro/internal/xmlstream"
 )
 
+// kept detaches an answer from the candidate record that delivered it, so a
+// test may read it after the sink has returned.
+func kept(r Result) Result {
+	evs := make([]xmlstream.Event, len(r.Events))
+	for i, ev := range r.Events {
+		evs[i] = ev.Clone()
+	}
+	r.Events = evs
+	return r
+}
+
 // runSerializeStats evaluates in ModeSerialize and returns (results, stats).
 func runSerializeStats(t *testing.T, expr, doc string) ([]Result, Stats) {
 	t.Helper()
 	var results []Result
 	net, err := Build(rpeq.MustParse(expr), Options{Mode: ModeSerialize, Sink: func(r Result) {
-		results = append(results, r)
+		results = append(results, kept(r))
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package spexnet_test
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -187,4 +188,48 @@ func TestFormulaTableBounded(t *testing.T) {
 	stats := net.Stats()
 	_, built, found := net.FormulaTable()
 	t.Logf("%d events, %d candidates: %d nodes built, %d found, %d records", stats.Events, stats.Output.Candidates, built, found, net.FreeCandidates())
+}
+
+// TestCandidateContentReused: the content an answer waits with is copied into
+// the candidate record's own buffer, and the buffer goes back to the free list
+// with the record. A pass over ten times the records therefore allocates no
+// more for content than a short one — appendToOpen used to make a fresh event
+// slice per candidate and recycle threw it away — while one oversized answer
+// is not kept: the free list never pins more than its cap per record.
+func TestCandidateContentReused(t *testing.T) {
+	const record = `<a><x><d k="v1">one</d><c/></x><x><d>two &amp; three</d></x><b/></a>`
+	allocated := func(n int) uint64 {
+		doc := repeatDoc(record, n)
+		net, err := spexnet.Build(parseQuery(t, `_*.a[b].x[c].d`), spexnet.Options{Mode: spexnet.ModeSerialize, Sink: func(spexnet.Result) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := xmlstream.NewScanner(strings.NewReader(doc))
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		stats, err := net.Run(sc)
+		runtime.ReadMemStats(&m1)
+		if err != nil || stats.Output.Matches != int64(n) {
+			t.Fatalf("%d records: %d answers, %v", n, stats.Output.Matches, err)
+		}
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	short, long := allocated(200), allocated(2000)
+	if long > short+16<<10 {
+		t.Errorf("2000 records allocate %d bytes, 200 allocate %d: content buffers are not reused", long, short)
+	}
+
+	big := `<a><x><d>` + strings.Repeat("<p>paragraph</p>", 4000) + `</d><c/></x><b/></a>`
+	net, err := spexnet.Build(parseQuery(t, `_*.a[b].x[c].d`), spexnet.Options{Mode: spexnet.ModeSerialize, Sink: func(spexnet.Result) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := net.Run(xmlstream.NewScanner(strings.NewReader(repeatDoc(strings.Repeat(record, 5)+big+strings.Repeat(record, 5), 1))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total, per := net.FreeContentBytes(); stats.Output.MaxBufferedEvs < 12000 || total > per*net.FreeCandidates() {
+		t.Errorf("%d events buffered at most; the %d free records keep %d bytes of content, want at most %d each",
+			stats.Output.MaxBufferedEvs, net.FreeCandidates(), total, per)
+	}
 }

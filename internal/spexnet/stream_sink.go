@@ -14,7 +14,8 @@ type StreamSink interface {
 	// document-order index and label.
 	ResultStart(index int64, name string)
 	// ResultEvent delivers one content event of the current answer,
-	// beginning with its own start event.
+	// beginning with its own start event. The event is the scanner's, or a
+	// replayed candidate buffer's: valid during the call only.
 	ResultEvent(ev xmlstream.Event)
 	// ResultEnd closes the current answer.
 	ResultEnd(index int64)

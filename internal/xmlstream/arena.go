@@ -2,57 +2,110 @@ package xmlstream
 
 import "unsafe"
 
-// Arena allocation for the ingest hot path. The zero-copy scanner hands out
-// Event.Data strings and Event.Attrs slices that outlive the scan step
-// (candidates buffer them), so they cannot alias the read buffer. Instead of
-// one heap allocation per message the scanner carves them out of per-stream
-// arenas: append-only blocks filled front to back, amortizing the allocation
-// cost to one block per ~64 KiB of event payload.
+// Arena allocation for the ingest hot path. Most event payload is served as
+// a view of the read window; what cannot be — entity-decoded text and
+// values, CDATA content, a text run larger than the window, and every
+// Event.Attrs list — is carved from the scanner's two arenas instead of the
+// heap.
 //
-// Ownership rules (see DESIGN.md §15):
+// An arena is one chain of fixed-size blocks with a cursor: blocks before the
+// cursor are full, the block at it is being filled. How long a carving lives
+// is the scanner's event-lifetime rule (DESIGN.md §15):
 //
-//   - While a stream is being scanned, a filled block is never rewritten:
-//     strings carved from it stay valid for as long as anything references
-//     them, exactly like an ordinary heap string. The scanner retires filled
-//     blocks; the garbage collector reclaims a block once the last event
-//     referencing it dies, so scanner memory stays bounded even on unbounded
-//     streams.
-//   - Reset recycles a bounded number of retired blocks for the next stream.
-//     Calling Reset asserts that every event of the previous stream is dead;
-//     this is what makes steady-state re-scanning allocation-free.
+//   - reading from an io.Reader, the scanner rewinds both arenas every time
+//     its pending ring drains, so a carving is good until the next call of
+//     Next and the arenas never hold more than one ring of payload;
+//   - over caller-owned bytes the arenas are rewound only by Reset. The chain
+//     then grows with the document up to arenaChainBlocks blocks, which the
+//     next document reuses; past that the last block is replaced rather than
+//     chained, and a replaced block lives exactly as long as the events that
+//     were carved from it — never rewritten, reclaimed by the collector.
+//
+// Blocks are allocated on first use: a scan that carves nothing (text and
+// attributes off) owns no arena memory at all. They are small because the
+// reader path never needs more than one ring of carvings and holds a block of
+// each arena for as long as it runs; over caller-owned bytes a block is one
+// allocation per 4 KB of decoded payload or 128 attributes at worst.
 const (
-	arenaBlockBytes = 64 << 10 // payload bytes per byte-arena block
-	arenaBlockAttrs = 512      // Attr entries per attr-arena block
-	arenaMaxRecycle = 16       // retired blocks kept for reuse across Reset
+	arenaBlockBytes  = 4 << 10 // payload bytes per text-arena block
+	arenaBlockAttrs  = 128     // Attr entries per attr-arena block (5 KB)
+	arenaChainBlocks = 16      // blocks an arena keeps for reuse
 )
 
-// byteArena carves strings for text runs and attribute values.
-type byteArena struct {
-	cur     []byte   // current block: len = used, cap = block size
-	spare   [][]byte // recycled blocks ready for the next take
-	retired [][]byte // blocks filled during the current stream (bounded)
+type arena[T any] struct {
+	blocks [][]T // the chain; len(block) is what is carved from it
+	cur    int   // the block being filled
+	size   int   // entries per block
+	wipe   T     // what a rewound entry is overwritten with under spexpoison
 
-	blocks int64 // lifetime block allocations
-	bytes  int64 // lifetime payload bytes carved
+	allocs int64 // blocks allocated for the current stream
+	carved int64 // entries carved for the current stream
 }
 
-// take returns n fresh bytes from the arena. The returned slice has full
-// capacity n, so it cannot bleed into later carvings via append.
-func (a *byteArena) take(n int) []byte {
-	if cap(a.cur)-len(a.cur) < n {
-		a.grow(n)
+// take returns n fresh entries. The slice has capacity n, so an append to it
+// cannot run into later carvings.
+func (a *arena[T]) take(n int) []T {
+	a.carved += int64(n)
+	if n > a.size {
+		// An oversized token gets a block of its own, outside the chain:
+		// keeping it would pin the high-water mark.
+		a.allocs++
+		return make([]T, n)
 	}
-	off := len(a.cur)
-	a.cur = a.cur[:off+n]
-	a.bytes += int64(n)
-	return a.cur[off : off+n : off+n]
+	if len(a.blocks) == 0 || cap(a.blocks[a.cur])-len(a.blocks[a.cur]) < n {
+		a.advance()
+	}
+	b := a.blocks[a.cur]
+	off := len(b)
+	a.blocks[a.cur] = b[:off+n]
+	return b[off : off+n : off+n]
 }
 
-// str copies b into the arena and returns it as a string. The string aliases
-// arena storage; the block stays alive for as long as the string does, and is
-// only rewritten after a Reset (when the caller has asserted all previous
-// events are dead) — the same write-once discipline strings.Builder relies on.
-func (a *byteArena) str(b []byte) string {
+// advance moves the cursor to an empty block: the next one of the chain, a new
+// one appended to it, or — the chain being full — a new one in place of the
+// last.
+func (a *arena[T]) advance() {
+	if a.cur+1 < len(a.blocks) {
+		a.cur++ // rewind emptied it
+		return
+	}
+	a.allocs++
+	fresh := make([]T, 0, a.size)
+	if len(a.blocks) < arenaChainBlocks {
+		a.blocks = append(a.blocks, fresh)
+		a.cur = len(a.blocks) - 1
+		return
+	}
+	a.blocks[a.cur] = fresh
+}
+
+// rewind empties the chain for reuse. The caller asserts that everything
+// carved so far is dead. Entries are cleared so that a reused block does not
+// pin what the old attribute values pointed into.
+func (a *arena[T]) rewind() {
+	for i := 0; i <= a.cur && i < len(a.blocks); i++ {
+		b := a.blocks[i]
+		if poison {
+			for j := range b {
+				b[j] = a.wipe
+			}
+		} else {
+			clear(b)
+		}
+		a.blocks[i] = b[:0]
+	}
+	a.cur = 0
+}
+
+// reset is rewind at a stream boundary: the accounting starts over too.
+func (a *arena[T]) reset() {
+	a.rewind()
+	a.allocs, a.carved = 0, 0
+}
+
+// carve copies b into the text arena and returns it as a string aliasing the
+// arena's storage.
+func carve(a *arena[byte], b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
@@ -61,116 +114,15 @@ func (a *byteArena) str(b []byte) string {
 	return unsafe.String(&dst[0], len(dst))
 }
 
-// grow retires the current block and installs one with room for n bytes.
-func (a *byteArena) grow(n int) {
-	if cap(a.cur) > 0 && len(a.retired) < arenaMaxRecycle {
-		// Keep a bounded tail of filled blocks for recycling at Reset; blocks
-		// beyond the cap are released to the events that reference them.
-		a.retired = append(a.retired, a.cur)
-	}
-	if n <= arenaBlockBytes {
-		if k := len(a.spare); k > 0 {
-			a.cur = a.spare[k-1][:0]
-			a.spare[k-1] = nil
-			a.spare = a.spare[:k-1]
-			return
-		}
-	}
-	size := arenaBlockBytes
-	if n > size {
-		size = n // oversized token: a dedicated block, not recycled
-	}
-	a.cur = make([]byte, 0, size)
-	a.blocks++
-}
-
-// reset recycles the stream's blocks for reuse. Only standard-size blocks are
-// kept (oversized one-token blocks would pin high-water memory forever).
-func (a *byteArena) reset() {
-	for i, b := range a.retired {
-		if len(a.spare) < arenaMaxRecycle && cap(b) == arenaBlockBytes {
-			a.spare = append(a.spare, b[:0])
-		}
-		a.retired[i] = nil
-	}
-	a.retired = a.retired[:0]
-	if cap(a.cur) == arenaBlockBytes {
-		a.spare = append(a.spare, a.cur[:0])
-	}
-	a.cur = nil
-}
-
-// attrArena carves Event.Attrs slices.
-type attrArena struct {
-	cur     []Attr
-	spare   [][]Attr
-	retired [][]Attr
-
-	blocks int64
-	attrs  int64
-}
-
-// take returns a fresh n-entry attribute slice (full capacity n).
-func (a *attrArena) take(n int) []Attr {
-	if cap(a.cur)-len(a.cur) < n {
-		a.grow(n)
-	}
-	off := len(a.cur)
-	a.cur = a.cur[:off+n]
-	a.attrs += int64(n)
-	return a.cur[off : off+n : off+n]
-}
-
-func (a *attrArena) grow(n int) {
-	if cap(a.cur) > 0 && len(a.retired) < arenaMaxRecycle {
-		a.retired = append(a.retired, a.cur)
-	}
-	if n <= arenaBlockAttrs {
-		if k := len(a.spare); k > 0 {
-			a.cur = a.spare[k-1][:0]
-			a.spare[k-1] = nil
-			a.spare = a.spare[:k-1]
-			return
-		}
-	}
-	size := arenaBlockAttrs
-	if n > size {
-		size = n
-	}
-	a.cur = make([]Attr, 0, size)
-	a.blocks++
-}
-
-func (a *attrArena) reset() {
-	for i, b := range a.retired {
-		if len(a.spare) < arenaMaxRecycle && cap(b) == arenaBlockAttrs {
-			// Attr entries hold strings; clear them so recycled blocks do not
-			// pin the previous stream's values until they are overwritten.
-			bb := b[:cap(b)]
-			for j := range bb {
-				bb[j] = Attr{}
-			}
-			a.spare = append(a.spare, b[:0])
-		}
-		a.retired[i] = nil
-	}
-	a.retired = a.retired[:0]
-	if cap(a.cur) == arenaBlockAttrs {
-		bb := a.cur[:cap(a.cur)]
-		for j := range bb {
-			bb[j] = Attr{}
-		}
-		a.spare = append(a.spare, a.cur[:0])
-	}
-	a.cur = nil
-}
-
-// IngestStats reports the ingest path's buffer economy for observability:
-// arena block/byte totals and the scanner's read-buffer size. Chunks is the
-// number of concurrently scanned chunks (1 for a serial scanner).
+// IngestStats reports the ingest path's buffer economy for observability, per
+// scanned stream. Chunks is the number of concurrently scanned chunks (1 for
+// a serial scanner).
 type IngestStats struct {
-	ArenaBytes  int64 // payload bytes carved from arenas (text + attr values)
-	ArenaBlocks int64 // arena blocks allocated over the scanner's lifetime
+	// ArenaBytes counts the payload bytes copied out of the read window:
+	// entity-decoded text and attribute values, CDATA content, and text runs
+	// the window could not hold in one piece. Everything else is a view.
+	ArenaBytes  int64
+	ArenaBlocks int64 // arena blocks allocated during the stream
 	ArenaAttrs  int64 // attribute entries carved from the attr arena
 	BufferBytes int64 // read-buffer bytes owned by the scanner
 	Chunks      int64 // concurrently scanned chunks (parallel mode)
@@ -179,9 +131,9 @@ type IngestStats struct {
 // IngestStats returns the scanner's buffer/arena accounting.
 func (s *Scanner) IngestStats() IngestStats {
 	st := IngestStats{
-		ArenaBytes:  s.text.bytes,
-		ArenaBlocks: s.text.blocks + s.attrs.blocks,
-		ArenaAttrs:  s.attrs.attrs,
+		ArenaBytes:  s.text.carved,
+		ArenaBlocks: s.text.allocs + s.attrs.allocs,
+		ArenaAttrs:  s.attrs.carved,
 		Chunks:      1,
 	}
 	if s.ownBuf != nil {

@@ -98,7 +98,8 @@ func (s *SliceSource) Next() (Event, error) {
 // pipeline without re-tokenizing the input).
 func (s *SliceSource) Reset() { s.pos = 0 }
 
-// Collect drains src into a slice. It is intended for tests and small
+// Collect drains src into a slice of events that own their payload (a
+// scanner's events are only views). It is intended for tests and small
 // documents; it defeats streaming by construction.
 func Collect(src Source) ([]Event, error) {
 	var out []Event
@@ -110,6 +111,6 @@ func Collect(src Source) ([]Event, error) {
 		if err != nil {
 			return out, err
 		}
-		out = append(out, ev)
+		out = append(out, ev.Clone())
 	}
 }

@@ -233,7 +233,7 @@ func runScan(src scanSource) scanOutcome {
 			r.errOff = src.ErrorOffset()
 			break
 		}
-		r.events = append(r.events, ev)
+		r.events = append(r.events, ev.Clone()) // a reader-path event dies at the next Next
 		r.offs = append(r.offs, src.InputOffset())
 	}
 	r.total = src.Events()

@@ -62,6 +62,8 @@ type Attr struct {
 // Event is one document message. Name is the element label for StartElement
 // and EndElement; Data is the character data for Text events; Attrs carries
 // the element's attributes, in document order, on StartElement events only.
+// Data, Attrs and the attribute values of a scanned event may be views of
+// scanner storage with the lifetime Scanner documents; Clone detaches them.
 //
 // Sym is the label's interned symbol when the producer resolved the event
 // against a Symtab (the scanner does when built WithSymtab); the zero Sym
@@ -74,6 +76,23 @@ type Event struct {
 	Name  string
 	Data  string
 	Attrs []Attr
+}
+
+// Clone returns a copy of the event that owns its character data, attribute
+// list and attribute values: what a consumer keeps when it holds one event
+// past the lifetime its producer promises (a Tape holds many). Names are
+// shared; producers intern them.
+func (e Event) Clone() Event {
+	e.Data = strings.Clone(e.Data)
+	if len(e.Attrs) > 0 {
+		attrs := make([]Attr, len(e.Attrs))
+		for i, a := range e.Attrs {
+			a.Value = strings.Clone(a.Value)
+			attrs[i] = a
+		}
+		e.Attrs = attrs
+	}
+	return e
 }
 
 // Attr returns the value of the named attribute and whether it is present.

@@ -10,13 +10,14 @@ import (
 // The vectorized zero-copy scan engine. Instead of dispatching per byte it
 // locates construct boundaries with bytes.IndexByte / bytes.Index (memchr
 // under the hood) over the buffered window and parses whole constructs in
-// place. Event payloads that must outlive the window (text runs, attribute
-// values, attribute lists) are carved from the scanner's arenas; element and
-// attribute names go through the symtab/name interner exactly as in the seed
-// engine. When a construct is cut off by the window edge the engine refills
-// and retries, and if the window cannot grow (token larger than the buffer,
-// or end of input) it falls back to the incremental seed engine for that one
-// construct, which enforces token limits byte by byte.
+// place. Text runs and attribute values are views of the window; what cannot
+// be a view (entity-decoded payload, CDATA content, attribute lists) is carved
+// from the scanner's arenas; element and attribute names go through the
+// symtab/name interner exactly as in the seed engine. When a construct is cut
+// off by the window edge the engine refills and retries, and if the window
+// cannot grow (token larger than the buffer, or end of input) it falls back
+// to the incremental seed engine for that one construct — for a text run, to
+// accumulating it — which enforces token limits byte by byte.
 //
 // The engine is behaviorally identical to the seed engine: same events, same
 // error classes, same error offsets. The differential harness replays every
@@ -96,30 +97,44 @@ func (s *Scanner) fastScan() (Event, bool, error) {
 	}
 }
 
+// more slides the window and reads more input, reporting whether the
+// unconsumed part grew: a construct the window edge cut can then be retried
+// in place.
+func (s *Scanner) more() bool {
+	avail := s.end - s.pos
+	return s.fill() && s.end-s.pos > avail
+}
+
 // fastText scans one character-data run up to the next '<' (left unconsumed)
-// and emits it. A run that fits the window is taken from it in one slice; a
-// run straddling refills accumulates in the scratch buffer first.
+// and emits it. A run the window can hold is a view of it, after a refill if
+// the edge cut it; only a run larger than the window, or ended by the input
+// itself, accumulates in the scratch buffer and is carved from the arena.
 func (s *Scanner) fastText() (Event, bool, error) {
 	max := s.limits.MaxTokenBytes
-	chunk := s.buf[s.pos:s.end]
-	if i := bytes.IndexByte(chunk, '<'); i >= 0 {
-		run := chunk[:i]
-		s.pos += i
-		if max > 0 && len(run) > max {
-			return Event{}, false, s.tokenTooLarge("text")
-		}
-		return Event{Kind: Text, Data: s.windowString(run)}, true, nil
-	}
-	s.textBuf = append(s.textBuf[:0], chunk...)
-	s.pos = s.end
+	seen := 0 // bytes of the run already searched
 	for {
-		if max > 0 && len(s.textBuf) > max {
+		chunk := s.buf[s.pos:s.end]
+		if i := bytes.IndexByte(chunk[seen:], '<'); i >= 0 {
+			i += seen
+			s.pos += i
+			if max > 0 && i > max {
+				return Event{}, false, s.tokenTooLarge("text")
+			}
+			return Event{Kind: Text, Data: s.windowString(chunk[:i])}, true, nil
+		}
+		if max > 0 && len(chunk) > max {
 			return Event{}, false, s.tokenTooLarge("text")
 		}
-		if !s.fill() {
-			break // end of input or read error: deliver the run, like readText
+		seen = len(chunk)
+		if !s.more() {
+			break
 		}
-		chunk = s.buf[s.pos:s.end]
+	}
+	s.textBuf = append(s.textBuf[:0], s.buf[s.pos:s.end]...)
+	s.pos = s.end
+	for s.fill() {
+		// Only a window filled to the brim gets here with input left.
+		chunk := s.buf[s.pos:s.end]
 		if i := bytes.IndexByte(chunk, '<'); i >= 0 {
 			s.textBuf = append(s.textBuf, chunk[:i]...)
 			s.pos += i
@@ -127,62 +142,40 @@ func (s *Scanner) fastText() (Event, bool, error) {
 		}
 		s.textBuf = append(s.textBuf, chunk...)
 		s.pos = s.end
+		if max > 0 && len(s.textBuf) > max {
+			return Event{}, false, s.tokenTooLarge("text")
+		}
 	}
+	// End of input or a read error also ends the run: deliver it, like
+	// readText.
 	if max > 0 && len(s.textBuf) > max {
 		return Event{}, false, s.tokenTooLarge("text")
 	}
-	return Event{Kind: Text, Data: s.textString(s.textBuf)}, true, nil
+	return Event{Kind: Text, Data: s.decoded(s.textBuf)}, true, nil
 }
 
-// textString converts a raw character-data run into an arena-backed string,
-// resolving the predefined entities when present.
-func (s *Scanner) textString(raw []byte) string {
-	if bytes.IndexByte(raw, '&') < 0 {
-		return s.text.str(raw)
-	}
-	s.scratch = unescapeAppend(s.scratch[:0], raw)
-	return s.text.str(s.scratch)
-}
-
-// windowString is textString for runs that lie inside the read window. With
-// caller-owned input (ScanBytes) the window is the document itself — never
-// slid, never rewritten — so an entity-free run needs no arena copy at all:
-// the string is a view into the input, and the scan moves no payload bytes.
-func (s *Scanner) windowString(raw []byte) string {
+// decoded carves a raw run out of the text arena, resolving the predefined
+// entities when present.
+func (s *Scanner) decoded(raw []byte) string {
 	if bytes.IndexByte(raw, '&') >= 0 {
 		s.scratch = unescapeAppend(s.scratch[:0], raw)
-		return s.text.str(s.scratch)
+		raw = s.scratch
 	}
-	if s.stable {
-		if len(raw) == 0 {
-			return ""
-		}
-		return unsafe.String(&raw[0], len(raw))
-	}
-	return s.text.str(raw)
+	return carve(&s.text, raw)
 }
 
-// valueString converts raw attribute-value bytes into their string, sharing
-// short repeated values through the scanner's cache like the seed engine and
-// carving long ones from the text arena. Attribute values always lie inside
-// the window (tryAttrs parses in place), so caller-owned input skips both
-// the cache and the arena: the value is a view into the document.
-func (s *Scanner) valueString(raw []byte) string {
-	if s.stable && bytes.IndexByte(raw, '&') < 0 {
-		if len(raw) == 0 {
-			return ""
-		}
-		return unsafe.String(&raw[0], len(raw))
+// windowString turns a text run or an attribute value that lies inside the
+// read window into the event's string: a view of the window — valid as long
+// as the window is, which is what the event-lifetime rule promises — unless
+// entities have to be resolved, which needs somewhere to write.
+func (s *Scanner) windowString(raw []byte) string {
+	if len(raw) == 0 {
+		return ""
 	}
-	if len(raw) <= maxSharedAttrValue {
-		if v, ok := s.names[string(raw)]; ok { // no allocation: map lookup on []byte key
-			return v
-		}
-		v := unescapeText(string(raw))
-		s.names[string(raw)] = v
-		return v
+	if bytes.IndexByte(raw, '&') >= 0 {
+		return s.decoded(raw)
 	}
-	return s.textString(raw)
+	return unsafe.String(&raw[0], len(raw))
 }
 
 // unescapeAppend is unescapeText over bytes, appending to dst.
@@ -332,7 +325,7 @@ func (s *Scanner) fastCDATA() error {
 				return s.tokenTooLarge("CDATA section")
 			}
 			if s.emitText && s.inContent() && len(s.textBuf) > 0 {
-				s.pending = append(s.pending, Event{Kind: Text, Data: s.text.str(s.textBuf)})
+				s.pushLive(Event{Kind: Text, Data: carve(&s.text, s.textBuf)})
 			}
 			return nil
 		}
@@ -358,23 +351,42 @@ func (s *Scanner) fastCDATA() error {
 }
 
 // batchEvents caps how many events one fastBatch pass may queue before
-// handing back to Next: small enough that the pending ring stays
-// cache-resident, large enough to amortize the per-call dispatch to noise.
-const batchEvents = 64
+// handing back to Next. The ring is allocated with every scanner, and the
+// evaluations that buffer nothing hold little else beside the window (about
+// 7 KB), so it is sized against their memory bound: 32 events are 2.3 KB —
+// what the private name map took, which a scanner with a symbol table no
+// longer allocates — where 64 would add 3 % to what such an evaluation holds
+// for a dispatch cost already amortized to noise (EXPERIMENTS.md E26).
+const batchEvents = 32
 
 // pushPend queues an event produced by the batch loop together with the
 // input offset just past its construct — the value InputOffset must report
 // when the event is delivered.
-func (s *Scanner) pushPend(ev Event, end int) {
-	s.pending = append(s.pending, ev)
-	s.pendOffs = append(s.pendOffs, s.base+int64(end))
+func (s *Scanner) pushPend(ev Event, end int) { s.push(ev, s.base+int64(end)) }
+
+// pushLive queues an event produced outside the batch loop; it is delivered
+// with the scan position as its offset.
+func (s *Scanner) pushLive(ev Event) { s.push(ev, liveOffset) }
+
+// push writes the entry in place: building it first and appending it copies
+// the event twice, which showed as a third of a structural scan.
+func (s *Scanner) push(ev Event, off int64) {
+	n := len(s.pending)
+	if n < cap(s.pending) {
+		s.pending = s.pending[:n+1]
+	} else {
+		s.pending = append(s.pending, pendEvent{})
+	}
+	p := &s.pending[n]
+	p.ev, p.off = ev, off
 }
 
-// fastBatch is the throughput core of the stable-window (caller-owned bytes)
-// configuration. It tokenizes the common in-document constructs — start tags,
-// end tags, character data — in one tight loop with the parse state in
-// locals, queueing events into the pending ring instead of returning through
-// the per-construct dispatch once per event. Anything unusual (declarations,
+// fastBatch is the throughput core of the engine, on every input: it never
+// refills the window, so it may run ahead of Next over a reader's window as
+// over caller-owned bytes. It tokenizes the common in-document constructs —
+// start tags, end tags, character data — in one tight loop with the parse
+// state in locals, queueing events into the pending ring instead of returning
+// through the per-construct dispatch once per event. Anything unusual (declarations,
 // PIs, malformed or window-cut constructs, token/depth limit trips, the
 // root's close) is left exactly where it was found for the general path,
 // which owns error production; the grammar here mirrors tryStartTag,
@@ -544,8 +556,7 @@ func (s *Scanner) fastStartTag() (Event, bool, error) {
 		if err != nil || complete {
 			return ev, ok, err
 		}
-		avail := s.end - s.pos
-		if s.fill() && s.end-s.pos > avail {
+		if s.more() {
 			continue
 		}
 		// Window exhausted mid-tag: the seed engine finishes this construct
@@ -633,7 +644,7 @@ func (s *Scanner) tryStartTag() (ev Event, ok, complete bool, err error) {
 	s.pos = i
 	s.state = scanInDocument
 	if selfClose {
-		s.pending = append(s.pending, Event{Kind: EndElement, Sym: sym, Name: name})
+		s.pushLive(Event{Kind: EndElement, Sym: sym, Name: name})
 		if len(s.stack) == 0 && !s.fragment {
 			s.state = scanAfterRoot
 		}
@@ -722,7 +733,7 @@ func (s *Scanner) tryAttrs(b, tag []byte, i int) (end int, selfClose, complete b
 		if bytes.IndexByte(raw, '<') >= 0 {
 			return 0, false, false, fmt.Errorf("xmlstream: raw '<' in value of attribute %q in <%s>", aname, tag)
 		}
-		val := s.valueString(raw)
+		val := s.windowString(raw)
 		for _, a := range s.attrBuf {
 			if a.Name == aname {
 				return 0, false, false, duplicateAttrf(aname, tag)
@@ -733,7 +744,8 @@ func (s *Scanner) tryAttrs(b, tag []byte, i int) (end int, selfClose, complete b
 }
 
 // takeAttrsArena copies the scratch attribute list into an arena-backed
-// slice: events outlive the scan step, so they cannot alias the scratch.
+// slice: the events of one ring are alive together, so they cannot share the
+// scratch.
 func (s *Scanner) takeAttrsArena() []Attr {
 	if len(s.attrBuf) == 0 {
 		return nil
@@ -775,8 +787,7 @@ func (s *Scanner) fastEndTag() (Event, bool, error) {
 		if err != nil || complete {
 			return ev, ok, err
 		}
-		avail := s.end - s.pos
-		if s.fill() && s.end-s.pos > avail {
+		if s.more() {
 			continue
 		}
 		s.pos += 2 // consume "</" exactly as scan would

@@ -91,7 +91,7 @@ func (e *ScanLimitError) Unwrap() error { return e.sentinel }
 
 // WithLimits overrides the scanner's default buffering caps.
 func WithLimits(l Limits) ScannerOption {
-	return func(s *Scanner) { s.limits = l }
+	return func(s *Scanner) { s.limits = l.withDefaults() }
 }
 
 // tokenTooLarge builds the typed error for an oversized token.

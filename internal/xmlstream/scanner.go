@@ -21,10 +21,18 @@ import (
 //
 // Two scan engines share this struct. The default is the vectorized zero-copy
 // path (fastscan.go): it locates markup with bytes.IndexByte over the buffered
-// window, parses whole constructs in place, and carves event payloads from
-// per-stream arenas (arena.go). WithSeedScan selects the original
+// window, parses whole constructs in place and hands out text and attribute
+// values as views of the window; what is not a view is carved from the
+// scanner's arenas (arena.go). WithSeedScan selects the original
 // byte-at-a-time reference engine, kept as the oracle for the differential
 // harness and as the ablation baseline in spexbench -fig ingest.
+//
+// Event lifetime: the strings and the Attrs slice of an event returned by
+// Next are valid until the next call of Next when the scanner reads from an
+// io.Reader (NewScanner, Reset), and until Reset when it scans caller-owned
+// bytes (ScanBytes, ResetBytes). Element and attribute names are interned and
+// valid forever. A consumer that keeps an event longer copies it: Event.Clone
+// for one, a Tape for many.
 type Scanner struct {
 	r      io.Reader
 	buf    []byte
@@ -33,30 +41,27 @@ type Scanner struct {
 	end    int
 	eof    bool
 	// stable marks caller-owned input (ScanBytes/ResetBytes): the window is
-	// the whole document and is never slid or rewritten, so text and
-	// attribute values can be unsafe views into it instead of arena copies.
+	// the whole document, never refilled, and the arenas are not rewound
+	// before Reset — which is what extends the event lifetime to Reset.
 	stable bool
+	// dead is how much of the window is already poisoned (spexpoison only).
+	dead int
 	// base is the absolute input offset of buf[0]: base+pos is the number of
 	// input bytes consumed, maintained across buffer slides by fill.
 	base      int64
 	stack     []string // open element names, for well-formedness
 	stackSyms []Sym    // symbols of the open elements, parallel to stack
 	state     scanState
-	// pending holds extra events synthesized from a single syntactic
-	// construct (a self-closing tag produces Start then End). pendHead
-	// indexes the next event to deliver; the slice resets to its full
+	// pending is the ring of tokenized, undelivered events: what the batch
+	// loop (fastBatch) ran ahead of Next, and the extra events of a construct
+	// that yields several (a self-closing tag produces Start then End).
+	// pendHead indexes the next one to deliver; the slice resets to its full
 	// capacity once drained, so steady-state scanning never reallocates it.
-	pending  []Event
+	// The window is refilled and the arenas rewound only while it is empty.
+	pending  []pendEvent
 	pendHead int
-	// pendOffs carries per-event input offsets for events buffered by the
-	// batch scan loop (fastBatch), index-aligned with pending. Events pushed
-	// onto pending outside the batch loop (document brackets, self-close
-	// pairs, CDATA text) have no entry: their delivery offset is the scan
-	// position, which has not moved since the construct that produced them.
-	pendOffs []int64
 	// off is the input offset of the most recently delivered event — what
-	// InputOffset reports. Batched events restore their own scan positions
-	// from pendOffs; all other deliveries use the live position.
+	// InputOffset reports.
 	off      int64
 	names    map[string]string // interned element names (no Symtab attached)
 	symtab   *Symtab           // shared interner; nil falls back to names
@@ -74,11 +79,12 @@ type Scanner struct {
 
 	// seedMode selects the byte-at-a-time reference engine (WithSeedScan).
 	seedMode bool
-	// text and attrs are the per-stream arenas the zero-copy engine carves
-	// event payloads from; the seed engine never touches them.
-	text    byteArena
-	attrs   attrArena
-	textBuf []byte // scratch for runs that straddle a buffer refill
+	// text and attrs are the arenas the zero-copy engine carves from what it
+	// cannot serve as a view of the window; the seed engine never touches
+	// them.
+	text    arena[byte]
+	attrs   arena[Attr]
+	textBuf []byte // scratch for runs larger than the window
 	scratch []byte // scratch for entity unescaping
 
 	// fragment mode tokenizes a mid-document byte range for the parallel
@@ -99,6 +105,17 @@ type Scanner struct {
 	maxDepth int
 	events   int64
 }
+
+// pendEvent is one entry of the pending ring. off is the input offset just
+// past the event's construct, or liveOffset for an event pushed outside the
+// batch loop (document brackets, self-close pairs, CDATA text), whose delivery
+// offset is the scan position: it has not moved since the construct.
+type pendEvent struct {
+	ev  Event
+	off int64
+}
+
+const liveOffset = -1
 
 type scanState uint8
 
@@ -171,10 +188,7 @@ func (s *Scanner) SymtabInUse() *Symtab { return s.symtab }
 // document is well formed, ends with EndDocument followed by io.EOF.
 func NewScanner(r io.Reader, opts ...ScannerOption) *Scanner {
 	s := newScanner(opts)
-	s.r = r
-	s.ownBuf = make([]byte, 1<<16)
-	s.buf = s.ownBuf
-	s.pending = append(s.pending, Event{Kind: StartDocument})
+	s.Reset(r)
 	return s
 }
 
@@ -185,11 +199,7 @@ func NewScanner(r io.Reader, opts ...ScannerOption) *Scanner {
 // parallel chunk scanner.
 func ScanBytes(data []byte, opts ...ScannerOption) *Scanner {
 	s := newScanner(opts)
-	s.buf = data
-	s.end = len(data)
-	s.eof = true
-	s.stable = true
-	s.pending = append(s.pending, Event{Kind: StartDocument})
+	s.ResetBytes(data)
 	return s
 }
 
@@ -197,21 +207,30 @@ func newScanner(opts []ScannerOption) *Scanner {
 	s := &Scanner{
 		emitText:  true,
 		emitAttrs: true,
-		names:     make(map[string]string, 32),
+		limits:    Limits{}.withDefaults(),
+		text:      arena[byte]{size: arenaBlockBytes, wipe: poisonByte},
+		attrs:     arena[Attr]{size: arenaBlockAttrs, wipe: poisonAttr},
+		// One batch, whose last construct may be a self-closing tag.
+		pending: make([]pendEvent, 0, batchEvents+1),
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.limits = s.limits.withDefaults()
 	return s
 }
 
 // Reset rewinds the scanner to scan a new document from r, keeping its
-// buffers, interned names and arenas. Calling Reset asserts that every event
-// delivered from the previous document is dead: arena blocks are recycled and
-// their storage will be rewritten. With a warm scanner, Reset plus a full
-// scan performs zero steady-state allocations (the ingest CI gate pins this).
-func (s *Scanner) Reset(r io.Reader) {
+// buffers, interned names and arenas; options, if any, are applied on top of
+// the scanner's configuration, so a pooled scanner can serve an evaluation
+// with different settings. Calling Reset asserts that every event delivered
+// from the previous document is dead: the arenas are rewound and their
+// storage will be rewritten. With a warm scanner, Reset plus a full scan
+// performs zero steady-state allocations (the ingest CI gate pins this).
+// Reset(nil) only drops the scanner's reference to its input.
+func (s *Scanner) Reset(r io.Reader, opts ...ScannerOption) {
+	for _, opt := range opts {
+		opt(s)
+	}
 	s.resetState()
 	s.r = r
 	if s.ownBuf == nil {
@@ -224,7 +243,10 @@ func (s *Scanner) Reset(r io.Reader) {
 }
 
 // ResetBytes is Reset over an in-memory document (see ScanBytes).
-func (s *Scanner) ResetBytes(data []byte) {
+func (s *Scanner) ResetBytes(data []byte, opts ...ScannerOption) {
+	for _, opt := range opts {
+		opt(s)
+	}
 	s.resetState()
 	s.r = nil
 	s.buf = data
@@ -238,17 +260,27 @@ func (s *Scanner) resetState() {
 	s.stack = s.stack[:0]
 	s.stackSyms = s.stackSyms[:0]
 	s.state = scanBeforeRoot
-	s.pending = append(s.pending[:0], Event{Kind: StartDocument})
-	s.pendOffs = s.pendOffs[:0]
+	s.pending = append(s.pending[:0], pendEvent{Event{Kind: StartDocument}, liveOffset})
 	s.pendHead = 0
 	s.off = 0
+	s.dead = 0
 	s.err = nil
 	s.underflow = 0
 	s.tokStart, s.errOff = 0, 0
 	s.depth, s.maxDepth, s.events = 0, 0, 0
 	s.text.reset()
 	s.attrs.reset()
+	// A scratch buffer sized by one oversized token is not carried along: a
+	// pooled scanner would pin it.
+	for _, b := range []*[]byte{&s.textBuf, &s.scratch, &s.valBuf} {
+		if cap(*b) > maxKeptScratch {
+			*b = nil
+		}
+	}
 }
+
+// maxKeptScratch is the largest scratch buffer Reset keeps.
+const maxKeptScratch = 1 << 16
 
 // Depth returns the number of currently open elements.
 func (s *Scanner) Depth() int { return s.depth }
@@ -276,6 +308,9 @@ func (s *Scanner) ErrorOffset() int64 { return s.errOff }
 // fill slides unread bytes to the front of the buffer and reads more input.
 // It reports whether any new bytes are available.
 func (s *Scanner) fill() bool {
+	if s.err != nil {
+		return false // a failed reader is not asked again
+	}
 	if s.eof {
 		return s.pos < s.end
 	}
@@ -284,6 +319,7 @@ func (s *Scanner) fill() bool {
 		s.base += int64(s.pos)
 		s.end -= s.pos
 		s.pos = 0
+		s.dead = 0
 	}
 	for s.end < len(s.buf) {
 		n, err := s.r.Read(s.buf[s.end:])
@@ -345,6 +381,9 @@ func (s *Scanner) intern(b []byte) (string, Sym) {
 	if name, ok := s.names[string(b)]; ok { // no allocation: map lookup on []byte key
 		return name, 0
 	}
+	if s.names == nil {
+		s.names = make(map[string]string, 32) // not before a scan without a Symtab needs it
+	}
 	name := string(b)
 	s.names[name] = name
 	return name, 0
@@ -352,31 +391,40 @@ func (s *Scanner) intern(b []byte) (string, Sym) {
 
 // Next returns the next event. It returns io.EOF after EndDocument has been
 // delivered. Any other error indicates malformed input; the stream cannot
-// be resumed after an error.
+// be resumed after an error. How long the returned event's strings and Attrs
+// stay valid is the type's event-lifetime rule: until the next call of Next
+// over a reader, until Reset over caller-owned bytes.
 func (s *Scanner) Next() (Event, error) {
 	if s.err != nil {
 		return Event{}, s.err
 	}
 	for {
 		if s.pendHead < len(s.pending) {
-			ev := s.pending[s.pendHead]
-			off := s.base + int64(s.pos)
-			if s.pendHead < len(s.pendOffs) {
-				off = s.pendOffs[s.pendHead]
+			p := &s.pending[s.pendHead]
+			s.off = p.off
+			if p.off == liveOffset {
+				s.off = s.base + int64(s.pos)
 			}
 			s.pendHead++
 			if s.pendHead == len(s.pending) {
 				// Drained: reuse the full backing array instead of letting
 				// the slice base creep forward and reallocate.
 				s.pending = s.pending[:0]
-				s.pendOffs = s.pendOffs[:0]
 				s.pendHead = 0
 			}
-			s.off = off
-			return s.account(ev), nil
+			return s.account(p.ev), nil
 		}
-		if s.stable && !s.seedMode && s.err == nil &&
-			(s.state == scanInDocument || (s.fragment && s.state != scanDone)) &&
+		if !s.stable {
+			// The ring is empty, so every event delivered so far is dead:
+			// what was carved for them is reused, and only from here on may
+			// the window be refilled.
+			s.text.rewind()
+			s.attrs.rewind()
+			if poison {
+				s.poisonConsumed()
+			}
+		}
+		if !s.seedMode && (s.state == scanInDocument || (s.fragment && s.state != scanDone)) &&
 			s.fastBatch() {
 			continue
 		}
@@ -406,6 +454,16 @@ func (s *Scanner) Next() (Event, error) {
 			return s.account(ev), nil
 		}
 	}
+}
+
+// poisonConsumed overwrites the part of the scanner's own window that lies
+// behind the scan position (spexpoison builds): a view of it that is still
+// read belongs to an event kept past its lifetime.
+func (s *Scanner) poisonConsumed() {
+	for i := s.dead; i < s.pos; i++ {
+		s.buf[i] = poisonByte
+	}
+	s.dead = max(s.dead, s.pos)
 }
 
 // account updates stream statistics as ev is delivered.
@@ -655,7 +713,7 @@ func (s *Scanner) scanCDATA() error {
 			}
 		case c == '>' && run >= 2:
 			if s.emitText && s.inContent() && b.Len() > 0 {
-				s.pending = append(s.pending, Event{Kind: Text, Data: b.String()})
+				s.pushLive(Event{Kind: Text, Data: b.String()})
 			}
 			return nil
 		default:
@@ -685,7 +743,7 @@ func (s *Scanner) scanStartTag(first byte) (Event, bool, error) {
 	}
 	s.state = scanInDocument
 	if selfClose {
-		s.pending = append(s.pending, Event{Kind: EndElement, Sym: sym, Name: name})
+		s.pushLive(Event{Kind: EndElement, Sym: sym, Name: name})
 		if len(s.stack) == 0 && !s.fragment {
 			s.state = scanAfterRoot
 		}
@@ -742,9 +800,9 @@ func (s *Scanner) readTagRest(first byte) (name string, sym Sym, attrs []Attr, s
 // whitespace byte following the tag name. It enforces well-formedness: every
 // attribute is a name="value" (or single-quoted) pair, and a name may occur
 // at most once per tag. Attribute names are interned like element labels;
-// values have the predefined entities resolved and short repeated values are
-// shared, so value-heavy corpora (status flags, enumerations) scan without
-// per-event string allocation.
+// values have the predefined entities resolved and are ordinary heap strings
+// (this is the reference engine; values are unbounded in number, so nothing
+// caches them).
 func (s *Scanner) readAttributes() (attrs []Attr, selfClose bool, err error) {
 	s.attrBuf = s.attrBuf[:0]
 	for {
@@ -787,9 +845,8 @@ func (s *Scanner) readAttributes() (attrs []Attr, selfClose bool, err error) {
 	}
 }
 
-// takeAttrs copies the scratch attribute list out into a fresh slice: events
-// outlive the scan step (result candidates buffer them), so they cannot
-// alias scanner-owned storage.
+// takeAttrs copies the scratch attribute list out into a fresh slice (the
+// reference engine allocates what it returns).
 func (s *Scanner) takeAttrs() []Attr {
 	if len(s.attrBuf) == 0 {
 		return nil
@@ -822,11 +879,6 @@ func (s *Scanner) readAttrName(first byte) (string, Sym, error) {
 	name, sym := s.intern(s.attrNameBuf)
 	return name, sym, nil
 }
-
-// maxSharedAttrValue caps the length of attribute values cached in the
-// scanner's string-sharing map; longer values are assumed high-cardinality
-// (ids, free text) and allocated directly rather than growing the cache.
-const maxSharedAttrValue = 32
 
 // readAttrValue reads a quoted attribute value for the named attribute,
 // resolving entity references.
@@ -871,24 +923,9 @@ func (s *Scanner) readAttrValue(name string) (string, error) {
 			if indexByte(s.valBuf, '<') >= 0 {
 				return "", fmt.Errorf("xmlstream: raw '<' in value of attribute %q in <%s>", name, s.nameBuf)
 			}
-			return s.internValue(s.valBuf), nil
+			return unescapeText(string(s.valBuf)), nil
 		}
 	}
-}
-
-// internValue converts attribute-value bytes to a string with entities
-// resolved. Short values are cached keyed by their raw bytes (a no-allocation
-// map lookup), so the steady-state cost of repeated values is zero.
-func (s *Scanner) internValue(b []byte) string {
-	if len(b) > maxSharedAttrValue {
-		return unescapeText(string(b))
-	}
-	if v, ok := s.names[string(b)]; ok { // no allocation: map lookup on []byte key
-		return v
-	}
-	v := unescapeText(string(b))
-	s.names[string(b)] = v
-	return v
 }
 
 // skipAttributes consumes attribute text until '>' or '/>', honouring

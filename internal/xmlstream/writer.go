@@ -126,6 +126,16 @@ func EscapeAttr(s string) string {
 	return asString(appendEscaped(make([]byte, 0, len(s)+8), s, true))
 }
 
+// AppendXML appends the XML text of a sequence of events to dst. A caller
+// that renders many answers keeps one buffer and pays per answer only for
+// what it makes of the bytes.
+func AppendXML(dst []byte, events []Event) []byte {
+	for i := range events {
+		dst = appendEvent(dst, &events[i])
+	}
+	return dst
+}
+
 // Serialize renders a sequence of events as an XML string: straight into one
 // buffer sized from the events' payload, which becomes the string.
 func Serialize(events []Event) string {
@@ -136,11 +146,7 @@ func Serialize(events []Event) string {
 	if n == 0 {
 		return ""
 	}
-	buf := make([]byte, 0, n)
-	for i := range events {
-		buf = appendEvent(buf, &events[i])
-	}
-	return asString(buf)
+	return asString(AppendXML(make([]byte, 0, n), events))
 }
 
 // asString turns a buffer nothing else references into a string without

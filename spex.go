@@ -187,14 +187,18 @@ func (q *Query) Matches(r io.Reader, fn func(Match), opts ...StreamOption) (Stat
 }
 
 // Results streams the document from r, calling fn for every answer with its
-// serialized subtree, in document order.
+// serialized subtree, in document order. An answer's XML is a string of its
+// own — fn may keep it — rendered through one buffer the evaluation reuses,
+// so an answer costs that one string.
 func (q *Query) Results(r io.Reader, fn func(Result), opts ...StreamOption) (Stats, error) {
+	var buf []byte
 	eo := core.EvalOptions{
 		Mode: spexnet.ModeSerialize,
 		Sink: func(res spexnet.Result) {
+			buf = xmlstream.AppendXML(buf[:0], res.Events)
 			fn(Result{
 				Match: Match{Index: res.Index, Name: res.Name},
-				XML:   xmlstream.Serialize(res.Events),
+				XML:   string(buf),
 			})
 		},
 	}
@@ -205,17 +209,26 @@ func (q *Query) Results(r io.Reader, fn func(Result), opts ...StreamOption) (Sta
 }
 
 // WriteResults streams the document from r and writes each answer's XML
-// fragment to w, one per line, returning the number of answers.
+// fragment to w, one per line, returning the number of answers. Answers are
+// rendered in one reused buffer and written from it: no string is made.
 func (q *Query) WriteResults(r io.Reader, w io.Writer, opts ...StreamOption) (int64, error) {
 	var n int64
 	var werr error
-	_, err := q.Results(r, func(res Result) {
-		n++
-		if werr == nil {
-			_, werr = io.WriteString(w, res.XML+"\n")
-		}
-	}, opts...)
-	if err != nil {
+	var buf []byte
+	eo := core.EvalOptions{
+		Mode: spexnet.ModeSerialize,
+		Sink: func(res spexnet.Result) {
+			n++
+			if werr == nil {
+				buf = append(xmlstream.AppendXML(buf[:0], res.Events), '\n')
+				_, werr = w.Write(buf)
+			}
+		},
+	}
+	for _, opt := range opts {
+		opt(&eo)
+	}
+	if _, err := q.plan.EvaluateReader(r, eo); err != nil {
 		return n, err
 	}
 	return n, werr

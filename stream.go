@@ -224,14 +224,16 @@ func (s *Set) EvaluateContext(ctx context.Context, r io.Reader) error {
 		// sink-side stream-latency histogram measures emissions against.
 		r = &obs.CountingReader{R: r, C: &m.Bytes, LastReadNs: &m.LastReadNs}
 	}
-	return s.finish(ctx, eng, xmlstream.NewScanner(r, s.scanOptions(eng)...))
+	sc := core.AcquireScanner(r, nil, s.scanOptions(eng)...)
+	defer core.ReleaseScanner(sc)
+	return s.finish(ctx, eng, sc)
 }
 
 // EvaluateBytes evaluates an in-memory document — the mmap/file fast path.
-// The scanner works zero-copy on data (no per-event allocation; payloads are
-// arena-backed views into recycled blocks), and with the ParallelScan option
-// the document is chunk-scanned concurrently. data must not be mutated while
-// the evaluation runs.
+// The scanner works zero-copy on data (no per-event allocation; text and
+// attribute values are views into data, valid for the whole evaluation), and
+// with the ParallelScan option the document is chunk-scanned concurrently.
+// data must not be mutated while the evaluation runs.
 func (s *Set) EvaluateBytes(data []byte) error {
 	return s.EvaluateBytesContext(context.Background(), data)
 }
@@ -248,7 +250,9 @@ func (s *Set) EvaluateBytesContext(ctx context.Context, data []byte) error {
 	if s.cfg.pscan {
 		src = xmlstream.NewParallelScanner(data, s.cfg.pscanWorkers, scanOpts...)
 	} else {
-		src = xmlstream.ScanBytes(data, scanOpts...)
+		sc := core.AcquireScanner(nil, data, scanOpts...)
+		defer core.ReleaseScanner(sc)
+		src = sc
 	}
 	if m := s.cfg.metrics; m != nil {
 		m.Bytes.Add(int64(len(data)))
