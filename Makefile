@@ -61,17 +61,19 @@ fuzz-smoke:
 ## gates the hot loop — immediate answers must stay allocation-free (a
 ## count-mode network and Set.EvaluateBytes, the two arms of
 ## TestCountModeZeroAlloc), conditional ones must find their formulas and
-## candidate records (TestSetSteadyStateAllocs: at most 64 B per event on the
-## sdi_merged shape), serialized ones must cost their string and hold a
+## candidate records (TestSetSteadyStateAllocs: at most 16.2 B per event on
+## the sdi_merged shape), serialized ones must cost their string and hold a
 ## constant (TestResultsSteadyStateAllocs; TestResultsMidpointHeap, the
 ## benchmark's extract_serialize heap probe as a test: at most 256 KB),
 ## ingest must allocate nothing through a reader at any document size
 ## (TestIngestZeroAlloc), rendering an answer must take one allocation
 ## (TestSerializeAllocs), a transducer must be visited only for an
 ## activation or an event it asked for (deliveries and visits per event:
-## TestIdleTransducersSkipped, TestWakeConditions) and a determination applied
-## once (TestDeterminationsAppliedOnce) — and the interning ablation must run
-## end to end
+## TestIdleTransducersSkipped, TestWakeConditions), a connector of Fig. 11 must
+## be wiring, not a transducer (TestLoweredDegree: degree, visits and
+## deliveries of a pass over the subscription corpus as exact counts) and a
+## determination applied once (TestDeterminationsAppliedOnce) — and the
+## interning ablation must run end to end
 bench-smoke:
 	mkdir -p $(BENCH_DIR)
 	$(GO) run ./cmd/spexbench -fig 14 -scale 0.1 -check -json $(BENCH_DIR)
@@ -83,7 +85,7 @@ bench-smoke:
 	$(GO) run ./cmd/spexbench -fig ingest -scale 0.05 -check -json $(BENCH_DIR)
 	$(GO) test -run 'TestCountModeZeroAlloc$$|TestSetSteadyStateAllocs$$|TestResultsSteadyStateAllocs$$|TestResultsMidpointHeap$$' -count 1 .
 	$(GO) test -run 'TestIngestZeroAlloc$$|TestSerializeAllocs$$' -count 1 ./internal/xmlstream
-	$(GO) test -run 'TestIdleTransducersSkipped$$|TestWakeConditions$$|TestDeterminationsAppliedOnce$$' -count 1 ./internal/spexnet
+	$(GO) test -run 'TestIdleTransducersSkipped$$|TestLoweredDegree$$|TestWakeConditions$$|TestDeterminationsAppliedOnce$$' -count 1 ./internal/spexnet
 	$(GO) test -run NONE -bench 'BenchmarkAblationInterning$$' -benchtime 1x .
 
 ## ingest-race: the ingest lockdown under the race detector — the

@@ -324,16 +324,20 @@ func parseTraceFilter(kinds, nodes string) (obs.TraceFilter, error) {
 // transducer (it is skipped unless an activation arrives or it asked for the
 // event), out det the determinations it originated, in det (sinks only) the
 // resolutions that touched one of its candidates — and the stack/formula
-// maxima Lemma V.2 bounds by the depth d and the formula size o(φ).
+// maxima Lemma V.2 bounds by the depth d and the formula size o(φ). The rows
+// are the lowered network's: Fig. 11's connectors (SP, JO, VF, VD) are wiring,
+// visible as the out-degree of the transducer that writes them ("out deg";
+// out act counts an emission once per node it reaches) and, for a condition's
+// last step, as the determinations its activations became (out det).
 func writeTransducerTable(w io.Writer, s obs.Snapshot) {
 	if !s.Enabled || len(s.Transducers) == 0 {
 		return
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "transducer\tvisits\tin act\tin det\tout act\tout det\tmax stack\tmax formula\t")
+	fmt.Fprintln(tw, "transducer\tvisits\tin act\tin det\tout deg\tout act\tout det\tmax stack\tmax formula\t")
 	for _, t := range s.Transducers {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t\n",
-			t.Name, t.InDoc, t.InAct, t.InDet, t.OutAct, t.OutDet, t.MaxStack, t.MaxFormula)
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t\n",
+			t.Name, t.InDoc, t.InAct, t.InDet, t.OutDegree, t.OutAct, t.OutDet, t.MaxStack, t.MaxFormula)
 	}
 	tw.Flush()
 }

@@ -83,6 +83,35 @@ func TestCLIStats(t *testing.T) {
 	}
 }
 
+// TestCLIStatsLowered: the -stats table lists the lowered network — for
+// _*.a[b].c the six transducers that keep state, none of Fig. 11's connectors —
+// with the wiring on the writer's row: VC writes the condition and the
+// continuation (out deg 2, each emission two deliveries), and the
+// determination <b> witnesses is counted where it was emitted, at CH(b).
+func TestCLIStatsLowered(t *testing.T) {
+	_, errOut, err := runCLI(t, []string{"-q", "_*.a[b].c", "-count", "-stats"}, paperDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(errOut, "transducers=6 ") {
+		t.Fatalf("stats output: %q", errOut)
+	}
+	i := strings.Index(errOut, "transducer ")
+	if i < 0 {
+		t.Fatalf("no transducer table:\n%s", errOut)
+	}
+	var rows []string
+	for _, line := range strings.Split(strings.TrimSpace(errOut[i:]), "\n")[1:] {
+		f := strings.Fields(line)
+		// name, out deg, out act, out det
+		rows = append(rows, strings.Join([]string{f[0], f[4], f[5], f[6]}, " "))
+	}
+	want := []string{"0:CL(_) 1 5 0", "1:CH(a) 1 2 0", "2:VC(q) 2 4 2", "3:CH(b) 1 0 1", "4:CH(c) 1 2 0", "5:OU 0 0 0"}
+	if strings.Join(rows, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("table rows (name, out deg, out act, out det):\n%s\nwant:\n%s", strings.Join(rows, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 // TestCLITraceFigure13 golden-tests the -trace rendering of the §III.10
 // walk-through (Fig. 13) for _*.a[b].c over the Fig. 1 document, filtered to
 // the qualifier machinery: the variable-creator instantiates v0 (outer <a>,
@@ -91,7 +120,9 @@ func TestCLIStats(t *testing.T) {
 // variable-determinant (step 7); the outer scope closes at step 11. Each
 // determination is traced once, where it originates (the parent engine's
 // golden also listed the copies VD forwarded at steps 6 and 11: they are gone,
-// determinations go to the condition store, not through the transducers).
+// determinations go to the condition store, not through the transducers). VD
+// is not a node of the lowered network — it runs where CH(b) emits — but its
+// determinations keep its name, so the figure reads as the paper's.
 func TestCLITraceFigure13(t *testing.T) {
 	_, errOut, err := runCLI(t, []string{"-q", "_*.a[b].c", "-count", "-trace", "-trace-node", "VC,VD"}, paperDoc)
 	if err != nil {

@@ -7,8 +7,8 @@
 //   - MergedSet compiles all queries through the query-set compiler
 //     (internal/setcompile) into ONE network: equivalent queries collapse
 //     onto one sink, unsatisfiable ones are pruned, and spexnet.BuildSet
-//     hash-conses the common subexpressions of the rest behind explicit
-//     fan-out junctions — the paper's multi-query optimization;
+//     hash-conses the common subexpressions of the rest, each feeding all
+//     its consumers — the paper's multi-query optimization;
 //   - ParallelSet shards the subscriptions over a worker pool: each shard
 //     owns the MergedSet of its partition exclusively, the feeding
 //     goroutine broadcasts batched event slices over bounded channels with

@@ -216,6 +216,7 @@ func WritePrometheus(w io.Writer, s Snapshot) {
 				Label("transducer", name)+","+Label("dir", d.dir)+","+Label("kind", d.kind), d.n)
 		}
 		tl := Label("transducer", name)
+		p.Sample("spex_transducer_out_degree", "gauge", "destinations of the transducer's output port (splits and shared subexpressions are wiring, not transducers)", tl, t.OutDegree)
 		p.Sample("spex_transducer_stack", "gauge", "current depth/condition stack entries per transducer", tl, t.Stack)
 		p.Sample("spex_transducer_stack_max", "gauge", "maximum depth/condition stack entries per transducer", tl, t.MaxStack)
 		p.Sample("spex_transducer_formula_max", "gauge", "maximum condition-formula size per transducer", tl, t.MaxFormula)

@@ -119,8 +119,11 @@ func (w *Watermark) Cur() int64 { return w.cur.Load() }
 func (w *Watermark) Max() int64 { return w.max.Load() }
 
 // histBuckets is the fixed number of power-of-two histogram buckets; the
-// last bucket absorbs everything ≥ 2^(histBuckets-2).
-const histBuckets = 18
+// last bucket absorbs everything ≥ 2^(histBuckets-2). The nanosecond
+// histograms (frame flush, stream latency) read hundreds of microseconds on a
+// live server, so the interior has to reach past that: 32 buckets resolve up
+// to 2^30 ns ≈ 1.07 s.
+const histBuckets = 32
 
 // Histogram is a bounded histogram over non-negative values with
 // power-of-two buckets: bucket 0 counts zeros, bucket i (i ≥ 1) counts
@@ -225,6 +228,10 @@ type TransducerMetrics struct {
 	// Name labels the transducer as "index:name", e.g. "3:CH(a)"; the index
 	// disambiguates repeated constructs in one network.
 	Name string
+	// OutDegree is the number of destinations of the transducer's output
+	// port, fixed at build time: more than one where Fig. 11 has a split or
+	// where a shared subexpression feeds several consumers.
+	OutDegree int64
 	// In and Out count deliveries by MsgKind. In: visits (doc), activations
 	// received, resolutions touching a sink's candidates (det, output
 	// transducers only). Out: activations emitted and determinations

@@ -64,6 +64,39 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramResolvesServerLatencies: what a live spexd reads for a frame
+// flush (443 µs) and for ingest-to-answer latency (591 µs) must land in
+// interior buckets, each in its own power of two, and so must anything up to a
+// second; the overflow bucket starts beyond that.
+func TestHistogramResolvesServerLatencies(t *testing.T) {
+	var h Histogram
+	samples := []int64{443_000, 591_000, 1_000_000_000}
+	for _, v := range samples {
+		h.Observe(v)
+	}
+	bs := h.Buckets()
+	prev, last := int64(0), len(bs)-1
+	for _, v := range samples {
+		i := 0
+		for bs[i].Le < v {
+			i++
+		}
+		if i >= last {
+			t.Fatalf("%d ns falls in the overflow bucket (the interior ends at %d)", v, bs[last-1].Le)
+		}
+		if lower := bs[i-1].Le; lower < v/2 || bs[i].Count-bs[i-1].Count != 1 {
+			t.Errorf("%d ns: bucket (%d, %d] holds %d samples", v, lower, bs[i].Le, bs[i].Count-bs[i-1].Count)
+		}
+		if bs[i].Le == prev {
+			t.Errorf("%d ns shares a bucket with the previous sample", v)
+		}
+		prev = bs[i].Le
+	}
+	if bs[last-1].Le < 1_000_000_000 {
+		t.Errorf("the interior ends at %d ns, want at least 1 s", bs[last-1].Le)
+	}
+}
+
 func TestSnapshotConcurrentWriters(t *testing.T) {
 	m := NewMetrics()
 	tm := NewTransducerMetrics("0:CH(a)")

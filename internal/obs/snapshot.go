@@ -129,9 +129,11 @@ func snapshotHistogram(h *Histogram) HistogramSnapshot {
 // and emitted, OutDet the determinations it originated, and InDet — output
 // transducers only — the resolutions that touched one of the sink's
 // candidates (determinations go to the network's condition store, not through
-// the transducers).
+// the transducers). OutDegree is the number of destinations of its output
+// port: the fan-out of a shared subexpression shows here, on the writer.
 type TransducerSnapshot struct {
 	Name       string `json:"name"`
+	OutDegree  int64  `json:"out_degree"`
 	InDoc      int64  `json:"in_doc"`
 	InAct      int64  `json:"in_act"`
 	InDet      int64  `json:"in_det"`
@@ -224,6 +226,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	for _, tm := range m.Transducers() {
 		ts := TransducerSnapshot{
 			Name:       tm.Name,
+			OutDegree:  tm.OutDegree,
 			InDoc:      tm.In[KindDoc].Load(),
 			InAct:      tm.In[KindActivation].Load(),
 			InDet:      tm.In[KindDetermination].Load(),

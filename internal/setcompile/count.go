@@ -7,15 +7,19 @@ import (
 )
 
 // nodeCounter is a static dry run of the network builder's compilation
-// arithmetic (spexnet compileNew): it walks expressions allocating synthetic
-// tape numbers and counting the transducers each construct contributes,
-// memoizing on (input tape, canonical form) exactly as the builder's
-// hash-consing does. Counting with one shared counter across a query set
-// therefore predicts the merged network's transducer count, and counting
-// each query with a fresh counter predicts the naive per-query total — no
-// network is instantiated for either. Fan-out junctions (inserted after
-// compilation so every tape has a single reader) are excluded from both
-// sides, so the naive/merged ratio compares like with like.
+// arithmetic (spexnet compileNew and its lowering): it walks expressions
+// allocating synthetic tape numbers and counting the transducers each
+// construct contributes, memoizing on (input tape, canonical form) exactly as
+// the builder's hash-consing does. Only what keeps state across events is a
+// transducer of the lowered network; Fig. 11's connectors — SP, JO, the
+// variable filter and determinant — are wiring and count nothing, but the two
+// branches of a split are still tapes of their own, as they are to the
+// builder's memo. Counting with one shared counter across a query set
+// therefore gives the merged network's degree less its sinks
+// (MergeStats.MergedTransducers adds those; TestMergedTransducersIsDegree in
+// internal/spexnet holds the two together), and counting each query with a
+// fresh counter the naive per-query total — no network is instantiated for
+// either.
 type nodeCounter struct {
 	memo  map[string]int // input tape | canonical form → output tape
 	tapes int
@@ -30,6 +34,12 @@ func newNodeCounter() *nodeCounter {
 func (c *nodeCounter) tape() int {
 	c.tapes++
 	return c.tapes
+}
+
+// node counts one transducer and returns its output tape.
+func (c *nodeCounter) node() int {
+	c.nodes++
+	return c.tape()
 }
 
 // count returns the output tape of expr compiled from tape in, adding the
@@ -49,35 +59,27 @@ func (c *nodeCounter) countNew(n rpeq.Node, in int) int {
 	switch n := n.(type) {
 	case *rpeq.Empty:
 		return in
-	case *rpeq.Label, *rpeq.Plus, *rpeq.AttrTest, *rpeq.AttrStep,
-		*rpeq.Following, *rpeq.Preceding:
-		c.nodes++
-		return c.tape()
+	case *rpeq.AttrStep:
+		// The terminal attribute step is the sink's business.
+		return in
+	case *rpeq.Label, *rpeq.Plus, *rpeq.AttrTest, *rpeq.Following, *rpeq.Preceding:
+		return c.node()
 	case *rpeq.Star:
-		c.nodes++ // SP
-		c.tape()  // pass-through branch
-		branch := c.tape()
-		c.count(&rpeq.Plus{Label: n.Label}, branch)
-		c.nodes++ // JO
-		return c.tape()
+		c.tape() // pass-through branch
+		c.count(&rpeq.Plus{Label: n.Label}, c.tape())
+		return c.tape() // behind the join
 	case *rpeq.Optional:
-		c.nodes++ // SP
 		c.tape()
-		branch := c.tape()
-		c.count(n.Expr, branch)
-		c.nodes++ // JO
+		c.count(n.Expr, c.tape())
 		return c.tape()
 	case *rpeq.Concat:
-		mid := c.count(n.Left, in)
-		return c.count(n.Right, mid)
+		return c.count(n.Right, c.count(n.Left, in))
 	case *rpeq.Union:
-		c.nodes++ // SP
-		left := c.tape()
-		right := c.tape()
+		left, right := c.tape(), c.tape()
 		c.count(n.Left, left)
 		c.count(n.Right, right)
-		c.nodes += 2 // JO, UN
-		return c.tape()
+		c.tape()        // behind the join
+		return c.node() // UN
 	case *rpeq.Qualifier:
 		if rpeq.Nullable(n.Cond) {
 			return c.count(n.Base, in)
@@ -85,22 +87,10 @@ func (c *nodeCounter) countNew(n rpeq.Node, in int) int {
 		if cn, ok := n.Cond.(*rpeq.CondNot); ok {
 			return c.countNegQualifier(n.Base, cn, in)
 		}
-		base := c.count(n.Base, in)
-		_ = base
-		c.nodes++ // VC
-		c.tape()
-		c.nodes++ // SP
-		c.tape()
-		branch := c.tape()
-		c.count(n.Cond, branch)
-		c.nodes += 3 // VF, VD, JO
-		c.tape()
-		c.tape()
-		return c.tape()
+		return c.countQualifier(n.Base, n.Cond, in)
 	case *rpeq.TextTest:
 		c.count(n.Path, in)
-		c.nodes++ // text comparison
-		return c.tape()
+		return c.node() // text comparison
 	case *rpeq.CondNot:
 		return c.countNegQualifier(&rpeq.Empty{}, n, in)
 	default:
@@ -108,22 +98,21 @@ func (c *nodeCounter) countNew(n rpeq.Node, in int) int {
 	}
 }
 
+// countQualifier mirrors base[cond], positive or negated: VC, then the
+// pass-through branch — the qualifier's output — and the condition branch.
+func (c *nodeCounter) countQualifier(base, cond rpeq.Node, in int) int {
+	c.count(base, in)
+	c.node() // VC
+	out := c.tape()
+	c.count(cond, c.tape())
+	return out
+}
+
 // countNegQualifier mirrors compileNegQualifier.
 func (c *nodeCounter) countNegQualifier(base rpeq.Node, cn *rpeq.CondNot, in int) int {
-	out := c.count(base, in)
-	_ = out
 	if rpeq.Nullable(cn.Expr) {
-		c.nodes++ // drop node: the condition is statically false
-		return c.tape()
+		c.count(base, in)
+		return c.node() // drop node: the condition is statically false
 	}
-	c.nodes++ // negated VC
-	c.tape()
-	c.nodes++ // SP
-	c.tape()
-	branch := c.tape()
-	c.count(cn.Expr, branch)
-	c.nodes += 3 // VF, NVD, JO
-	c.tape()
-	c.tape()
-	return c.tape()
+	return c.countQualifier(base, cn.Expr, in)
 }

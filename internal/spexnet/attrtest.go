@@ -31,19 +31,19 @@ func (t *attrTestT) name() string { return "AT[" + t.pred.String() + "]" }
 
 func (t *attrTestT) stackStats() StackStats { return t.st }
 
-func (t *attrTestT) feed(_ int, f *cond.Formula, _ emitFn) {
+func (t *attrTestT) feed(f *cond.Formula) {
 	t.pending = t.cfg.or(t.pending, f)
 	t.st.noteFormula(t.pending)
 }
 
-func (t *attrTestT) doc(r *docReg, emit emitFn) wake {
+func (t *attrTestT) doc(r *docReg, out *port) wake {
 	switch {
 	case isStart(r.ev.Kind):
 		if t.pending != nil {
 			// The document root <$> carries no attributes, so a
 			// top-level attribute filter never selects it.
 			if t.pred.Eval(func(name string) (string, bool) { return r.ev.Attr(name) }) {
-				emit(0, t.pending)
+				out.emit(t.pending)
 			}
 			t.pending = nil
 		}

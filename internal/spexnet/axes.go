@@ -37,18 +37,18 @@ func (t *followingT) stackStats() StackStats {
 	return s
 }
 
-func (t *followingT) feed(_ int, f *cond.Formula, _ emitFn) {
+func (t *followingT) feed(f *cond.Formula) {
 	t.pending = t.cfg.or(t.pending, f)
 	t.st.noteFormula(t.pending)
 }
 
 // doc: once a context has closed every later element start is a potential
 // match, so the transducer asks for every event while it holds anything.
-func (t *followingT) doc(r *docReg, emit emitFn) wake {
+func (t *followingT) doc(r *docReg, out *port) wake {
 	switch {
 	case isStart(r.ev.Kind):
 		if t.active != nil && t.test.matches(&r.ev) {
-			emit(0, t.active)
+			out.emit(t.active)
 		}
 		if t.pending != nil {
 			t.armed = append(t.armed, scope{r.depth, t.pending})
@@ -109,7 +109,7 @@ func (t *precedingT) stackStats() StackStats {
 	return s
 }
 
-func (t *precedingT) feed(_ int, f *cond.Formula, _ emitFn) {
+func (t *precedingT) feed(f *cond.Formula) {
 	t.pendingCtx = t.cfg.or(t.pendingCtx, f)
 	t.st.noteFormula(t.pendingCtx)
 }
@@ -117,7 +117,7 @@ func (t *precedingT) feed(_ int, f *cond.Formula, _ emitFn) {
 // doc: every determination the preceding axis originates precedes the event it
 // is found at (a context's start, the end of the document), so all of them
 // take effect at once.
-func (t *precedingT) doc(r *docReg, emit emitFn) wake {
+func (t *precedingT) doc(r *docReg, out *port) wake {
 	switch {
 	case isStart(r.ev.Kind):
 		if t.pendingCtx != nil {
@@ -126,7 +126,7 @@ func (t *precedingT) doc(r *docReg, emit emitFn) wake {
 		}
 		if t.test.matches(&r.ev) {
 			v := t.cfg.pool.Fresh(t.q)
-			emit(0, t.cfg.pool.Var(v))
+			out.emit(t.cfg.pool.Var(v))
 			t.open = append(t.open, varScope{r.depth, v})
 			t.st.noteStack(len(t.open) + len(t.closed))
 		}

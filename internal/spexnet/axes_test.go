@@ -14,7 +14,7 @@ import (
 
 func TestFollowingTransducerDirect(t *testing.T) {
 	fo := newFollowing("b", testCfg)
-	out, _ := feedAll(fo, 0, msgs(
+	out := feedAll(fo, msgs(
 		startDoc(),
 		start("r"),
 		actMsg(cond.True()), start("x"), // context
@@ -42,7 +42,7 @@ func TestPrecedingTransducerDirect(t *testing.T) {
 	pool := cond.NewPool()
 	q := pool.DeclareQualifier(nil)
 	pr := newPreceding("b", q, cfgFor(pool), newCondStore(&netConfig{retainVars: true, pool: pool}))
-	out, _ := feedAll(pr, 0, msgs(
+	out := feedAll(pr, msgs(
 		startDoc(),
 		start("r"),
 		start("b"), end("b"), // candidate 1: precedes the context
@@ -71,7 +71,7 @@ func TestPrecedingTransducerDirect(t *testing.T) {
 
 func TestTextCmpTransducerDirect(t *testing.T) {
 	te := newTextCmp(0 /* TextEq */, "hi", testCfg)
-	out, _ := feedAll(te, 0, msgs(
+	out := feedAll(te, msgs(
 		startDoc(),
 		actMsg(cond.True()), start("p"),
 		chars("h"),

@@ -41,19 +41,19 @@ func (t *childT) stackStats() StackStats {
 	return s
 }
 
-func (t *childT) feed(_ int, f *cond.Formula, _ emitFn) {
+func (t *childT) feed(f *cond.Formula) {
 	t.pending = t.cfg.or(t.pending, f)
 	t.st.noteFormula(t.pending)
 }
 
 // doc: while a scope is armed, CH can act on two events only — the start of a
 // child of the innermost armed node carrying its label, and that node's end.
-func (t *childT) doc(r *docReg, emit emitFn) wake {
+func (t *childT) doc(r *docReg, out *port) wake {
 	switch {
 	case isStart(r.ev.Kind):
 		// Match: is the parent level an armed scope and the label right?
 		if n := len(t.scopes); n > 0 && t.scopes[n-1].depth == r.depth-1 && t.label.matches(&r.ev) {
-			emit(0, t.scopes[n-1].f)
+			out.emit(t.scopes[n-1].f)
 		}
 		// Arm the children of this node if an activation preceded it.
 		if t.pending != nil {

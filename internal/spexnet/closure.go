@@ -38,7 +38,7 @@ func (t *closureT) stackStats() StackStats {
 	return s
 }
 
-func (t *closureT) feed(_ int, f *cond.Formula, _ emitFn) {
+func (t *closureT) feed(f *cond.Formula) {
 	t.pending = t.cfg.or(t.pending, f)
 	t.st.noteFormula(t.pending)
 }
@@ -46,7 +46,7 @@ func (t *closureT) feed(_ int, f *cond.Formula, _ emitFn) {
 // doc: like CH, CL acts only on the start of a labelled child of its innermost
 // scope (a non-matching child suspends the scope for its whole subtree, which
 // pushes nothing) and on that scope's end.
-func (t *closureT) doc(r *docReg, emit emitFn) wake {
+func (t *closureT) doc(r *docReg, out *port) wake {
 	switch {
 	case isStart(r.ev.Kind):
 		// The scope continues below this node only along l-chains (a
@@ -55,7 +55,7 @@ func (t *closureT) doc(r *docReg, emit emitFn) wake {
 		var child *cond.Formula
 		if n := len(t.scopes); n > 0 && t.scopes[n-1].depth == r.depth-1 && t.label.matches(&r.ev) {
 			child = t.scopes[n-1].f
-			emit(0, child)
+			out.emit(child)
 		}
 		if t.pending != nil {
 			child = t.cfg.or(child, t.pending)

@@ -142,14 +142,15 @@ func BuildSet(specs []Spec, opts Options) (*Network, error) {
 			tracer.Trace(obs.TraceEvent{Step: n.reg.step, Node: node, Kind: obs.KindDetermination, Msg: d.String(), TraceID: n.cfg.traceID})
 		}
 	}
-	b := &builder{net: n, tracer: opts.Tracer, metrics: opts.Metrics, memo: make(map[memoKey]memoEntry)}
-	n.source = b.newTape()
+	n.source = port{net: n, node: -1}
+	b := &builder{net: n, memo: make(map[memoKey]memoEntry)}
+	source := b.newWire(-1)
 	for _, spec := range specs {
 		// A terminal attribute step is the sink's business (see
 		// outputT.attr): compile the element path and tell the sink which
 		// attribute of its matches to select.
 		expr, attr := splitAttrStep(spec.Expr)
-		final, _, err := b.compile(expr, n.source)
+		final, _, err := b.compile(expr, source)
 		if err != nil {
 			return nil, err
 		}
@@ -163,7 +164,7 @@ func BuildSet(specs []Spec, opts Options) (*Network, error) {
 		if attr != "" {
 			out.attr, out.attrLabel = attr, "@"+attr
 		}
-		b.addNode(out, []*tape{final}, 0)
+		b.addNode(out, final)
 		n.store.addSink(out)
 		n.outs = append(n.outs, out)
 	}
@@ -176,15 +177,7 @@ func BuildSet(specs []Spec, opts Options) (*Network, error) {
 			break
 		}
 	}
-	// Hash-consing above may leave one output tape with several readers (the
-	// implicit multicast); make each such junction an explicit fan-out
-	// transducer so every tape has exactly one reader and the sharing points
-	// are first-class nodes.
-	b.insertFanouts()
-	b.wireActiveSet()
-	if opts.Metrics != nil {
-		opts.Metrics.SetTransducers(b.tms)
-	}
+	b.finish(opts.Metrics)
 	return n, nil
 }
 
@@ -210,96 +203,18 @@ func splitAttrStep(expr rpeq.Node) (rpeq.Node, string) {
 	return expr, ""
 }
 
-// wireActiveSet finishes the wiring once the node order is final: every tape
-// learns which bit of the active set its reader is, and every node starts
-// hot, so that each sees the first event (<$>) and declares its wake
-// condition for itself — the preceding-axis transducer asks for every event
-// from the start.
-func (b *builder) wireActiveSet() {
-	n := b.net
-	words := (len(n.nodes) + 63) / 64
-	n.hot, n.armed = make([]uint64, words), make([]uint64, words)
-	n.wakes = make([]wake, len(n.nodes))
-	for i := range n.nodes {
-		n.hot[i>>6] |= 1 << (i & 63)
-		for _, tp := range n.nodes[i].ins {
-			tp.rword, tp.rbit = i>>6, 1<<(i&63)
-		}
-	}
-}
-
 // memoKey identifies a compiled subexpression: its canonical form and the
 // tape it reads.
 type memoKey struct {
-	in   *tape
+	in   wireID
 	expr string
 }
 
 // memoEntry caches a compiled subexpression: its output tape and the
 // qualifier ids declared within it (needed by enclosing qualifiers).
 type memoEntry struct {
-	out   *tape
+	out   wireID
 	quals []cond.QualID
-}
-
-type builder struct {
-	net     *Network
-	tracer  obs.Tracer
-	metrics *obs.Metrics
-	tms     []*obs.TransducerMetrics
-	memo    map[memoKey]memoEntry
-}
-
-// newTape allocates a fresh tape. Tapes are individually allocated so an emit
-// closure can hold a stable pointer to the tape it writes.
-func (b *builder) newTape() *tape {
-	tp := &tape{}
-	b.net.tapes = append(b.net.tapes, tp)
-	return tp
-}
-
-// addNode appends a transducer reading the given tapes and returns its
-// numOuts fresh output tapes. Construction order is topological by
-// compositionality of C.
-//
-// The tracing wrapper is composed into the node's emit closure here, at build
-// time, so the untraced emit path is the bare tape.put. Instrumentation adds
-// nothing to it: the delivery counts are kept by the reader (tape.read).
-func (b *builder) addNode(t transducer, ins []*tape, numOuts int) []*tape {
-	outs := make([]*tape, numOuts)
-	for i := range outs {
-		outs[i] = b.newTape()
-	}
-	node := netNode{t: t, ins: ins, outs: outs}
-	net := b.net
-	if o, ok := t.(interface{ origin() *detOrigin }); ok {
-		node.dets = o.origin()
-	}
-	if b.metrics != nil {
-		node.tm = obs.NewTransducerMetrics(fmt.Sprintf("%d:%s", len(net.nodes), t.name()))
-		node.mc = &msgCounters{}
-		b.tms = append(b.tms, node.tm)
-	}
-	var emit emitFn
-	if numOuts == 1 {
-		// Single-output nodes — nearly all of them — capture their tape.
-		tp := outs[0]
-		emit = func(_ int, f *cond.Formula) { tp.put(net, f) }
-	} else {
-		emit = func(port int, f *cond.Formula) { outs[port].put(net, f) }
-	}
-	if b.tracer != nil {
-		tracer := b.tracer
-		nodeName := t.name()
-		inner := emit
-		emit = func(port int, f *cond.Formula) {
-			tracer.Trace(obs.TraceEvent{Step: net.reg.step, Node: nodeName, Kind: obs.KindActivation, Msg: "[" + f.String() + "]", TraceID: net.cfg.traceID})
-			inner(port, f)
-		}
-	}
-	node.emit = emit
-	b.net.nodes = append(b.net.nodes, node)
-	return outs
 }
 
 // compile implements C with hash-consing: it extends the network with the
@@ -307,71 +222,70 @@ func (b *builder) addNode(t transducer, ins []*tape, numOuts int) []*tape {
 // expression was already compiled from the same tape, in which case its
 // output tape is reused. It returns the expression's output tape and the
 // qualifier ids declared inside it.
-func (b *builder) compile(expr rpeq.Node, in *tape) (*tape, []cond.QualID, error) {
+func (b *builder) compile(expr rpeq.Node, in wireID) (wireID, []cond.QualID, error) {
 	key := memoKey{in, rpeq.Canonical(expr)}
 	if e, ok := b.memo[key]; ok {
 		return e.out, e.quals, nil
 	}
 	out, quals, err := b.compileNew(expr, in)
 	if err != nil {
-		return nil, nil, err
+		return 0, nil, err
 	}
 	b.memo[key] = memoEntry{out: out, quals: quals}
 	return out, quals, nil
 }
 
-func (b *builder) compileNew(expr rpeq.Node, in *tape) (*tape, []cond.QualID, error) {
+func (b *builder) compileNew(expr rpeq.Node, in wireID) (wireID, []cond.QualID, error) {
 	switch n := expr.(type) {
 	case *rpeq.Empty:
 		// ε adds no transducer: the context passes through unchanged.
 		return in, nil, nil
 
 	case *rpeq.Label:
-		return b.addNode(newChild(n.Name, &b.net.cfg), []*tape{in}, 1)[0], nil, nil
+		return b.addNode(newChild(n.Name, &b.net.cfg), in), nil, nil
 
 	case *rpeq.Plus:
-		return b.addNode(newClosure(n.Label.Name, &b.net.cfg), []*tape{in}, 1)[0], nil, nil
+		return b.addNode(newClosure(n.Label.Name, &b.net.cfg), in), nil, nil
 
 	case *rpeq.Star:
 		// C[label*] = SP; C[label+] on one branch; JO (Fig. 11).
-		sp := b.addNode(newSplit(), []*tape{in}, 2)
-		plus, quals, err := b.compile(&rpeq.Plus{Label: n.Label}, sp[1])
+		pass, branch := b.split(in)
+		plus, quals, err := b.compile(&rpeq.Plus{Label: n.Label}, branch)
 		if err != nil {
-			return nil, nil, err
+			return 0, nil, err
 		}
-		return b.addNode(newJoin(), []*tape{sp[0], plus}, 1)[0], quals, nil
+		return b.join(pass, plus), quals, nil
 
 	case *rpeq.Optional:
-		sp := b.addNode(newSplit(), []*tape{in}, 2)
-		inner, quals, err := b.compile(n.Expr, sp[1])
+		pass, branch := b.split(in)
+		inner, quals, err := b.compile(n.Expr, branch)
 		if err != nil {
-			return nil, nil, err
+			return 0, nil, err
 		}
-		return b.addNode(newJoin(), []*tape{sp[0], inner}, 1)[0], quals, nil
+		return b.join(pass, inner), quals, nil
 
 	case *rpeq.Concat:
 		mid, lq, err := b.compile(n.Left, in)
 		if err != nil {
-			return nil, nil, err
+			return 0, nil, err
 		}
 		out, rq, err := b.compile(n.Right, mid)
 		if err != nil {
-			return nil, nil, err
+			return 0, nil, err
 		}
 		return out, append(lq, rq...), nil
 
 	case *rpeq.Union:
-		sp := b.addNode(newSplit(), []*tape{in}, 2)
-		left, lq, err := b.compile(n.Left, sp[0])
+		lin, rin := b.split(in)
+		left, lq, err := b.compile(n.Left, lin)
 		if err != nil {
-			return nil, nil, err
+			return 0, nil, err
 		}
-		right, rq, err := b.compile(n.Right, sp[1])
+		right, rq, err := b.compile(n.Right, rin)
 		if err != nil {
-			return nil, nil, err
+			return 0, nil, err
 		}
-		jo := b.addNode(newJoin(), []*tape{left, right}, 1)[0]
-		un := b.addNode(newUnion(&b.net.cfg), []*tape{jo}, 1)[0]
+		un := b.addNode(newUnion(&b.net.cfg), b.join(left, right))
 		return un, append(lq, rq...), nil
 
 	case *rpeq.Qualifier:
@@ -389,22 +303,23 @@ func (b *builder) compileNew(expr rpeq.Node, in *tape) (*tape, []cond.QualID, er
 		}
 		base, bq, err := b.compile(n.Base, in)
 		if err != nil {
-			return nil, nil, err
+			return 0, nil, err
 		}
 		// The qualifier id is declared before its condition compiles
 		// (the variable-creator precedes the condition sub-network on
 		// the tape); the nesting relation is recorded afterwards.
 		q := b.net.cfg.pool.DeclareQualifier(nil)
-		vc := b.addNode(newVC(q, false, &b.net.cfg, b.net.store), []*tape{base}, 1)[0]
-		sp := b.addNode(newSplit(), []*tape{vc}, 2)
-		inner, cq, err := b.compile(n.Cond, sp[1])
+		vc := b.addNode(newVC(q, false, &b.net.cfg, b.net.store), base)
+		out, branch := b.split(vc)
+		inner, cq, err := b.compile(n.Cond, branch)
 		if err != nil {
-			return nil, nil, err
+			return 0, nil, err
 		}
 		b.net.cfg.pool.SetNested(q, cq)
-		vf := b.addNode(newVF(q, b.net.cfg.pool, true), []*tape{inner}, 1)[0]
-		vd := b.addNode(newVD(q, &b.net.cfg, b.net.store), []*tape{vf}, 1)[0]
-		out := b.addNode(newJoin(), []*tape{sp[0], vd}, 1)[0]
+		// VF(q+) and VD close the condition branch. VD consumes what reaches
+		// it, so the join behind it merges the pass-through branch with a
+		// tape nothing is ever written to: out is the qualifier's output.
+		b.addDeterminant(newDeterminant(q, false, &b.net.cfg, b.net.store), inner)
 		quals := append(bq, cq...)
 		return out, append(quals, q), nil
 
@@ -414,21 +329,21 @@ func (b *builder) compileNew(expr rpeq.Node, in *tape) (*tape, []cond.QualID, er
 		// comparison holds.
 		mid, quals, err := b.compile(n.Path, in)
 		if err != nil {
-			return nil, nil, err
+			return 0, nil, err
 		}
-		out := b.addNode(newTextCmp(n.Op, n.Value, &b.net.cfg), []*tape{mid}, 1)[0]
+		out := b.addNode(newTextCmp(n.Op, n.Value, &b.net.cfg), mid)
 		return out, quals, nil
 
 	case *rpeq.AttrTest:
 		// An attribute self-filter is one constant-memory transducer: the
 		// decision falls at the start message, where the attribute list is
 		// complete — no variables, no sub-network.
-		return b.addNode(newAttrTest(n.Pred, &b.net.cfg), []*tape{in}, 1)[0], nil, nil
+		return b.addNode(newAttrTest(n.Pred, &b.net.cfg), in), nil, nil
 
 	case *rpeq.AttrStep:
 		// BuildSet peels the terminal attribute step off before compiling;
 		// one that is still here sits where no element stream can follow it.
-		return nil, nil, fmt.Errorf("spexnet: attribute step @%s must be the final step of the query", n.Name)
+		return 0, nil, fmt.Errorf("spexnet: attribute step @%s must be the final step of the query", n.Name)
 
 	case *rpeq.CondNot:
 		// A bare negated condition (a disjunct of an 'or' lowering) is the
@@ -437,7 +352,7 @@ func (b *builder) compileNew(expr rpeq.Node, in *tape) (*tape, []cond.QualID, er
 		return b.compileNegQualifier(&rpeq.Empty{}, n, in)
 
 	case *rpeq.Following:
-		return b.addNode(newFollowing(n.Test, &b.net.cfg), []*tape{in}, 1)[0], nil, nil
+		return b.addNode(newFollowing(n.Test, &b.net.cfg), in), nil, nil
 
 	case *rpeq.Preceding:
 		// Preceding answers precede their justification, so the step
@@ -445,11 +360,11 @@ func (b *builder) compileNew(expr rpeq.Node, in *tape) (*tape, []cond.QualID, er
 		// qualifier id owning them so variable filters of enclosing
 		// qualifiers keep them.
 		q := b.net.cfg.pool.DeclareQualifier(nil)
-		out := b.addNode(newPreceding(n.Test, q, &b.net.cfg, b.net.store), []*tape{in}, 1)[0]
+		out := b.addNode(newPreceding(n.Test, q, &b.net.cfg, b.net.store), in)
 		return out, []cond.QualID{q}, nil
 
 	default:
-		return nil, nil, fmt.Errorf("spexnet: unknown expression node %T", expr)
+		return 0, nil, fmt.Errorf("spexnet: unknown expression node %T", expr)
 	}
 }
 
@@ -458,39 +373,37 @@ func (b *builder) compileNew(expr rpeq.Node, in *tape) (*tape, []cond.QualID, er
 // variable filter, determinant, join — with the polarity of the witness
 // protocol flipped: the negated variable-creator presumes each instance
 // satisfied and announces {c,true} at scope exit, while the negated
-// determinant nvdT kills {c,false} any instance whose scope cond selects
+// determinant kills {c,false} any instance whose scope cond selects
 // into. The kill takes effect ahead of the inner match's document message,
 // so rejected candidates drop as early as the positive construction accepts
 // them; candidates whose condition is an attribute test inside not(...) never
 // even reach here — those fold into the attribute formula as AttrNot.
-func (b *builder) compileNegQualifier(baseExpr rpeq.Node, cn *rpeq.CondNot, in *tape) (*tape, []cond.QualID, error) {
+func (b *builder) compileNegQualifier(baseExpr rpeq.Node, cn *rpeq.CondNot, in wireID) (wireID, []cond.QualID, error) {
 	base, bq, err := b.compile(baseExpr, in)
 	if err != nil {
-		return nil, nil, err
+		return 0, nil, err
 	}
 	if rpeq.Nullable(cn.Expr) {
 		// cond is nullable: the candidate itself witnesses it at the event
 		// opening its scope, so not(cond) is statically false. Earliest
 		// decision: drop base's selections without allocating variables.
-		out := b.addNode(newDropAct(), []*tape{base}, 1)[0]
+		out := b.addNode(newDropAct(), base)
 		return out, bq, nil
 	}
 	q := b.net.cfg.pool.DeclareQualifier(nil)
-	vc := b.addNode(newVC(q, true, &b.net.cfg, b.net.store), []*tape{base}, 1)[0]
-	sp := b.addNode(newSplit(), []*tape{vc}, 2)
-	inner, cq, err := b.compile(cn.Expr, sp[1])
+	vc := b.addNode(newVC(q, true, &b.net.cfg, b.net.store), base)
+	out, branch := b.split(vc)
+	inner, cq, err := b.compile(cn.Expr, branch)
 	if err != nil {
-		return nil, nil, err
+		return 0, nil, err
 	}
 	if len(cq) > 0 {
 		// The front ends reject qualifiers under not(...); anything that
 		// still declares condition variables (a nested qualifier or a
 		// preceding step) would make the unconditional kill unsound.
-		return nil, nil, fmt.Errorf("spexnet: cannot negate %s: the condition declares condition variables", cn.Expr)
+		return 0, nil, fmt.Errorf("spexnet: cannot negate %s: the condition declares condition variables", cn.Expr)
 	}
 	b.net.cfg.pool.SetNested(q, cq)
-	vf := b.addNode(newVF(q, b.net.cfg.pool, true), []*tape{inner}, 1)[0]
-	nvd := b.addNode(newNVD(q, b.net.cfg.pool, b.net.store), []*tape{vf}, 1)[0]
-	out := b.addNode(newJoin(), []*tape{sp[0], nvd}, 1)[0]
+	b.addDeterminant(newDeterminant(q, true, &b.net.cfg, b.net.store), inner)
 	return out, append(bq, q), nil
 }

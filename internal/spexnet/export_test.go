@@ -4,6 +4,10 @@ package spexnet
 // determinations the network's condition store has applied.
 func (n *Network) DeterminationsApplied() int64 { return n.store.applied }
 
+// SourceDegree exposes the number of destinations of the network's source
+// port: the nodes the input transducer's initial activation is delivered to.
+func (n *Network) SourceDegree() int { return int(n.source.hi - n.source.lo) }
+
 // FormulaTable exposes the size of the network's unique formula table and the
 // lookups that built a node or found one.
 func (n *Network) FormulaTable() (size int, built, found int64) {

@@ -7,9 +7,10 @@ import (
 	"repro/internal/rpeq"
 )
 
-// TestFanoutInsertion: a multi-query network with shared prefixes must route
-// the shared tape through explicit FO junctions — every tape single-reader —
-// while a single-query network stays junction-free.
+// TestFanoutInsertion: in a multi-query network with shared prefixes the
+// shared tape's writer has every consumer among its destinations — the k-way
+// multicast that used to be an FO junction is the writer's out-degree — while a
+// single-query network shares nothing.
 func TestFanoutInsertion(t *testing.T) {
 	single, err := Build(rpeq.MustParse("_*.a[b].c"), Options{})
 	if err != nil {
@@ -34,24 +35,23 @@ func TestFanoutInsertion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := net.Fanouts(); got == 0 {
-		t.Fatal("shared-prefix network has no fan-out junctions")
+		t.Fatal("shared-prefix network has no sharing points")
 	}
-	// Every tape must now have exactly one reader: a written tape wakes its
-	// reader, which clears it, so a second reader would see nothing and a
-	// tape without one would never be cleared.
-	readers := map[*tape]int{}
+	// The qualifier's output is VC's (the join behind it is wiring): VC writes
+	// the eight CH(c_i) and the condition's CH(b). No node is a connector.
 	for i := range net.nodes {
-		for _, tape := range net.nodes[i].ins {
-			readers[tape]++
-		}
-	}
-	for _, tape := range net.tapes {
-		if n := readers[tape]; n != 1 {
-			t.Fatalf("tape %p has %d readers after fan-out insertion", tape, n)
+		node := &net.nodes[i]
+		switch name := node.t.name(); name {
+		case "VC(q)":
+			if got := node.out.hi - node.out.lo; got != 9 {
+				t.Fatalf("VC(q) has %d destinations, want 9", got)
+			}
+		case "SP", "JO", "FO", "VF(q+)", "VD":
+			t.Fatalf("node %d is the connector %s", i, name)
 		}
 	}
 
-	// And the reordered network must still evaluate correctly: only the
+	// And the shared network must still evaluate correctly: only the
 	// first <a> has a <b> child, so only its c-children match.
 	doc := `<a><b/><c0/><c3/><c7/></a><a><c1/></a>`
 	if _, err := net.Run(srcOf("<r>" + doc + "</r>")); err != nil {
@@ -65,8 +65,9 @@ func TestFanoutInsertion(t *testing.T) {
 	}
 }
 
-// TestFanoutTopologicalOrder: after fan-out insertion each junction must
-// appear before all of its readers, or messages of a step would be dropped.
+// TestFanoutTopologicalOrder: every destination of a port must come after the
+// port's node, or messages of a step would be dropped; and every node but the
+// ones reading the source has a writer.
 func TestFanoutTopologicalOrder(t *testing.T) {
 	var specs []Spec
 	for i := 0; i < 20; i++ {
@@ -76,18 +77,26 @@ func TestFanoutTopologicalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	producerAt := map[*tape]int{} // tape -> node index producing it
-	for i := range net.nodes {
-		for _, tape := range net.nodes[i].outs {
-			producerAt[tape] = i
-		}
+	written := make([]bool, len(net.nodes))
+	for _, d := range net.dests[net.source.lo:net.source.hi] {
+		written[d] = true
 	}
 	for i := range net.nodes {
-		for _, tape := range net.nodes[i].ins {
-			if p, ok := producerAt[tape]; ok && p >= i {
-				t.Fatalf("node %d (%s) reads tape %p produced by later node %d (%s)",
-					i, net.nodes[i].t.name(), tape, p, net.nodes[p].t.name())
+		out := &net.nodes[i].out
+		for _, d := range net.dests[out.lo:out.hi] {
+			if d < 0 {
+				continue // a determinant: it runs at emission
 			}
+			if int(d) <= i {
+				t.Fatalf("node %d (%s) writes the earlier node %d (%s)",
+					i, net.nodes[i].t.name(), d, net.nodes[d].t.name())
+			}
+			written[d] = true
+		}
+	}
+	for i, ok := range written {
+		if !ok {
+			t.Fatalf("node %d (%s) has no writer", i, net.nodes[i].t.name())
 		}
 	}
 }

@@ -39,6 +39,15 @@ import (
 //     candidates where it originates, not when it reaches the sink, so only
 //     the step of an answer is comparable, and only that is guaranteed.
 //
+// When the connectors of Fig. 11 became wiring (lower.go) the files were
+// derived once more, by one rule, and the change was first shown to pass
+// against the parent's files read through it:
+//
+//  5. every line of SP, JO, FO and VF(q+) is dropped — they are not nodes, so
+//     nothing of theirs is emitted — and every other line is unchanged, in
+//     place. A determination keeps the name of VD although VD is an edge
+//     function of the node whose activation it consumes.
+//
 // So the engine may not drop, add or reorder a single activation, may not
 // originate a determination anywhere else or in another step, and may not
 // move an answer to another step.
@@ -163,7 +172,7 @@ func TestTraceGoldens(t *testing.T) {
 	}
 	t.Run("dmoz_set", func(t *testing.T) {
 		// Three members of the benchmark's subscription corpus sharing a
-		// spine, in one hash-consed network with fan-out junctions, over a
+		// spine, in one hash-consed network with shared tapes, over a
 		// 50-topic DMOZ-shaped document.
 		subs := bench.SharedSubscriptions(128, 0.5, 1)
 		members := []string{subs[5], subs[16], subs[6]}

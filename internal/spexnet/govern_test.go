@@ -194,23 +194,25 @@ func TestGovernorStepMessagesFail(t *testing.T) {
 		t.Errorf("tripped at event %d observing %d deliveries, want event 1 (<$>) observing 4", stats.Events, le.Observed)
 	}
 
-	// Determinations count where the store applies them. a[b] is CH(a) VC SP
-	// CH(b) VF VD JO OU; over <a><b/></a> the six steps make
-	//   <$>  8 visits + the initial activation                        =  9
-	//   <a>  CH(a) VC SP CH(b) JO OU visited, 5 activations delivered = 11
-	//   <b>  CH(b) VF VD visited, 2 activations, {v0,true} applied    =  6
+	// Determinations count where the store applies them. a[b] lowers to CH(a)
+	// VC CH(b) OU — Fig. 11's SP, VF, VD and JO are wiring — and over
+	// <a><b/></a> the six steps make
+	//   <$>  4 visits + the initial activation                        =  5
+	//   <a>  all four visited; CH(a)→VC, VC→CH(b) and VC→OU delivered =  7
+	//   <b>  CH(b) visited; its activation becomes {v0,true}, applied =  2
 	//   </b> nobody asked for it                                      =  0
 	//   </a> VC and CH(b) close their scope, {v0,close} applied       =  3
 	//   </$> CH(a) closes its scope                                   =  1
+	// (with the connectors as nodes: 9, 11, 6, 0, 3, 1 — 30 of which 20 visits).
 	_, stats, err = governedRun(t, "a[b]", `<a><b/></a>`, ModeCount,
-		&governor.Config{Limits: governor.Limits{MaxStepMessages: 11}, Policy: governor.PolicyFail}, nil)
-	if err != nil || stats.Deliveries != 30 || stats.Visits != 20 {
-		t.Errorf("a[b]: err %v, %d deliveries of which %d visits; want 30 and 20", err, stats.Deliveries, stats.Visits)
+		&governor.Config{Limits: governor.Limits{MaxStepMessages: 7}, Policy: governor.PolicyFail}, nil)
+	if err != nil || stats.Deliveries != 18 || stats.Visits != 12 {
+		t.Errorf("a[b]: err %v, %d deliveries of which %d visits; want 18 and 12", err, stats.Deliveries, stats.Visits)
 	}
 	_, stats, err = governedRun(t, "a[b]", `<a><b/></a>`, ModeCount,
-		&governor.Config{Limits: governor.Limits{MaxStepMessages: 10}, Policy: governor.PolicyFail}, nil)
-	if !errors.As(err, &le) || le.Observed != 11 || stats.Events != 2 {
-		t.Errorf("a[b] under cap 10: %v at event %d, want 11 deliveries observed at event 2 (<a>)", err, stats.Events)
+		&governor.Config{Limits: governor.Limits{MaxStepMessages: 6}, Policy: governor.PolicyFail}, nil)
+	if !errors.As(err, &le) || le.Observed != 7 || stats.Events != 2 {
+		t.Errorf("a[b] under cap 6: %v at event %d, want 7 deliveries observed at event 2 (<a>)", err, stats.Events)
 	}
 }
 

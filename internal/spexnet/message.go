@@ -14,6 +14,12 @@
 // transducers alone, so it is not forwarded hop by hop: its originator hands
 // it to the network's condition store (condStore), which applies it to the
 // candidates waiting on c.
+//
+// Nor is every box of Fig. 11 a node. The translation is the paper's, but the
+// network that runs is its lowering (lower.go): the transducers that keep
+// something across events are nodes, each with one inbox and one output port,
+// and the connectors that only copy — SP, JO, and VF→VD at the end of a
+// condition — are the ports' destination lists and an edge function.
 package spexnet
 
 import (

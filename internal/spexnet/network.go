@@ -11,50 +11,78 @@ import (
 	"repro/internal/xmlstream"
 )
 
-// netNode is one transducer of a network with its wiring.
+// netNode is the hot part of one transducer of the lowered network: what a
+// visit touches. Node i reads inboxes[i] — every transducer has one input, the
+// connectors that had more are wiring (lower.go) — and writes its one output
+// port.
 type netNode struct {
-	t    transducer
-	ins  []*tape // input tapes, in port order
-	outs []*tape // output tapes, in port order
-	emit emitFn
+	t   transducer
+	out port
+}
+
+// nodeCounters is the cold part, kept only for an instrumented network: the
+// node's visit count and what syncMetrics has already published of it.
+type nodeCounters struct {
 	// visits counts the steps in which the node was visited: the document
 	// events delivered to it.
 	visits int64
+	// readers is the number of inboxes the node's port writes (its other
+	// destinations are determinants): an emission is that many deliveries.
+	readers int64
 	// dets is the transducer's handle on the condition store, if it
 	// originates determinations (its out_det count lives there).
 	dets *detOrigin
 	tm   *obs.TransducerMetrics
-	mc   *msgCounters
-}
-
-// msgCounters holds a node's delivery counts already published into its
-// atomic TransducerMetrics counters, by message kind, so syncMetrics adds
-// deltas (the registry is cumulative across evaluations).
-type msgCounters struct {
+	// flushedIn/flushedOut hold the delivery counts already published into the
+	// atomic TransducerMetrics counters, by message kind, so syncMetrics adds
+	// deltas (the registry is cumulative across evaluations).
 	flushedIn, flushedOut [numKinds]int64
 }
 
-// tape is one edge of the network: the activation messages its single writer
-// emitted this step. All of them precede the step's document event — nothing
-// else travels on a tape — so an empty tape reads as the bare event, which is
-// what lets an idle writer stay unvisited.
-type tape struct {
+// inbox holds the activation messages emitted to a node this step, by all the
+// ports that write it, in emission order. All of them precede the step's
+// document event — nothing else is ever sent — so an empty inbox reads as the
+// bare event, which is what lets an idle writer stay unvisited.
+type inbox struct {
 	msgs []*cond.Formula
-	// rword/rbit locate the tape's single reader in the active-set bitset
-	// (every tape has exactly one reader, see insertFanouts).
-	rword int
-	rbit  uint64
-	// read counts the activations the reader has consumed. A written tape is
-	// always read in the same step, so this is at once the writer's out_act
-	// and the reader's in_act contribution.
+	// read counts the activations the node has consumed: its in_act.
 	read int64
 }
 
-// put appends an activation and puts the tape's reader into the step's
-// active set.
-func (tp *tape) put(n *Network, f *cond.Formula) {
-	tp.msgs = append(tp.msgs, f)
-	n.hot[tp.rword] |= tp.rbit
+// port is an output of a node (or the network's source): its destinations are
+// net.dests[lo:hi], each an inbox (a node index) or, complemented, a
+// determinant (an index into net.dets).
+type port struct {
+	net    *Network
+	lo, hi int32
+	node   int32 // the emitting node, -1 for the source
+	// sent counts the activations emitted; dets the determinations the port's
+	// determinants originated from them, which are the emitting node's.
+	sent, dets int64
+}
+
+// emit sends the activation message [f] to every destination of the port.
+// Whatever a transducer emits during a step precedes the step's document
+// event there. A destination node joins the step's active set; a determinant
+// runs at once.
+func (p *port) emit(f *cond.Formula) {
+	n := p.net
+	if n.tracer != nil && p.node >= 0 {
+		n.tracer.Trace(obs.TraceEvent{Step: n.reg.step, Node: n.nodes[p.node].t.name(), Kind: obs.KindActivation, Msg: "[" + f.String() + "]", TraceID: n.cfg.traceID})
+	}
+	p.sent++
+	for _, d := range n.dests[p.lo:p.hi] {
+		if d >= 0 {
+			in := &n.inboxes[d]
+			in.msgs = append(in.msgs, f)
+			n.hot[d>>6] |= 1 << (d & 63)
+			continue
+		}
+		vd := n.dets[^d]
+		before := vd.n
+		vd.apply(f)
+		p.dets += vd.n - before
+	}
 }
 
 // numKinds mirrors the obs package's message-kind count (doc, activation,
@@ -66,19 +94,26 @@ const numKinds = 3
 // stream; build a fresh network per evaluation (building is linear in the
 // query size and takes microseconds).
 type Network struct {
-	cfg    netConfig
-	nodes  []netNode
-	tapes  []*tape
-	source *tape
-	outs   []*outputT
+	cfg   netConfig
+	nodes []netNode
+	// cold is parallel to nodes; nil unless the network is instrumented.
+	cold    []nodeCounters
+	inboxes []inbox
+	// dests holds the destinations of every port, one range each; dets the
+	// determinants they refer to.
+	dests   []int32
+	dets    []*determinant
+	source  port
+	fanouts int
+	outs    []*outputT
 	// store is the condition store: every determination goes there, never
-	// onto a tape.
+	// into an inbox.
 	store *condStore
 	// reg is the document-stream register: the step's event, read in place
 	// by every visited transducer.
 	reg docReg
 	// hot and armed are the active set, one bit per node in topological
-	// order. hot holds the readers of the tapes written so far in this step.
+	// order. hot holds the nodes whose inbox was written so far in this step.
 	// armed holds the nodes that declared a wake condition at their last
 	// visit; wakes[i] is node i's condition, and propagate visits an armed
 	// node without input only if the register matches it.
@@ -118,8 +153,9 @@ type Network struct {
 	lastStep     int64
 	lastElements int64
 	// stepMsgs batches the per-event delivery-count observations; flushed
-	// into metrics.StepMessages on the gauge stride.
-	stepMsgs obs.HistogramBatch
+	// into metrics.StepMessages on the gauge stride. Nil, like cold, unless
+	// the network is instrumented.
+	stepMsgs *obs.HistogramBatch
 }
 
 // Stats reports what an evaluation consumed and produced; the quantities of
@@ -262,7 +298,7 @@ func (n *Network) Step(ev xmlstream.Event) error {
 	// The input transducer: the initial activation with formula true
 	// precedes the start-document message (§III.2, Example III.1).
 	if ev.Kind == xmlstream.StartDocument {
-		n.source.put(n, cond.True())
+		n.source.emit(cond.True())
 	}
 	applied := n.store.applied
 	total := n.propagate()
@@ -318,7 +354,7 @@ func (n *Network) governStep(total int64) error {
 	return nil
 }
 
-// shedAllSinks sheds every sink and quiesces the network: tapes are
+// shedAllSinks sheds every sink and quiesces the network: inboxes are
 // dropped, the variable pool is reset, and subsequent steps keep only the
 // depth bookkeeping. The parse still completes (Finish validates nesting),
 // reporting whatever each sink had counted before the shed.
@@ -326,8 +362,8 @@ func (n *Network) shedAllSinks() {
 	for _, out := range n.outs {
 		out.shedSelf()
 	}
-	for _, tp := range n.tapes {
-		tp.msgs = nil
+	for i := range n.inboxes {
+		n.inboxes[i].msgs = nil
 	}
 	n.store.reset()
 	n.cfg.pool.Reset()
@@ -344,26 +380,25 @@ const gaugeSyncStride = 32
 
 // propagate delivers the step's document event, and the activation messages
 // it causes, to the part of the network they concern, in topological order. A
-// node is visited when a tape it reads was written in this step, or when it
-// is armed and the event in the register satisfies the wake condition it
-// declared at its last visit; the check reads the dense wakes array only, not
-// the node, its tapes or its transducer. Every other node would only have
-// re-emitted the event, which needs no emitting, so it is skipped. A visited
-// node gets the activations of all its ports, then the event, and its input
-// tapes are cleared as soon as it has read them — each tape has exactly one
-// reader (shared-subexpression networks route multi-reader tapes through
-// explicit fan-out junctions at build time, insertFanouts), and writing to a
-// tape is what makes that reader active, so no written tape is left behind.
+// node is visited when its inbox was written in this step, or when it is armed
+// and the event in the register satisfies the wake condition it declared at
+// its last visit; the check reads the dense wakes array only, not the node,
+// its inbox or its transducer. Every other node would only have re-emitted the
+// event, which needs no emitting, so it is skipped. A visited node gets the
+// activations of its inbox — everything its writers emitted, all of them
+// ahead of it in the order — then the event, and the inbox is cleared as soon
+// as it has been read; writing to an inbox is what makes its node active, so
+// no written inbox is left behind.
 //
 // It returns the deliveries made: one per visit for the document event plus
-// one per activation — the per-event work, which Lemma V.2 bounds by the
+// one per activation read — the per-event work, which Lemma V.2 bounds by the
 // network degree and which an idle sub-network does not contribute to. (Step
 // adds the determinations the condition store applied.)
 func (n *Network) propagate() int64 {
 	r := &n.reg
 	class, depth, sym := eventClass[r.ev.Kind&7], int32(r.depth), r.ev.Sym
 	var visits, msgs int64
-	hot, armed, wakes := n.hot, n.armed, n.wakes
+	hot, armed, wakes, cold := n.hot, n.armed, n.wakes, n.cold
 	for w := range hot {
 		// Writers precede their readers, so bits set during a visit are
 		// always ahead of the cursor: re-reading the word picks them up.
@@ -379,28 +414,26 @@ func (n *Network) propagate() int64 {
 			i := w<<6 | b
 			node := &n.nodes[i]
 			if hot[w]&bit == 0 {
-				// No tape of the node was written: it is visited for the
+				// The node's inbox was not written: it is visited for the
 				// event alone, if it asked for it.
 				if !wakes[i].wants(class, depth, sym) {
 					continue
 				}
 			} else {
 				hot[w] &^= bit
-				for port, tp := range node.ins {
-					if len(tp.msgs) == 0 {
-						continue
-					}
-					for _, f := range tp.msgs {
-						node.t.feed(port, f, node.emit)
-					}
-					tp.read += int64(len(tp.msgs))
-					msgs += int64(len(tp.msgs))
-					tp.msgs = tp.msgs[:0]
+				in := &n.inboxes[i]
+				for _, f := range in.msgs {
+					node.t.feed(f)
 				}
+				in.read += int64(len(in.msgs))
+				msgs += int64(len(in.msgs))
+				in.msgs = in.msgs[:0]
 			}
-			node.visits++
 			visits++
-			wk := node.t.doc(r, node.emit)
+			if cold != nil {
+				cold[i].visits++
+			}
+			wk := node.t.doc(r, &node.out)
 			wakes[i] = wk
 			if wk.on != 0 {
 				armed[w] |= bit
@@ -434,41 +467,38 @@ func (n *Network) syncMetrics() {
 	m.Depth.NoteMax(int64(n.maxDepth))
 	n.stepMsgs.FlushTo(&m.StepMessages)
 	for i := range n.nodes {
-		node := &n.nodes[i]
+		node, c := &n.nodes[i], &n.cold[i]
 		ts := node.t.stackStats()
-		tm := node.tm
+		tm := c.tm
 		tm.Stack.Set(int64(ts.Cur))
 		tm.Stack.NoteMax(int64(ts.MaxStack))
 		tm.Formula.NoteMax(int64(ts.MaxFormula))
-		// Deliveries by kind. The document event is delivered by a visit.
-		// Every tape has one writer and one reader, and a written tape is
-		// always read in the same step, so the tapes' read counts are the
-		// producer's out- and the consumer's in-counts of activations. A
-		// determination is counted out where it originates and in at every
-		// sink where its resolution touched a candidate.
+		// Deliveries by kind. The document event is delivered by a visit. An
+		// activation is counted in where it is read and out once per inbox
+		// the emitting port writes — a written inbox is always read in the
+		// same step, so the two sums agree. A determination is counted out at
+		// the node that originates it, or whose emission a determinant turned
+		// into it, and in at every sink where its resolution touched a
+		// candidate.
 		var in, out [numKinds]int64
-		in[obs.KindDoc] = node.visits
-		for _, tp := range node.ins {
-			in[obs.KindActivation] += tp.read
-		}
-		for _, tp := range node.outs {
-			out[obs.KindActivation] += tp.read
-		}
-		if node.dets != nil {
-			out[obs.KindDetermination] = node.dets.n
+		in[obs.KindDoc] = c.visits
+		in[obs.KindActivation] = n.inboxes[i].read
+		out[obs.KindActivation] = node.out.sent * c.readers
+		out[obs.KindDetermination] = node.out.dets
+		if c.dets != nil {
+			out[obs.KindDetermination] += c.dets.n
 		}
 		if ou, ok := node.t.(*outputT); ok {
 			in[obs.KindDetermination] = ou.detsIn
 		}
-		mc := node.mc
 		for k := 0; k < numKinds; k++ {
-			if d := in[k] - mc.flushedIn[k]; d != 0 {
+			if d := in[k] - c.flushedIn[k]; d != 0 {
 				tm.In[k].Add(d)
-				mc.flushedIn[k] = in[k]
+				c.flushedIn[k] = in[k]
 			}
-			if d := out[k] - mc.flushedOut[k]; d != 0 {
+			if d := out[k] - c.flushedOut[k]; d != 0 {
 				tm.Out[k].Add(d)
-				mc.flushedOut[k] = out[k]
+				c.flushedOut[k] = out[k]
 			}
 		}
 	}
@@ -519,7 +549,7 @@ func (n *Network) Finish() error {
 }
 
 // Release drops the network's evaluation state without requiring the stream
-// to finish: transducer stacks, tape buffers and queued candidates are
+// to finish: transducer stacks, inboxes and queued candidates are
 // unreferenced, and the condition pool returns its allocated variables. An
 // early-exit caller (a filtering decision made mid-stream, or an answer
 // determination) releases instead of feeding the rest of the document. The
@@ -535,9 +565,7 @@ func (n *Network) Release() {
 		n.finalStats = &st
 		n.finalSinks = sinks
 	}
-	n.nodes = nil
-	n.tapes = nil
-	n.source = nil
+	n.nodes, n.cold, n.inboxes, n.dests, n.dets = nil, nil, nil, nil, nil
 	n.outs = nil
 	n.store.reset()
 	n.cfg.pool.Reset()

@@ -268,7 +268,7 @@ func (t *outputT) stackStats() StackStats {
 	return s
 }
 
-func (t *outputT) feed(_ int, f *cond.Formula, _ emitFn) {
+func (t *outputT) feed(f *cond.Formula) {
 	if t.shed || t.determined {
 		return
 	}
@@ -278,7 +278,7 @@ func (t *outputT) feed(_ int, f *cond.Formula, _ emitFn) {
 
 // doc: the sink needs every event while a candidate collects content, and
 // otherwise only the ones an activation comes with.
-func (t *outputT) doc(r *docReg, _ emitFn) wake {
+func (t *outputT) doc(r *docReg, _ *port) wake {
 	if t.shed || t.determined {
 		return wake{}
 	}

@@ -17,8 +17,8 @@ type vcT struct {
 	// with no inner match means not(cond) holds, so the scope-exit messages
 	// are {c,true} followed by the finalization, instead of the positive
 	// construction's bare {c,false} finalization. An inner match kills the
-	// instance earlier through the negated determinant (nvdT); the condition
-	// store's first-determination-wins rule lets that kill stand.
+	// instance earlier through the negated determinant (determinant.neg); the
+	// condition store's first-determination-wins rule lets that kill stand.
 	neg bool
 
 	pending *cond.Formula
@@ -50,21 +50,21 @@ func (t *vcT) stackStats() StackStats {
 	return s
 }
 
-func (t *vcT) feed(_ int, f *cond.Formula, _ emitFn) {
+func (t *vcT) feed(f *cond.Formula) {
 	t.pending = t.cfg.or(t.pending, f)
 	t.st.noteFormula(t.pending)
 }
 
 // doc: an instance is created with the activation that arms it; after that
 // the only event VC can act on is the end of its innermost instance.
-func (t *vcT) doc(r *docReg, emit emitFn) wake {
+func (t *vcT) doc(r *docReg, out *port) wake {
 	switch {
 	case isStart(r.ev.Kind):
 		if t.pending != nil {
 			v := t.cfg.pool.Fresh(t.q)
 			f := t.cfg.and(t.pending, t.cfg.pool.Var(v))
 			t.st.noteFormula(f)
-			emit(0, f)
+			out.emit(f)
 			t.pending = nil
 			t.vars = append(t.vars, varScope{r.depth, v})
 			t.st.noteStack(len(t.vars))
@@ -101,55 +101,41 @@ func (t *vcT) doc(r *docReg, emit emitFn) wake {
 	return wake{on: wakeEnd, depth: int32(t.vars[len(t.vars)-1].depth)}
 }
 
-// vfT is the variable-filter transducer of §III.5.2. The positive filter
-// VF(q+) rewrites activation formulas to retain only the variables of q and
-// of qualifiers nested inside q's condition expression ("drops everything
-// else but those variables"); the negative filter VF(q-) drops exactly
-// those.
-type vfT struct {
-	passDoc
-	q        cond.QualID
-	pool     *cond.Pool
-	positive bool
-	st       StackStats
-}
-
-func newVF(q cond.QualID, pool *cond.Pool, positive bool) *vfT {
-	return &vfT{q: q, pool: pool, positive: positive}
-}
-
-func (t *vfT) name() string {
-	if t.positive {
-		return "VF(q+)"
-	}
-	return "VF(q-)"
-}
-
-func (t *vfT) stackStats() StackStats { return t.st }
-
-func (t *vfT) feed(_ int, f *cond.Formula, emit emitFn) {
-	f = t.pool.Restrict(f, t.q, t.positive)
-	t.st.noteFormula(f)
-	emit(0, f)
-}
-
-// vdT is the variable-determinant transducer of §III.5.3. Every activation
-// reaching it witnesses the qualifier instances its formula mentions: for
-// each variable c of qualifier q occurring in the (already filtered)
-// formula, it originates a determination. Where the paper emits {c,true}
-// — every instance reaching VD is satisfied — this implementation gives the
+// determinant is the tail of a qualifier's condition sub-network — the
+// variable filter VF(q+) of §III.5.2 followed by the variable determinant VD
+// of §III.5.3 — lowered to an edge function: neither keeps anything across
+// events, so instead of two visits the pair runs where an activation is
+// emitted onto the condition's output (port.emit).
+//
+// The filter rewrites the activation's formula to retain only the variables
+// of q and of the qualifiers nested inside q's condition ("drops everything
+// else but those variables"). The determinant then witnesses the qualifier
+// instances the filtered formula mentions: for each variable c of q occurring
+// in it, it originates a determination. Where the paper emits {c,true} —
+// every instance reaching VD is satisfied — this implementation gives the
 // witness condition under which the instance is satisfied, which is the
-// constant true except when qualifiers nest: then the witness is the
-// residual formula of the variables nested below q (the DNF disjuncts
-// containing c, with c projected out). Activations are consumed. The witness
-// precedes the document event it was found at, so it takes effect at once.
-type vdT struct {
-	passDoc
+// constant true except when qualifiers nest: then the witness is the residual
+// formula of the variables nested below q (the DNF disjuncts containing c,
+// with c projected out). The activation is consumed. The witness precedes the
+// document event it was found at, so it takes effect at once.
+//
+// Under neg it is the determinant VD(!) of a negated qualifier
+// base[not(cond)], the dual: an activation reaching it proves cond selected a
+// node within some open instances' scopes, which makes not(cond) false there —
+// so for every variable of q the filtered formula mentions, it originates the
+// kill {c,false} as a witness determination. The negated variable-creator
+// sends {c,true} at scope exit for instances never killed. Soundness rests on
+// the negated condition being qualifier-free (enforced when predicates are
+// lowered and re-checked at compile time): the activation's q-variables are
+// then conditioned on nothing, and an inner match is a structural fact of the
+// document, killing the instance outright.
+type determinant struct {
 	detOrigin
 	q         cond.QualID
 	cfg       *netConfig
-	st        StackStats
-	witnesses []witness // scratch of the nested-qualifier path
+	neg       bool
+	witnesses []witness    // scratch of the nested-qualifier path
+	seen      []cond.VarID // scratch of the kill: per-activation variable dedupe
 }
 
 // witness pairs a variable of q with the condition under which an activation
@@ -159,18 +145,28 @@ type witness struct {
 	w *cond.Formula
 }
 
-func newVD(q cond.QualID, cfg *netConfig, store *condStore) *vdT {
-	t := &vdT{q: q, cfg: cfg}
-	t.detOrigin = detOrigin{store: store, node: t.name()}
+// newDeterminant builds the determinant of qualifier q, or of the negated
+// qualifier when neg is set. Its determinations keep VD's name in the trace.
+func newDeterminant(q cond.QualID, neg bool, cfg *netConfig, store *condStore) *determinant {
+	t := &determinant{q: q, cfg: cfg, neg: neg}
+	t.detOrigin = detOrigin{store: store, node: "VD"}
+	if neg {
+		t.node = "VD(!)"
+	}
 	return t
 }
 
-func (t *vdT) name() string { return "VD" }
+// apply consumes one activation emitted onto the condition's output.
+func (t *determinant) apply(f *cond.Formula) {
+	f = t.cfg.pool.Restrict(f, t.q, true)
+	if t.neg {
+		t.kill(f)
+	} else {
+		t.witness(f)
+	}
+}
 
-func (t *vdT) stackStats() StackStats { return t.st }
-
-func (t *vdT) feed(_ int, f *cond.Formula, _ emitFn) {
-	t.st.noteFormula(f)
+func (t *determinant) witness(f *cond.Formula) {
 	pool := t.cfg.pool
 	// Fast path for the overwhelmingly common single-variable formula
 	// (an unnested qualifier): the instance is satisfied outright.
@@ -213,40 +209,10 @@ func (t *vdT) feed(_ int, f *cond.Formula, _ emitFn) {
 	t.witnesses = ws[:0]
 }
 
-// nvdT is the variable determinant of a negated qualifier base[not(cond)]:
-// the dual of vdT. An activation reaching it proves cond selected a node
-// within some open instances' scopes, which makes not(cond) false there — so
-// for every variable of q the (filtered) formula mentions, it originates the
-// kill {c,false} as a witness determination. The negated variable-creator sends
-// {c,true} at scope exit for instances never killed. Soundness rests on the
-// negated condition being qualifier-free (enforced when predicates are
-// lowered and re-checked at compile time): the activation's q-variables are
-// then conditioned on nothing, and an inner match is a structural fact of
-// the document, killing the instance outright.
-type nvdT struct {
-	passDoc
-	detOrigin
-	q    cond.QualID
-	pool *cond.Pool
-	st   StackStats
-	seen []cond.VarID // scratch: per-activation variable dedupe
-}
-
-func newNVD(q cond.QualID, pool *cond.Pool, store *condStore) *nvdT {
-	t := &nvdT{q: q, pool: pool}
-	t.detOrigin = detOrigin{store: store, node: t.name()}
-	return t
-}
-
-func (t *nvdT) name() string { return "VD(!)" }
-
-func (t *nvdT) stackStats() StackStats { return t.st }
-
-func (t *nvdT) feed(_ int, f *cond.Formula, _ emitFn) {
-	t.st.noteFormula(f)
+func (t *determinant) kill(f *cond.Formula) {
 	seen := t.seen[:0]
 	f.Visit(func(v cond.VarID) {
-		if !t.pool.BelongsTo(v, t.q) {
+		if !t.cfg.pool.BelongsTo(v, t.q) {
 			return
 		}
 		for _, s := range seen {
@@ -266,15 +232,14 @@ func (t *nvdT) feed(_ int, f *cond.Formula, _ emitFn) {
 // qualifiers — base[not(cond)] where cond is
 // nullable: the candidate itself witnesses cond at the event that opens it,
 // so not(cond) never holds and base's selections are discarded wholesale.
-type dropActT struct {
-	passDoc
-	st StackStats
-}
+type dropActT struct{}
 
 func newDropAct() *dropActT { return &dropActT{} }
 
 func (t *dropActT) name() string { return "DROP" }
 
-func (t *dropActT) stackStats() StackStats { return t.st }
+func (t *dropActT) stackStats() StackStats { return StackStats{} }
 
-func (t *dropActT) feed(int, *cond.Formula, emitFn) {}
+func (t *dropActT) feed(*cond.Formula) {}
+
+func (t *dropActT) doc(*docReg, *port) wake { return wake{} }

@@ -186,14 +186,14 @@ func TestBuildSetSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The second query adds exactly its own sink plus the explicit fan-out
-	// junction feeding both sinks from the shared final tape.
-	if double.Degree() != single.Degree()+2 {
-		t.Fatalf("identical queries should share all transducers but the sink and fan-out: %d vs %d",
+	// The second query adds exactly its own sink; both sinks are destinations
+	// of the shared final tape's writer, the network's one sharing point.
+	if double.Degree() != single.Degree()+1 {
+		t.Fatalf("identical queries should share all transducers but the sink: %d vs %d",
 			double.Degree(), single.Degree())
 	}
 	if double.Fanouts() != 1 {
-		t.Fatalf("identical queries should meet at one fan-out junction, got %d", double.Fanouts())
+		t.Fatalf("identical queries should meet at one sharing point, got %d", double.Fanouts())
 	}
 }
 

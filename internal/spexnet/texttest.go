@@ -48,14 +48,14 @@ func (t *textCmpT) stackStats() StackStats {
 	return s
 }
 
-func (t *textCmpT) feed(_ int, f *cond.Formula, _ emitFn) {
+func (t *textCmpT) feed(f *cond.Formula) {
 	t.pending = t.cfg.or(t.pending, f)
 	t.st.noteFormula(t.pending)
 }
 
 // doc: character data anywhere below an armed node counts towards its string
 // value, and the innermost armed node decides at its end message.
-func (t *textCmpT) doc(r *docReg, emit emitFn) wake {
+func (t *textCmpT) doc(r *docReg, out *port) wake {
 	switch {
 	case isStart(r.ev.Kind):
 		if t.pending != nil {
@@ -67,7 +67,7 @@ func (t *textCmpT) doc(r *docReg, emit emitFn) wake {
 		t.pending = nil
 		if n := len(t.scopes); n > 0 && t.scopes[n-1].depth == r.depth {
 			if s := t.scopes[n-1]; t.op.Holds(s.buf.String(), t.value) {
-				emit(0, s.f)
+				out.emit(s.f)
 			}
 			t.scopes = t.scopes[:n-1]
 		}

@@ -6,12 +6,6 @@ import (
 	"repro/internal/xmlstream"
 )
 
-// emitFn delivers an activation message [f] to one output port of a
-// transducer. All transducers have a single output port (port 0) except the
-// split and fan-out transducers. Whatever a transducer emits during a step
-// precedes the step's document event on that port's tape.
-type emitFn func(port int, f *cond.Formula)
-
 // docReg is the document-stream register: the one copy of the step's event
 // that every visited transducer reads. The document stream is not a message
 // any more — nothing copies the event from tape to tape — so a transducer
@@ -37,15 +31,17 @@ type docReg struct {
 // not pass through transducers: whoever originates one hands it to the
 // network's condition store (detOrigin).
 type transducer interface {
-	// feed processes one activation message arriving on the given input port
-	// (always 0 except for the join transducer).
-	feed(input int, f *cond.Formula, emit emitFn)
-	// doc processes the step's document event and returns the transducer's
-	// wake condition: the events it can act on even if no activation arrives
-	// with them. The runner visits it again only for an activation or for an
-	// event matching that condition, so its stacks hold depth-tagged entries
-	// for armed levels only, never one entry per open element.
-	doc(r *docReg, emit emitFn) wake
+	// feed processes one activation message. Every transducer of the lowered
+	// network has one input and one output (the connectors with more are
+	// wiring, see lower.go), and none emits before it has seen the event.
+	feed(f *cond.Formula)
+	// doc processes the step's document event, emitting on out what precedes
+	// it there, and returns the transducer's wake condition: the events it can
+	// act on even if no activation arrives with them. The runner visits it
+	// again only for an activation or for an event matching that condition, so
+	// its stacks hold depth-tagged entries for armed levels only, never one
+	// entry per open element.
+	doc(r *docReg, out *port) wake
 	name() string
 	// stackStats returns the current and maximum depth-stack size and the
 	// maximum condition-formula size handled, for the §V experiments.
@@ -123,13 +119,6 @@ func (k wake) wants(class wakeSet, depth int32, sym xmlstream.Sym) bool {
 	}
 	return true
 }
-
-// passDoc is embedded by the transducers that keep nothing across document
-// events (split, join, fan-out, the variable filter and determinants): the
-// event never arms them.
-type passDoc struct{}
-
-func (passDoc) doc(*docReg, emitFn) wake { return wake{} }
 
 // scope is one entry of a depth-tagged sparse stack: the formula attached to
 // the open node at the given depth. Levels carrying no formula have no entry

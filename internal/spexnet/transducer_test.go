@@ -32,11 +32,23 @@ func (it tapeItem) String() string {
 }
 
 // docFeeder plays the runner for one transducer under test: it maintains the
-// document register across the document messages of a hand-written tape and
+// document register across the document messages of a hand-written tape,
+// catches what the transducer emits in the one inbox of a scratch network, and
 // observes the condition store the transducer originates determinations into.
 type docFeeder struct {
 	reg   docReg
 	depth int
+	net   *Network
+}
+
+// out returns the port the transducer under test emits on: its one
+// destination is inbox 0 of the scratch network.
+func (f *docFeeder) out() *port {
+	if f.net == nil {
+		f.net = &Network{inboxes: make([]inbox, 1), hot: make([]uint64, 1), dests: []int32{0}}
+		f.net.source = port{net: f.net, hi: 1, node: -1}
+	}
+	return &f.net.source
 }
 
 // deliver hands one item to the transducer the way Network.Step and
@@ -46,15 +58,25 @@ type docFeeder struct {
 // the event, which the store applies when the (one-node) sweep has drained. A
 // determination originated ahead of the event is recorded where it takes
 // effect: at once.
-func (f *docFeeder) deliver(t transducer, input int, it tapeItem, out func(port int, it tapeItem)) {
-	emit := func(port int, f *cond.Formula) { out(port, tapeItem{kind: obs.KindActivation, f: f}) }
+func (f *docFeeder) deliver(t transducer, it tapeItem, out func(tapeItem)) {
+	port := f.out()
+	emitted := func() {
+		in := &f.net.inboxes[0]
+		for _, a := range in.msgs {
+			out(tapeItem{kind: obs.KindActivation, f: a})
+		}
+		in.msgs = in.msgs[:0]
+	}
 	var store *condStore
 	if o, ok := t.(interface{ origin() *detOrigin }); ok {
 		store = o.origin().store
-		store.trace = func(_ string, d det) { out(0, tapeItem{kind: obs.KindDetermination, det: d}) }
+		store.trace = func(_ string, d det) {
+			emitted()
+			out(tapeItem{kind: obs.KindDetermination, det: d})
+		}
 	}
 	if it.kind != obs.KindDoc {
-		t.feed(input, it.f, emit)
+		t.feed(it.f)
 		return
 	}
 	r := &f.reg
@@ -68,33 +90,22 @@ func (f *docFeeder) deliver(t transducer, input int, it tapeItem, out func(port 
 	case xmlstream.EndElement:
 		f.depth--
 	}
-	t.doc(r, emit)
-	out(0, it)
-	if p, ok := t.(interface{ ports() int }); ok && p.ports() > 1 {
-		out(1, it)
-	}
+	t.doc(r, port)
+	emitted()
+	out(it)
 	if store != nil {
 		store.drain()
 	}
 }
 
-// ports lets the feeder show the document event on both tapes of a split.
-func (t *splitT) ports() int { return 2 }
-
 // feedAll drives a transducer with a message sequence and collects its
-// port-0 output (port 1 for the second return value, used by split).
-func feedAll(t transducer, input int, items []tapeItem) (port0, port1 []tapeItem) {
+// output.
+func feedAll(t transducer, items []tapeItem) (out []tapeItem) {
 	var f docFeeder
 	for _, it := range items {
-		f.deliver(t, input, it, func(port int, it tapeItem) {
-			if port == 0 {
-				port0 = append(port0, it)
-			} else {
-				port1 = append(port1, it)
-			}
-		})
+		f.deliver(t, it, func(it tapeItem) { out = append(out, it) })
 	}
-	return port0, port1
+	return out
 }
 
 // msgs builds a tape from tapeItems (actMsg, start/end/startDoc/endDoc/chars).
@@ -131,7 +142,7 @@ func cfgFor(pool *cond.Pool) *netConfig { return &netConfig{pool: pool} }
 // III.1's T1 in isolation.
 func TestChildTransducerDirect(t *testing.T) {
 	ch := newChild("a", testCfg)
-	out, _ := feedAll(ch, 0, msgs(
+	out := feedAll(ch, msgs(
 		actMsg(cond.True()), startDoc(),
 		start("a"), // matched: child of the activated <$>
 		start("a"), // not matched: grandchild
@@ -156,7 +167,7 @@ func TestChildTransducerDirect(t *testing.T) {
 func TestChildTransducerMergesActivations(t *testing.T) {
 	ch := newChild("a", testCfg)
 	v1, v2 := testCfg.pool.Var(1), testCfg.pool.Var(2)
-	out, _ := feedAll(ch, 0, msgs(
+	out := feedAll(ch, msgs(
 		actMsg(v1), actMsg(v2), start("x"),
 		start("a"), end("a"),
 		end("x"),
@@ -180,7 +191,7 @@ func TestChildTransducerMergesActivations(t *testing.T) {
 // transition 8: a non-matching element suspends the scope.
 func TestClosureTransducerChain(t *testing.T) {
 	cl := newClosure("a", testCfg)
-	out, _ := feedAll(cl, 0, msgs(
+	out := feedAll(cl, msgs(
 		actMsg(cond.True()), start("r"),
 		start("a"), // in scope: matched
 		start("x"), // suspends
@@ -209,7 +220,7 @@ func TestVCTransducerLifecycle(t *testing.T) {
 	pool := cond.NewPool()
 	q := pool.DeclareQualifier(nil)
 	vc := newVC(q, false, cfgFor(pool), newCondStore(cfgFor(pool)))
-	out, _ := feedAll(vc, 0, msgs(
+	out := feedAll(vc, msgs(
 		actMsg(cond.True()), start("a"),
 		end("a"),
 		actMsg(cond.True()), start("b"),
@@ -226,45 +237,71 @@ func TestVCTransducerLifecycle(t *testing.T) {
 	}
 }
 
-// TestSplitDuplicates: SP forwards everything to both tapes (Fig. 8).
+// wiringUnderTest builds, with the builder's own primitives, the network
+// source → SP → (CH(a) | CH(b)) → JO → CH(c) and returns it wired.
+func wiringUnderTest() *Network {
+	n := &Network{}
+	n.source = port{net: n, node: -1}
+	b := &builder{net: n}
+	left, right := b.split(b.newWire(-1))
+	a := b.addNode(newChild("a", testCfg), left)
+	bb := b.addNode(newChild("b", testCfg), right)
+	b.addNode(newChild("c", testCfg), b.join(a, bb))
+	b.finish(nil)
+	return n
+}
+
+// TestSplitDuplicates: SP forwards everything to both branches (Fig. 8). It
+// is wiring: the readers of the two branches are both destinations of the
+// split tape's writer, and one emission reaches — and activates — both.
 func TestSplitDuplicates(t *testing.T) {
-	sp := newSplit()
-	p0, p1 := feedAll(sp, 0, msgs(actMsg(cond.True()), start("a"), end("a")))
-	if render(p0) != render(p1) || len(p0) != 3 {
-		t.Fatalf("p0=%s p1=%s", render(p0), render(p1))
+	n := wiringUnderTest()
+	if n.Degree() != 3 {
+		t.Fatalf("degree %d, want 3: SP and JO are not nodes", n.Degree())
+	}
+	clear(n.hot)
+	n.source.emit(cond.True())
+	for i := 0; i < 2; i++ {
+		if got := render(actItems(n.inboxes[i].msgs)); got != "[true]" {
+			t.Errorf("branch %d received %q, want [true]", i, got)
+		}
+	}
+	if n.hot[0] != 0b011 {
+		t.Errorf("active set %03b, want both branch readers and nothing else", n.hot[0])
 	}
 }
 
-// TestJoinANDGate: the join gates nothing any more — both branches read the
-// step's one document event from the register — and merges the activations of
-// both branches ahead of it, left branch first (Fig. 9). Determinations do not
-// reach it: they go to the condition store.
+// TestJoinANDGate: the join gates nothing — both branches read the step's one
+// document event from the register — and merges the activations of both
+// branches ahead of it, left branch first (Fig. 9). It is wiring: the reader
+// behind the join is a destination of the writers of both branches, and the
+// left branch's writer is visited, hence emits, first.
 func TestJoinANDGate(t *testing.T) {
-	var f docFeeder
-	jo := newJoin()
-	var out []tapeItem
-	collect := func(_ int, it tapeItem) { out = append(out, it) }
-	// The runner's order: the activations of both ports, then the event.
-	f.deliver(jo, 0, actMsg(testCfg.pool.Var(1)), collect)
-	f.deliver(jo, 1, actMsg(testCfg.pool.Var(2)), collect)
-	f.deliver(jo, 0, start("a"), collect)
-	want := "[v1] [v2] <a>"
-	if render(out) != want {
-		t.Fatalf("got  %s\nwant %s", render(out), want)
+	n := wiringUnderTest()
+	clear(n.hot)
+	n.nodes[0].out.emit(testCfg.pool.Var(1))
+	n.nodes[1].out.emit(testCfg.pool.Var(2))
+	if got := render(actItems(n.inboxes[2].msgs)); got != "[v1] [v2]" {
+		t.Fatalf("behind the join: %q, want [v1] [v2]", got)
 	}
-	// Nothing is buffered across steps.
-	out = nil
-	f.deliver(jo, 0, end("a"), collect)
-	if render(out) != "</a>" {
-		t.Fatalf("second step: %s", render(out))
+	if n.hot[0] != 0b100 {
+		t.Errorf("active set %03b, want the join's reader only", n.hot[0])
 	}
+}
+
+func actItems(fs []*cond.Formula) []tapeItem {
+	out := make([]tapeItem, len(fs))
+	for i, f := range fs {
+		out[i] = actMsg(f)
+	}
+	return out
 }
 
 // TestUnionMergesPerDocMessage: UN merges the activations preceding one
 // document message into their disjunction (Fig. 10).
 func TestUnionMergesPerDocMessage(t *testing.T) {
 	un := newUnion(testCfg)
-	out, _ := feedAll(un, 0, msgs(
+	out := feedAll(un, msgs(
 		actMsg(testCfg.pool.Var(1)), actMsg(testCfg.pool.Var(2)), start("a"),
 		end("a"),
 		actMsg(testCfg.pool.Var(3)), start("b"),
@@ -275,8 +312,19 @@ func TestUnionMergesPerDocMessage(t *testing.T) {
 	}
 }
 
-// TestVFRestrictsFormulas: VF(q+) keeps only the qualifier's variables;
-// VF(q-) drops exactly those.
+// applyAll runs a determinant on the activations and returns the
+// determinations it originated.
+func applyAll(d *determinant, fs ...*cond.Formula) (out []tapeItem) {
+	d.store.trace = func(_ string, dt det) { out = append(out, tapeItem{kind: obs.KindDetermination, det: dt}) }
+	for _, f := range fs {
+		d.apply(f)
+	}
+	return out
+}
+
+// TestVFRestrictsFormulas: the determinant's filter VF(q+) keeps only the
+// qualifier's variables (and those of qualifiers nested in its condition), so
+// a variable of an unrelated qualifier never becomes part of a witness.
 func TestVFRestrictsFormulas(t *testing.T) {
 	pool := cond.NewPool()
 	q1 := pool.DeclareQualifier(nil)
@@ -285,16 +333,15 @@ func TestVFRestrictsFormulas(t *testing.T) {
 	v2 := pool.Fresh(q2)
 	f := pool.And(pool.Var(v1), pool.Var(v2))
 
-	plus := newVF(q1, pool, true)
-	out, _ := feedAll(plus, 0, msgs(actMsg(f)))
-	if len(out) != 1 || out[0].f.String() != "v0" {
-		t.Fatalf("VF(q+): %s", render(out))
+	if got := pool.Restrict(f, q1, true).String(); got != "v0" {
+		t.Fatalf("VF(q+): %s", got)
 	}
-
-	minus := newVF(q1, pool, false)
-	out, _ = feedAll(minus, 0, msgs(actMsg(f)))
-	if len(out) != 1 || out[0].f.String() != "v1" {
-		t.Fatalf("VF(q-): %s", render(out))
+	if got := pool.Restrict(f, q1, false).String(); got != "v1" {
+		t.Fatalf("VF(q-): %s", got)
+	}
+	vd := newDeterminant(q1, false, cfgFor(pool), newCondStore(cfgFor(pool)))
+	if got := render(applyAll(vd, f)); got != "{v0,true}" {
+		t.Fatalf("VF(q+) then VD on %s: %s, want {v0,true}", f, got)
 	}
 }
 
@@ -305,14 +352,13 @@ func TestVDEmitsWitnesses(t *testing.T) {
 	q := pool.DeclareQualifier(nil)
 	v1 := pool.Fresh(q)
 	v2 := pool.Fresh(q)
-	vd := newVD(q, cfgFor(pool), newCondStore(cfgFor(pool)))
-	out, _ := feedAll(vd, 0, msgs(
-		actMsg(pool.Or(pool.Var(v1), pool.Var(v2))),
-		start("x"),
-	))
-	want := "{v0,true} {v1,true} <x>"
-	if render(out) != want {
-		t.Fatalf("got  %s\nwant %s", render(out), want)
+	vd := newDeterminant(q, false, cfgFor(pool), newCondStore(cfgFor(pool)))
+	want := "{v0,true} {v1,true}"
+	if got := render(applyAll(vd, pool.Or(pool.Var(v1), pool.Var(v2)))); got != want {
+		t.Fatalf("got  %s\nwant %s", got, want)
+	}
+	if vd.n != 2 {
+		t.Fatalf("%d determinations originated, want 2", vd.n)
 	}
 }
 
@@ -324,8 +370,8 @@ func TestVDNestedWitness(t *testing.T) {
 	outer := pool.DeclareQualifier([]cond.QualID{inner})
 	vi := pool.Fresh(inner)
 	vo := pool.Fresh(outer)
-	vd := newVD(outer, cfgFor(pool), newCondStore(cfgFor(pool)))
-	out, _ := feedAll(vd, 0, msgs(actMsg(pool.And(pool.Var(vo), pool.Var(vi)))))
+	vd := newDeterminant(outer, false, cfgFor(pool), newCondStore(cfgFor(pool)))
+	out := applyAll(vd, pool.And(pool.Var(vo), pool.Var(vi)))
 	if len(out) != 1 {
 		t.Fatalf("got %s", render(out))
 	}

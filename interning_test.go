@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -111,7 +112,11 @@ func TestCountModeZeroAlloc(t *testing.T) {
 // of what is left); formulas are found in the network's unique table and
 // candidate records come off its free list, so the rest does not grow with
 // the stream. It read 630 B/event while every ∧/∨ built a node with a string
-// key and every candidate was allocated.
+// key and every candidate was allocated, 29 while the network had a node, two
+// tapes and a closure for every connector of Fig. 11, and reads 13.5 now; the
+// bound is that + 20 %. A pass that had to allocate its scanner again (the
+// pool it comes from is emptied by a collection, and at random under the race
+// detector) reads 3.6 more, so the steadiest of a few passes counts.
 func TestSetSteadyStateAllocs(t *testing.T) {
 	texts := bench.SharedSubscriptions(128, 0.5, 1)
 	queries := make([]*Query, len(texts))
@@ -134,14 +139,18 @@ func TestSetSteadyStateAllocs(t *testing.T) {
 	if answers == 0 {
 		t.Fatal("no answers; workload broken")
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	eval()
-	runtime.ReadMemStats(&after)
-	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(events))
-	t.Logf("%d events, %d answers per pass: %.1f B/event", len(events), answers/2, perEvent)
-	if perEvent > 64 {
-		t.Errorf("a steady pass allocates %.1f B/event, want at most 64", perEvent)
+	const bound = 16.2
+	perEvent := math.Inf(1)
+	for pass := 0; pass < 8 && perEvent > bound; pass++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		eval()
+		runtime.ReadMemStats(&after)
+		perEvent = min(perEvent, float64(after.TotalAlloc-before.TotalAlloc)/float64(len(events)))
+	}
+	t.Logf("%d events: %.1f B/event", len(events), perEvent)
+	if perEvent > bound {
+		t.Errorf("a steady pass allocates %.1f B/event, want at most %.1f", perEvent, bound)
 	}
 }
 
