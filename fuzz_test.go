@@ -79,8 +79,8 @@ func fuzzProg(shape string) []byte {
 
 // FuzzEngineEquivalence is the differential correctness harness: for every
 // query the compiler accepts and every generated document, single-query
-// evaluation and the set engine — inline and sharded — must report exactly
-// the answer count of the DOM tree-walk oracle. The seed corpus covers the
+// evaluation and the set engine — inline, sharded, and standing over several
+// documents — must report exactly the answer count of the DOM tree-walk oracle. The seed corpus covers the
 // paper's Figure-1 running example ("<a><a><c/></a><b/><c/></a>", here
 // nested under the generated root) and the adversarial query shapes.
 func FuzzEngineEquivalence(f *testing.F) {
@@ -189,6 +189,19 @@ func FuzzEngineEquivalence(f *testing.F) {
 		check("inline", got, err)
 		got, err = countThrough(sharded, scan())
 		check("parallel", got, err)
+		// The standing-Set arm: the document, a truncated copy of it (an
+		// unclean ending, after which the network is built again) and the
+		// document once more, all through ONE Set — the second pass runs on
+		// the rewound network of the first.
+		set := NewSet([]*Query{{plan: plan}}, nil)
+		for _, input := range []string{doc, doc, doc[:len(doc)/2], doc} {
+			err := set.Evaluate(strings.NewReader(input))
+			if len(input) == len(doc) {
+				check("standing set", set.Counts()[0], err)
+			} else if err == nil {
+				t.Fatalf("standing set: truncated document %q evaluated without error", input)
+			}
+		}
 		// Parallel chunk-scan ingest arm: the stitched event stream must
 		// drive an engine to the oracle's counts too. Split targets are
 		// fuzzed from the program bytes, so boundary choices land inside

@@ -115,11 +115,19 @@ func (p *Pool) WithinSubtree(v VarID, q QualID) bool {
 	return p.quals[v] == q || slices.Contains(p.inside[q], p.quals[v])
 }
 
-// Reset discards all allocated variables and interned formulas but keeps the
-// qualifier declarations; a network calls it when it is shed or released.
+// Reset discards all allocated variables but keeps the qualifier declarations;
+// a network calls it when it is shed, released or rewound for its next
+// document. No formula is held anywhere by then, so the ids start over. The
+// unique table stays under the rule Release applies to it, and so do the
+// variable nodes it mentions — the next document finds its formulas built —
+// unless a document whose variables were never released (the following and
+// preceding axes) grew them with its length.
 func (p *Pool) Reset() {
 	p.next = 0
 	p.quals = p.quals[:0]
 	p.free = p.free[:0]
-	p.tab.drop()
+	if p.tab.nodes > tableDropSize || len(p.vcache) > tableDropSize {
+		p.tab.drop()
+		p.quals, p.vcache = nil, nil
+	}
 }

@@ -19,7 +19,8 @@ import (
 
 // Plan is a prepared query: a parsed rpeq ready to be instantiated as a
 // transducer network. Plans are immutable and safe for concurrent use; each
-// evaluation builds its own network (linear in the query size, Lemma V.1).
+// evaluation builds its own network (linear in the query size, Lemma V.1:
+// 27 µs of a 74 ms closure_qual pass, so single queries do not keep theirs).
 //
 // A plan owns a symbol table: the query's labels are interned at prepare
 // time, every evaluation compiles its label tests against the same table,
@@ -467,6 +468,19 @@ func (r *Run) Close() error {
 		return err
 	}
 	return r.net.Finish()
+}
+
+// Rewind readies the run for another document on the same network, if the last
+// one left it clean (spexnet.Network.Clean), and reports whether it did. A run
+// that ended any other way — an error, a governor trip, an early release, or
+// no document at all — is left as it is, for its owner to replace.
+func (r *Run) Rewind() bool {
+	if !r.net.Clean() {
+		return false
+	}
+	r.net.Rewind()
+	r.opened, r.closed = false, false
+	return true
 }
 
 // Determined reports whether the run's answer is already fixed (every sink

@@ -24,6 +24,7 @@ import (
 // are capped at its own answer limit even when the shared sink runs longer.
 type MergedSet struct {
 	subs   []Subscription
+	cfg    engineConfig
 	prog   *setcompile.Program
 	net    *spexnet.Network // nil when every query is pruned
 	run    *core.Run        // the push-mode lifecycle around net; nil with it
@@ -35,53 +36,47 @@ type MergedSet struct {
 }
 
 // NewMergedSet compiles all subscriptions through the set compiler into
-// one merged network.
+// one merged network. The set stands: it evaluates one document at a time,
+// Rewind between them.
 func NewMergedSet(subs []Subscription, opts ...Option) (*MergedSet, error) {
-	return NewMergedSetFrom(subs, nil, opts...)
-}
-
-// NewMergedSetFrom builds the merged network of a set that is already
-// compiled: prog must be Compile(subs) for these same subscriptions (nil
-// compiles here). A caller evaluating one immutable set over many documents
-// compiles it once — the program is a pure function of the queries — and
-// builds a fresh single-use network per document from it.
-func NewMergedSetFrom(subs []Subscription, prog *setcompile.Program, opts ...Option) (*MergedSet, error) {
-	return newMergedSetSym(subs, prog, xmlstream.NewSymtab(), resolveOptions(opts))
-}
-
-// Compile runs the set compiler's static pre-pass over the subscriptions'
-// queries.
-func Compile(subs []Subscription) *setcompile.Program {
-	queries := make([]setcompile.Query, len(subs))
-	for i := range subs {
-		queries[i] = setcompile.Query{Name: subs[i].Name, Expr: subs[i].Plan.Expr(), Limit: subs[i].Plan.Limit()}
-	}
-	return setcompile.Compile(queries)
+	return newMergedSetSym(subs, xmlstream.NewSymtab(), resolveOptions(opts))
 }
 
 // newMergedSetSym builds the set against a caller-provided symbol table —
 // the parallel wrapper passes its pool-wide table so all shards share one
 // symbol space and the feeder can pre-resolve events once for everyone.
-func newMergedSetSym(subs []Subscription, prog *setcompile.Program, symtab *xmlstream.Symtab, cfg engineConfig) (*MergedSet, error) {
+func newMergedSetSym(subs []Subscription, symtab *xmlstream.Symtab, cfg engineConfig) (*MergedSet, error) {
 	if len(subs) == 0 {
 		return nil, fmt.Errorf("multi: no subscriptions")
 	}
-	if prog == nil {
-		prog = Compile(subs)
-	} else if len(prog.Members) != len(subs) {
-		return nil, fmt.Errorf("multi: program compiled for %d queries, set has %d subscriptions", len(prog.Members), len(subs))
+	queries := make([]setcompile.Query, len(subs))
+	for i := range subs {
+		queries[i] = setcompile.Query{Name: subs[i].Name, Expr: subs[i].Plan.Expr(), Limit: subs[i].Plan.Limit()}
 	}
+	prog := setcompile.Compile(queries)
 	s := &MergedSet{
 		subs:       subs,
+		cfg:        cfg,
 		prog:       prog,
 		symtab:     symtab,
 		memberHits: make([]int64, len(subs)),
 		repHits:    make([]int64, len(prog.Reps)),
 	}
+	if err := s.build(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// build instantiates the set's program as its network. The program and the
+// symbol table outlive a network: one that a document left unclean is dropped
+// and built again from them (Rewind), through the same builder.
+func (s *MergedSet) build() error {
+	prog := s.prog
 	if len(prog.Reps) == 0 {
 		// Every query is statically unsatisfiable: the answer — all
 		// empty — is known before the stream starts and no network exists.
-		return s, nil
+		return nil
 	}
 	specs := make([]spexnet.Spec, len(prog.Reps))
 	for ri := range prog.Reps {
@@ -91,7 +86,7 @@ func newMergedSetSym(subs []Subscription, prog *setcompile.Program, symtab *xmls
 		specs[ri] = spexnet.Spec{
 			Expr:  rep.Expr,
 			Mode:  spexnet.ModeNodes,
-			Name:  subs[members[0]].Name,
+			Name:  s.subs[members[0]].Name,
 			Limit: rep.Limit,
 			Sink: func(r spexnet.Result) {
 				s.repHits[ri]++
@@ -111,18 +106,34 @@ func newMergedSetSym(subs []Subscription, prog *setcompile.Program, symtab *xmls
 		}
 	}
 	net, err := spexnet.BuildSet(specs, spexnet.Options{
-		Symtab:          symtab,
-		Governor:        cfg.gov,
-		GovernorMetrics: cfg.metrics,
-		SinkMetrics:     cfg.metrics,
-		TraceID:         cfg.traceID,
+		Symtab:          s.symtab,
+		Governor:        s.cfg.gov,
+		GovernorMetrics: s.cfg.metrics,
+		SinkMetrics:     s.cfg.metrics,
+		TraceID:         s.cfg.traceID,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.net = net
 	s.run = core.RunNetwork(net)
-	return s, nil
+	return nil
+}
+
+// Rewind readies the set for its next document. A network that ran the last
+// one to its end with nothing cut short (spexnet.Network.Clean) is rewound and
+// goes on with everything it has built; after anything else — malformed input,
+// a cancelled or failed pass, a governor trip, answer limits that released the
+// network early, a callback that panicked — the network is dropped and built
+// again from the set's program. Either way the next document meets the state a
+// new set would have, and the symbol table keeps its names.
+func (s *MergedSet) Rewind() error {
+	clear(s.memberHits)
+	clear(s.repHits)
+	if s.run == nil || s.run.Rewind() {
+		return nil
+	}
+	return s.build()
 }
 
 // Symtab returns the set-wide symbol table, for feeders that want to share
@@ -202,31 +213,39 @@ func (s *MergedSet) Close() error {
 	return s.run.Close()
 }
 
-// Matches returns per-subscription answer counts keyed by name. Members of
+// MemberCounts writes the per-subscription answer counts into dst, in
+// subscription order, growing it if it is short, and returns it. Members of
 // a collapsed sink are attributed individually: each reports the shared
 // sink's deliveries capped at its own answer limit, so a query's count is
 // identical to what its private network would have reported. Sink-side
 // counts (which survive governor degradation) are reconciled with the
 // delivery counts per representative.
-func (s *MergedSet) Matches() map[string]int64 {
-	out := make(map[string]int64, len(s.subs))
-	var sinks []spexnet.OutputStats
-	if s.net != nil {
-		sinks = s.net.SinkStats()
+func (s *MergedSet) MemberCounts(dst []int64) []int64 {
+	dst = append(dst[:0], s.memberHits...)
+	if s.net == nil {
+		return dst
 	}
 	for mi := range s.prog.Members {
 		m := &s.prog.Members[mi]
-		n := s.memberHits[mi]
-		if m.Rep >= 0 && m.Rep < len(sinks) {
-			rep := sinks[m.Rep].Matches
-			if m.Limit > 0 && rep > m.Limit {
-				rep = m.Limit
-			}
-			if rep > n {
-				n = rep
-			}
+		if m.Rep < 0 {
+			continue
 		}
-		out[m.Name] = n
+		rep := s.net.SinkMatches(m.Rep)
+		if m.Limit > 0 && rep > m.Limit {
+			rep = m.Limit
+		}
+		if rep > dst[mi] {
+			dst[mi] = rep
+		}
+	}
+	return dst
+}
+
+// Matches returns MemberCounts keyed by subscription name.
+func (s *MergedSet) Matches() map[string]int64 {
+	out := make(map[string]int64, len(s.subs))
+	for mi, n := range s.MemberCounts(nil) {
+		out[s.prog.Members[mi].Name] = n
 	}
 	return out
 }

@@ -1,10 +1,13 @@
 package multi
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/governor"
 	"repro/internal/spexnet"
 	"repro/internal/xmlstream"
 )
@@ -222,4 +225,202 @@ func TestMergedSharesPrefixes(t *testing.T) {
 				c.name, set.Degree(), len(subs), firstDegree, max)
 		}
 	}
+}
+
+// TestMergedSetRewind pins which documents a standing set's network survives.
+// After a document that ran to its end with nothing cut short the network is
+// the same one, rewound; after malformed input, a source error, a governor
+// trip (failed or shed), answer limits that released the network, or a
+// callback that panicked, it is another, built from the same compiled program
+// against the same symbol table. Either way the document that follows reads
+// what it reads on a new set, and the all-pruned set, which has no network,
+// rewinds to itself.
+func TestMergedSetRewind(t *testing.T) {
+	good := `<f><m><s/><t>x</t></m><m><t>y</t></m><m><s/></m></f>`
+	other := `<f><m><s/></m><g><m><t/></m></g></f>`
+	queries := map[string]string{"s": "f.m[s]", "st": "f.m[s].t", "m": "_*.m", "dead": `f.m[@x="1" and @x="2"]`}
+	newSet := func(opts ...Option) (*MergedSet, map[string][]int64) {
+		var subs []Subscription
+		for name, expr := range queries {
+			subs = append(subs, Subscription{Name: name, Plan: plan(t, expr)})
+		}
+		hits := recordHits(subs)
+		set, err := NewMergedSet(subs, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return set, hits
+	}
+	scan := func(set *MergedSet, doc string) xmlstream.Source {
+		return xmlstream.NewScanner(strings.NewReader(doc), xmlstream.WithSymtab(set.Symtab()))
+	}
+	// fresh is what a new set reads on doc.
+	fresh := func(doc string, opts ...Option) (map[string][]int64, map[string]int64, spexnet.Stats) {
+		set, hits := newSet(opts...)
+		if err := set.Run(scan(set, doc)); err != nil {
+			t.Fatal(err)
+		}
+		return hits, set.Matches(), set.Stats()
+	}
+	// follow rewinds set, runs doc and compares with a new set's reading.
+	follow := func(label string, set *MergedSet, hits map[string][]int64, doc string, opts ...Option) {
+		t.Helper()
+		clear(hits)
+		if err := set.Rewind(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if err := set.Run(scan(set, doc)); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		wantHits, wantCounts, wantStats := fresh(doc, opts...)
+		sameHits(t, label, wantHits, hits)
+		if got := set.Matches(); !reflect.DeepEqual(got, wantCounts) {
+			t.Errorf("%s: counts %v, a new set %v", label, got, wantCounts)
+		}
+		if got := set.Stats(); !reflect.DeepEqual(got, wantStats) {
+			t.Errorf("%s: stats %+v, a new set %+v", label, got, wantStats)
+		}
+	}
+
+	set, hits := newSet()
+	net, prog, symtab := set.net, set.prog, set.symtab
+	if err := set.Run(scan(set, good)); err != nil {
+		t.Fatal(err)
+	}
+	for i, doc := range []string{other, good, other} {
+		follow(fmt.Sprintf("clean pass %d", i+2), set, hits, doc)
+		if set.net != net {
+			t.Fatalf("clean pass %d built a network", i+2)
+		}
+	}
+
+	unclean := map[string]func(set *MergedSet) (opts []Option){
+		"malformed input": func(set *MergedSet) []Option {
+			if err := set.Run(scan(set, `<f><m><s/></m>`)); err == nil {
+				t.Fatal("truncated document ran clean")
+			}
+			return nil
+		},
+		"source error": func(set *MergedSet) []Option {
+			src := &erroringSource{src: scan(set, good), after: 5}
+			if err := set.Run(src); err != errSource {
+				t.Fatalf("source error: got %v", err)
+			}
+			return nil
+		},
+		"callback panic": func(set *MergedSet) []Option {
+			onHit := set.subs[0].OnHit
+			for i := range set.subs {
+				set.subs[i].OnHit = func(string, spexnet.Result) { panic("callback") }
+			}
+			func() {
+				defer func() { _ = recover() }()
+				_ = set.Run(scan(set, good))
+				t.Fatal("the callback did not panic")
+			}()
+			for i := range set.subs {
+				set.subs[i].OnHit = onHit
+			}
+			return nil
+		},
+	}
+	for label, spoil := range unclean {
+		if err := set.Rewind(); err != nil {
+			t.Fatal(err)
+		}
+		spoil(set)
+		was := set.net
+		follow("after "+label, set, hits, good)
+		if set.net == was {
+			t.Errorf("after %s the network was kept", label)
+		}
+		was = set.net
+		follow("second pass after "+label, set, hits, other)
+		if set.net != was {
+			t.Errorf("the second pass after %s built a network again", label)
+		}
+	}
+	if set.prog != prog || set.symtab != symtab {
+		t.Error("rebuilding the network replaced the compiled program or the symbol table")
+	}
+
+	governed := map[string]*governor.Config{
+		"governor fail": {Limits: governor.Limits{MaxDepth: 2}, Policy: governor.PolicyFail},
+		"governor shed": {Limits: governor.Limits{MaxDepth: 2}, Policy: governor.PolicyShed},
+	}
+	for label, gov := range governed {
+		set, hits := newSet(WithGovernor(gov))
+		err := set.Run(scan(set, good))
+		if st := set.Stats(); st.Governor.Trips == 0 {
+			t.Fatalf("%s: nothing tripped (err %v)", label, err)
+		}
+		was := set.net
+		// The document that tripped trips again on a new network, and on a
+		// new set: the comparison is with that.
+		clear(hits)
+		if err := set.Rewind(); err != nil {
+			t.Fatal(err)
+		}
+		if set.net == was {
+			t.Errorf("after a %s trip the network was kept", label)
+		}
+		if err := set.Run(scan(set, `<f><g/></f>`)); err != nil {
+			t.Fatalf("%s: a document within the caps: %v", label, err)
+		}
+		was = set.net
+		follow("clean pass after "+label, set, hits, `<f><m/></f>`, WithGovernor(gov))
+		if set.net != was {
+			t.Errorf("%s: a clean governed pass built a network", label)
+		}
+	}
+
+	// Every answer limit reached: the network is released at the determining
+	// event, and built again for the next document.
+	subs := []Subscription{{Name: "first", Plan: plan(t, "_*.m limit 1")}}
+	limitHits := recordHits(subs)
+	limited, err := NewMergedSet(subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 1; pass <= 3; pass++ {
+		was := limited.net
+		if pass > 1 {
+			if err := limited.Rewind(); err != nil {
+				t.Fatal(err)
+			}
+			if limited.net == was {
+				t.Errorf("pass %d: a released network was kept", pass)
+			}
+		}
+		clear(limitHits)
+		if err := limited.Run(scan(limited, good)); err != nil {
+			t.Fatal(err)
+		}
+		if !limited.Determined() || len(limitHits["first"]) != 1 || limited.Matches()["first"] != 1 {
+			t.Errorf("pass %d: determined %v, hits %v, counts %v", pass, limited.Determined(), limitHits, limited.Matches())
+		}
+	}
+
+	pruned, err := NewMergedSet([]Subscription{{Name: "a", Plan: plan(t, `f[@x="1" and @x="2"]`)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pruned.Rewind(); err != nil || !pruned.Determined() || pruned.Degree() != 0 {
+		t.Errorf("all-pruned set after Rewind: %v, determined %v, degree %d", err, pruned.Determined(), pruned.Degree())
+	}
+}
+
+var errSource = errors.New("source failed")
+
+// erroringSource fails after a number of events.
+type erroringSource struct {
+	src   xmlstream.Source
+	after int
+}
+
+func (s *erroringSource) Next() (xmlstream.Event, error) {
+	if s.after--; s.after < 0 {
+		return xmlstream.Event{}, errSource
+	}
+	return s.src.Next()
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -138,9 +139,12 @@ type ParallelSet struct {
 // shardWorker is one shard: its inbound queue, its engine, and its answer
 // buffer. Only the shard's goroutine touches set and hits.
 type shardWorker struct {
-	p    *ParallelSet
-	id   int
-	ch   chan *eventBatch
+	p  *ParallelSet
+	id int
+	ch chan *eventBatch
+	// subs are the pool-wide indexes of the shard's subscriptions, in the
+	// order its engine has them.
+	subs []int
 	set  *MergedSet
 	sm   *obs.ShardMetrics
 	hits *hitBatch
@@ -194,6 +198,7 @@ func NewParallelSet(subs []Subscription, opts ParallelOptions) (*ParallelSet, er
 			p:    p,
 			id:   id,
 			ch:   make(chan *eventBatch, opts.QueueDepth),
+			subs: byShard[id],
 			hits: p.hitPool.Get().(*hitBatch),
 		}
 		if opts.Metrics != nil {
@@ -216,7 +221,7 @@ func NewParallelSet(subs []Subscription, opts ParallelOptions) (*ParallelSet, er
 			})
 		}
 		var err error
-		w.set, err = newMergedSetSym(wrapped, nil, p.symtab,
+		w.set, err = newMergedSetSym(wrapped, p.symtab,
 			engineConfig{gov: opts.Governor, metrics: opts.Metrics, traceID: opts.TraceID})
 		if err != nil {
 			return nil, fmt.Errorf("multi: shard %d: %w", id, err)
@@ -509,14 +514,24 @@ func (p *ParallelSet) Determined() bool {
 	return len(p.shards) > 0 && int(p.detShards.Load()) == len(p.shards)
 }
 
-// Matches returns per-subscription answer counts, keyed by name; valid
-// after Close.
+// MemberCounts writes the per-subscription answer counts into dst, in
+// subscription order, growing it if it is short, and returns it; valid after
+// Close. Each shard reports its own subscriptions (MergedSet.MemberCounts).
+func (p *ParallelSet) MemberCounts(dst []int64) []int64 {
+	dst = slices.Grow(dst[:0], len(p.subs))[:len(p.subs)] // every subscription has its shard
+	for _, w := range p.shards {
+		for li, n := range w.set.MemberCounts(nil) {
+			dst[w.subs[li]] = n
+		}
+	}
+	return dst
+}
+
+// Matches returns MemberCounts keyed by subscription name.
 func (p *ParallelSet) Matches() map[string]int64 {
 	out := make(map[string]int64, len(p.subs))
-	for _, w := range p.shards {
-		for name, n := range w.set.Matches() {
-			out[name] = n
-		}
+	for i, n := range p.MemberCounts(nil) {
+		out[p.subs[i].Name] = n
 	}
 	return out
 }

@@ -707,7 +707,10 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	defer s.metrics.ResultStreamsActive.Add(-1)
 
 	enc := json.NewEncoder(w)
-	write := func(f Frame) bool {
+	// The stream owns one Frame for its lifetime and encodes through a pointer
+	// to it: handing Encode a Frame by value boxes a copy on the heap per frame.
+	f := new(Frame)
+	write := func() bool {
 		if err := enc.Encode(f); err != nil {
 			return false
 		}
@@ -722,8 +725,8 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 	for {
 		select {
-		case f := <-sub.queue.ch:
-			if !write(f) {
+		case *f = <-sub.queue.ch:
+			if !write() {
 				return
 			}
 		case <-sub.queue.closed:
@@ -731,8 +734,8 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			// the stream cleanly.
 			for {
 				select {
-				case f := <-sub.queue.ch:
-					if !write(f) {
+				case *f = <-sub.queue.ch:
+					if !write() {
 						return
 					}
 				default:

@@ -31,6 +31,8 @@ func (t *attrTestT) name() string { return "AT[" + t.pred.String() + "]" }
 
 func (t *attrTestT) stackStats() StackStats { return t.st }
 
+func (t *attrTestT) rewind() { t.pending, t.st = nil, StackStats{} }
+
 func (t *attrTestT) feed(f *cond.Formula) {
 	t.pending = t.cfg.or(t.pending, f)
 	t.st.noteFormula(t.pending)

@@ -37,6 +37,10 @@ func (t *followingT) stackStats() StackStats {
 	return s
 }
 
+func (t *followingT) rewind() {
+	t.pending, t.active, t.armed, t.st = nil, nil, t.armed[:0], StackStats{}
+}
+
 func (t *followingT) feed(f *cond.Formula) {
 	t.pending = t.cfg.or(t.pending, f)
 	t.st.noteFormula(t.pending)
@@ -107,6 +111,10 @@ func (t *precedingT) stackStats() StackStats {
 	s := t.st
 	s.Cur = len(t.open) + len(t.closed)
 	return s
+}
+
+func (t *precedingT) rewind() {
+	t.pendingCtx, t.open, t.closed, t.st, t.n = nil, t.open[:0], t.closed[:0], StackStats{}, 0
 }
 
 func (t *precedingT) feed(f *cond.Formula) {

@@ -41,6 +41,8 @@ func (t *childT) stackStats() StackStats {
 	return s
 }
 
+func (t *childT) rewind() { t.pending, t.scopes, t.st = nil, t.scopes[:0], StackStats{} }
+
 func (t *childT) feed(f *cond.Formula) {
 	t.pending = t.cfg.or(t.pending, f)
 	t.st.noteFormula(t.pending)

@@ -38,6 +38,8 @@ func (t *closureT) stackStats() StackStats {
 	return s
 }
 
+func (t *closureT) rewind() { t.pending, t.scopes, t.st = nil, t.scopes[:0], StackStats{} }
+
 func (t *closureT) feed(f *cond.Formula) {
 	t.pending = t.cfg.or(t.pending, f)
 	t.st.noteFormula(t.pending)

@@ -87,8 +87,8 @@ type Spec struct {
 // Build translates an rpeq expression into a SPEX network following the
 // denotational semantics C of §III.9 (Fig. 11). The translation is linear in
 // the expression size (Lemma V.1): each construct contributes a constant
-// number of transducers. The returned network is single-use: it holds
-// evaluation state and evaluates one stream.
+// number of transducers. The returned network holds evaluation state and
+// evaluates one stream at a time (Network.Rewind between them).
 func Build(expr rpeq.Node, opts Options) (*Network, error) {
 	return BuildSet([]Spec{{Expr: expr, Mode: opts.Mode, Sink: opts.Sink, StreamSink: opts.StreamSink, Limit: opts.Limit}}, opts)
 }

@@ -40,6 +40,13 @@ func newGovern(cfg *governor.Config, metrics *obs.Metrics) *govern {
 	return &govern{cfg: cfg, metrics: metrics}
 }
 
+// rewind forgets the run that was: no failure, no shed, no trip counted.
+func (g *govern) rewind() {
+	if g != nil {
+		*g = govern{cfg: g.cfg, metrics: g.metrics}
+	}
+}
+
 // limit returns the configured cap for r (0 = unlimited).
 func (g *govern) limit(r governor.Resource) int {
 	return g.cfg.Limits.Of(r)

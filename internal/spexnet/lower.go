@@ -113,11 +113,9 @@ func (n *Network) portOf(writer int32) *port {
 }
 
 // finish ends the build once every query has compiled: the edges become the
-// ports' destination ranges (each in the order its readers were built), every
-// node gets its inbox and its bit of the active set, and every node starts
-// hot, so that each sees the first event (<$>) and declares its wake condition
-// for itself — the preceding-axis transducer asks for every event from the
-// start. With a registry, the per-node instruments are attached.
+// ports' destination ranges (each in the order its readers were built) and
+// every node gets its inbox and its bit of the active set, empty until <$>
+// arrives. With a registry, the per-node instruments are attached.
 func (b *builder) finish(metrics *obs.Metrics) {
 	n := b.net
 	for _, e := range b.edges {
@@ -144,9 +142,6 @@ func (b *builder) finish(metrics *obs.Metrics) {
 	set := make([]uint64, 2*words)
 	n.hot, n.armed = set[:words:words], set[words:]
 	n.wakes = make([]wake, len(n.nodes))
-	for i := range n.nodes {
-		n.hot[i>>6] |= 1 << (i & 63)
-	}
 	if metrics == nil {
 		return
 	}

@@ -90,9 +90,10 @@ func (p *port) emit(f *cond.Formula) {
 const numKinds = 3
 
 // Network is a compiled SPEX network: a single-source single-sink DAG of
-// transducers (Definition 3). It is stateful and evaluates exactly one
-// stream; build a fresh network per evaluation (building is linear in the
-// query size and takes microseconds).
+// transducers (Definition 3). It is stateful and evaluates one stream at a
+// time: after a document it is rewound for the next (Rewind), or, when the
+// document was cut short, replaced by a fresh one (building is linear in the
+// query size).
 type Network struct {
 	cfg   netConfig
 	nodes []netNode
@@ -113,7 +114,8 @@ type Network struct {
 	// by every visited transducer.
 	reg docReg
 	// hot and armed are the active set, one bit per node in topological
-	// order. hot holds the nodes whose inbox was written so far in this step.
+	// order. hot holds the nodes whose inbox was written so far in this step
+	// (all of them at <$>, see Step).
 	// armed holds the nodes that declared a wake condition at their last
 	// visit; wakes[i] is node i's condition, and propagate visits an armed
 	// node without input only if the register matches it.
@@ -137,6 +139,8 @@ type Network struct {
 	// network's answer can become fixed mid-stream; Run then stops reading
 	// and releases the network instead of draining the stream.
 	allLimited bool
+	// finished: Finish has accepted the end of the document (see Clean).
+	finished bool
 	// finalStats/finalSinks freeze the evaluation statistics at Release, so
 	// Stats/Matches/SinkStats stay answerable after an early release (the
 	// determination path tears the network down mid-stream).
@@ -296,8 +300,17 @@ func (n *Network) Step(ev xmlstream.Event) error {
 	}
 	r.ev = ev
 	// The input transducer: the initial activation with formula true
-	// precedes the start-document message (§III.2, Example III.1).
+	// precedes the start-document message (§III.2, Example III.1). Every node
+	// is visited for <$>, activated or not, and declares its wake condition
+	// for itself — the preceding-axis transducer asks for every event from
+	// the start.
 	if ev.Kind == xmlstream.StartDocument {
+		for w := range n.hot {
+			n.hot[w] = ^uint64(0)
+		}
+		if rest := len(n.nodes) & 63; rest != 0 {
+			n.hot[len(n.hot)-1] = 1<<rest - 1
+		}
 		n.source.emit(cond.True())
 	}
 	applied := n.store.applied
@@ -545,17 +558,77 @@ func (n *Network) Finish() error {
 	if n.metrics != nil {
 		n.syncMetrics()
 	}
+	n.finished = true
 	return nil
+}
+
+// Clean reports whether the network evaluated a document to its end and
+// nothing was cut short on the way: Finish accepted the stream, the governor
+// tripped nowhere (so nothing is shed or degraded), and the network was not
+// released early. Lemma V.2 bounds every stack by the depth of the open path,
+// so such a network holds nothing of its document and Rewind hands it to the
+// next one; a network that ended any other way is replaced by a freshly built
+// one instead.
+func (n *Network) Clean() bool {
+	return n.finished && n.finalStats == nil && n.cfg.gov.outcome().Trips == 0
+}
+
+// Rewind returns the network to the state BuildSet left it in, ready for
+// another document: the register and the counters, the active set, inboxes and
+// ports, every transducer and sink, the condition store, the variable pool
+// and the governor's run state start over. What was built stays — the wiring,
+// the label tests compiled against the symbol table, the formulas of the
+// unique table, the candidate records on the free list — and so does the
+// storage stacks and inboxes grew to. An instrumented network publishes what
+// it has not yet and starts its bookmarks over. A released network has lost
+// its nodes and cannot be rewound.
+func (n *Network) Rewind() {
+	if n.finalStats != nil {
+		panic("spexnet: Rewind of a released network")
+	}
+	if n.metrics != nil {
+		n.syncMetrics()
+		n.lastOut, n.lastStep, n.lastElements = OutputStats{}, 0, 0
+		for i := range n.cold {
+			c := &n.cold[i]
+			c.visits, c.flushedIn, c.flushedOut = 0, [numKinds]int64{}, [numKinds]int64{}
+		}
+	}
+	n.reg = docReg{}
+	n.deliveries, n.visits, n.elements, n.depth, n.maxDepth = 0, 0, 0, 0, 0
+	n.allShed, n.finished = false, false
+	n.cfg.detSinks = 0
+	clear(n.hot)
+	clear(n.armed)
+	clear(n.wakes)
+	for i := range n.inboxes {
+		in := &n.inboxes[i]
+		clear(in.msgs)
+		in.msgs, in.read = in.msgs[:0], 0
+	}
+	n.source.sent, n.source.dets = 0, 0
+	for i := range n.nodes {
+		node := &n.nodes[i]
+		node.t.rewind()
+		node.out.sent, node.out.dets = 0, 0
+	}
+	for _, d := range n.dets {
+		d.n = 0
+	}
+	n.store.rewind()
+	n.cfg.pool.Reset()
+	n.cfg.gov.rewind()
 }
 
 // Release drops the network's evaluation state without requiring the stream
 // to finish: transducer stacks, inboxes and queued candidates are
 // unreferenced, and the condition pool returns its allocated variables. An
 // early-exit caller (a filtering decision made mid-stream, or an answer
-// determination) releases instead of feeding the rest of the document. The
+// determination) releases instead of feeding the rest of the document: what
+// the governor polices goes back at that event, not at the next document. The
 // final statistics are frozen first, so Stats, Matches and SinkStats keep
 // answering after the release. The network accepts no further events
-// afterwards; it is safe to call Release more than once.
+// afterwards and cannot be rewound; it is safe to call Release more than once.
 func (n *Network) Release() {
 	if n.finalStats == nil && n.outs != nil {
 		// Freeze the sinks before finalStats: SinkStats short-circuits to
@@ -595,6 +668,15 @@ func (n *Network) SinkStats() []OutputStats {
 		out[i] = o.stats
 	}
 	return out
+}
+
+// SinkMatches returns the answers the i-th sink has reported: SinkStats'
+// Matches without the copy.
+func (n *Network) SinkMatches(i int) int64 {
+	if n.finalStats != nil {
+		return n.finalSinks[i].Matches
+	}
+	return n.outs[i].stats.Matches
 }
 
 // Stats returns the evaluation statistics so far. It reads the network's

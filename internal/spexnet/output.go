@@ -268,6 +268,27 @@ func (t *outputT) stackStats() StackStats {
 	return s
 }
 
+// rewind puts the records the sink still holds back on the free list and
+// zeroes its run state; the queue and the openStack keep their storage.
+func (t *outputT) rewind() {
+	for _, c := range t.queue {
+		c.queued, c.open = false, false
+		t.recycle(c)
+	}
+	for _, c := range t.openStack {
+		if c.open { // not queued any more: a rejected head leaves before its end tag
+			c.open = false
+			t.recycle(c)
+		}
+	}
+	clear(t.queue)
+	clear(t.openStack)
+	t.queue, t.openStack = t.queue[:0], t.openStack[:0]
+	t.pending, t.attrNodes, t.detsIn, t.seenResolution = nil, 0, 0, 0
+	t.stats, t.buffered, t.st, t.pendingN = OutputStats{}, 0, StackStats{}, 0
+	t.degraded, t.shed, t.determined = false, false, false
+}
+
 func (t *outputT) feed(f *cond.Formula) {
 	if t.shed || t.determined {
 		return

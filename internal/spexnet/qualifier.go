@@ -50,6 +50,8 @@ func (t *vcT) stackStats() StackStats {
 	return s
 }
 
+func (t *vcT) rewind() { t.pending, t.vars, t.st, t.n = nil, t.vars[:0], StackStats{}, 0 }
+
 func (t *vcT) feed(f *cond.Formula) {
 	t.pending = t.cfg.or(t.pending, f)
 	t.st.noteFormula(t.pending)
@@ -239,6 +241,8 @@ func newDropAct() *dropActT { return &dropActT{} }
 func (t *dropActT) name() string { return "DROP" }
 
 func (t *dropActT) stackStats() StackStats { return StackStats{} }
+
+func (t *dropActT) rewind() {}
 
 func (t *dropActT) feed(*cond.Formula) {}
 

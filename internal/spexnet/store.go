@@ -91,6 +91,34 @@ func (s *condStore) reset() {
 	clear(s.dirty)
 }
 
+// maxKeptRecords is how many variable records and free candidate records a
+// rewound store keeps. What the depth of a document bounds stays far below it;
+// a document that grew them with its length (variables never retired under
+// retainVars, a long run of undecided candidates) does not pin that storage
+// for the documents after it.
+const maxKeptRecords = 1 << 12
+
+// rewind forgets every variable and determination of the document just
+// evaluated (Network.Rewind). The records keep their waiting lists' storage,
+// and the candidate records stay on the free list.
+func (s *condStore) rewind() {
+	if len(s.vars) > maxKeptRecords {
+		s.vars = nil
+	}
+	for i := range s.vars {
+		w := s.vars[i].waiting
+		clear(w)
+		s.vars[i] = varRec{waiting: w[:0]}
+	}
+	if len(s.free) > maxKeptRecords {
+		clear(s.free[maxKeptRecords:])
+		s.free = s.free[:maxKeptRecords]
+	}
+	s.bound, s.queue = s.bound[:0], s.queue[:0]
+	clear(s.dirty)
+	s.resolutions, s.applied = 0, 0
+}
+
 // detOrigin is a transducer's handle on the store: the determinations it
 // originates are attributed to it in the trace and in its out_det count.
 type detOrigin struct {

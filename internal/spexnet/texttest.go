@@ -48,6 +48,11 @@ func (t *textCmpT) stackStats() StackStats {
 	return s
 }
 
+func (t *textCmpT) rewind() {
+	clear(t.scopes)
+	t.pending, t.scopes, t.st = nil, t.scopes[:0], StackStats{}
+}
+
 func (t *textCmpT) feed(f *cond.Formula) {
 	t.pending = t.cfg.or(t.pending, f)
 	t.st.noteFormula(t.pending)

@@ -46,6 +46,9 @@ type transducer interface {
 	// stackStats returns the current and maximum depth-stack size and the
 	// maximum condition-formula size handled, for the §V experiments.
 	stackStats() StackStats
+	// rewind returns the transducer to the state it was built in, keeping the
+	// storage of its stacks (Network.Rewind).
+	rewind()
 }
 
 // wake is a transducer's wake condition: which document events it has to be

@@ -27,6 +27,8 @@ func (t *unionT) stackStats() StackStats {
 	return s
 }
 
+func (t *unionT) rewind() { t.pending, t.st = nil, StackStats{} }
+
 func (t *unionT) feed(f *cond.Formula) {
 	t.pending = t.cfg.or(t.pending, f)
 	t.st.noteFormula(t.pending)

@@ -3,6 +3,7 @@ package spex
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -171,12 +172,15 @@ func TestMergedEngineLimits(t *testing.T) {
 	crossValidate(t, queries, doc)
 }
 
-// TestSetCompilesOnce: a Set is immutable and its compiled program a pure
-// function of its queries, so the set compiler runs at the first evaluation
-// only — every later one builds a fresh network from the same program — and
-// two evaluations of one document report identical counts and merge
-// statistics.
-func TestSetCompilesOnce(t *testing.T) {
+// TestSetBuildsOnce: a Set is a standing engine. Its set is compiled and its
+// network built at the first evaluation; clean passes over different documents
+// go through that one engine — which allocates next to nothing for them, so it
+// built nothing — a pass after a failed one gets a network built again from the
+// same compiled program, and evaluations of one document report identical
+// counts and merge statistics throughout. (That the network behind the engine
+// is the same one after a clean pass and another after each kind of unclean
+// one is pinned where the field lives: multi's TestMergedSetRewind.)
+func TestSetBuildsOnce(t *testing.T) {
 	queries := []*Query{
 		MustCompile("_*.a[b].c"),
 		MustCompile("_*.a[b].c"), // collapses onto 0
@@ -188,9 +192,9 @@ func TestSetCompilesOnce(t *testing.T) {
 	if err := set.Evaluate(strings.NewReader(paperDoc)); err != nil {
 		t.Fatal(err)
 	}
-	prog := set.prog
-	if prog == nil {
-		t.Fatal("no program kept after the first evaluation")
+	eng := set.eng
+	if eng == nil {
+		t.Fatal("no engine kept after the first evaluation")
 	}
 	counts := append([]int64(nil), set.Counts()...)
 	mergeStats := func() [5]int64 {
@@ -198,16 +202,42 @@ func TestSetCompilesOnce(t *testing.T) {
 		return [5]int64{s.SetcompileNaive, s.SetcompileMerged, s.SetcompilePruned, s.SetcompileCollapsed, s.SetcompileContained}
 	}
 	stats := mergeStats()
-	for i, doc := range []string{paperDoc, `<a><b/><c/><c/></a>`, paperDoc} {
-		if err := set.Evaluate(strings.NewReader(doc)); err != nil {
-			t.Fatal(err)
+	other := `<a><b/><c/><c/></a>`
+	// built evaluates doc and returns the objects the evaluation allocated
+	// (AllocsPerRun would hide a build in its warm-up run).
+	built := func(doc string) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_ = set.Evaluate(strings.NewReader(doc))
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	for i, doc := range []string{paperDoc, other, paperDoc} {
+		if n := built(doc); n > 16 {
+			t.Errorf("clean evaluation %d allocated %d objects: it built something", i+2, n)
 		}
-		if set.prog != prog {
-			t.Fatalf("evaluation %d compiled the set again", i+2)
+		if set.eng != eng {
+			t.Fatalf("evaluation %d replaced the engine", i+2)
 		}
 	}
 	if got := set.Counts(); !reflect.DeepEqual(got, counts) {
 		t.Errorf("counts over the same document: %v, then %v", counts, got)
+	}
+	// A failed pass: the program survives it, the network does not.
+	if err := set.Evaluate(strings.NewReader(`<a><b>`)); err == nil {
+		t.Fatal("truncated document evaluated without error")
+	}
+	if n := built(paperDoc); n <= 16 {
+		t.Errorf("the pass after a failed one allocated %d objects: it kept the failed pass's network", n)
+	}
+	if set.eng != eng {
+		t.Error("a failed pass replaced the engine and its compiled program")
+	}
+	if got := set.Counts(); !reflect.DeepEqual(got, counts) {
+		t.Errorf("counts after a failed pass: %v, want %v", got, counts)
+	}
+	if n := built(paperDoc); n > 16 {
+		t.Errorf("the second pass after a failed one allocated %d objects", n)
 	}
 	if got := mergeStats(); got != stats {
 		t.Errorf("merge statistics: %v, then %v", stats, got)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/multi"
 	"repro/internal/obs"
 	"repro/internal/rpeq"
-	"repro/internal/setcompile"
 	"repro/internal/spexnet"
 	"repro/internal/xmlstream"
 )
@@ -164,20 +163,31 @@ func SetTraceID(id string) SetOption {
 // whose common subexpressions, in particular common query prefixes, are
 // evaluated once. Every query's answers are identical to evaluating it
 // alone. Parallel shards the same engine over a worker pool.
+//
+// A Set is a standing engine: its network is built at the first evaluation
+// and rewound between documents, so a later evaluation pays for its events,
+// not for the size of the set. A document that does not end cleanly — malformed
+// input, a cancelled context, a governor trip, every answer limit reached, a
+// panic in fn — costs the next evaluation a freshly built network, never a
+// wrong answer. A Set evaluates one document at a time.
 type Set struct {
 	queries    []*Query
 	fn         func(query int, m Match)
 	counts     []int64
 	cfg        setConfig
 	determined bool
-	// subs and prog are the set as the engine takes it and its compiled
-	// program, built at the first evaluation and kept: the set is immutable
-	// and the program a pure function of its queries, so every later
-	// evaluation only builds a fresh network from it. withText/withAttrs
-	// record whether any member query needs text or attribute events.
+	// subs is the set as the engine takes it, made at the first evaluation.
+	// withText/withAttrs record whether any member query needs text or
+	// attribute events.
 	subs                []multi.Subscription
-	prog                *setcompile.Program
 	withText, withAttrs bool
+	// eng is the standing engine of an unsharded set, built with subs and kept
+	// for the life of the Set: one compiled program, one network, one symbol
+	// table, one formula table and one candidate free list (multi.MergedSet
+	// decides, document by document, whether its network is rewound or built
+	// again). Parallel sets, whose workers live for one pass, build theirs per
+	// evaluation.
+	eng *multi.MergedSet
 }
 
 // NewSet prepares a set; fn (which may be nil) receives (query position,
@@ -197,7 +207,7 @@ func NewSet(queries []*Query, fn func(query int, m Match), opts ...SetOption) *S
 type setEngine interface {
 	Run(src xmlstream.Source) error
 	Symtab() *xmlstream.Symtab
-	Matches() map[string]int64
+	MemberCounts(dst []int64) []int64
 	Determined() bool
 }
 
@@ -215,7 +225,7 @@ func (s *Set) Evaluate(r io.Reader) error {
 // deadline, a disconnected client or a draining server stops the evaluation
 // mid-stream instead of running it to completion.
 func (s *Set) EvaluateContext(ctx context.Context, r io.Reader) error {
-	eng, err := s.newEngine()
+	eng, err := s.engine()
 	if err != nil {
 		return err
 	}
@@ -241,7 +251,7 @@ func (s *Set) EvaluateBytes(data []byte) error {
 // EvaluateBytesContext is EvaluateBytes bounded by a context, with the same
 // stride-checked cancellation as EvaluateContext.
 func (s *Set) EvaluateBytesContext(ctx context.Context, data []byte) error {
-	eng, err := s.newEngine()
+	eng, err := s.engine()
 	if err != nil {
 		return err
 	}
@@ -268,13 +278,13 @@ func (s *Set) scanOptions(eng setEngine) []xmlstream.ScannerOption {
 		xmlstream.WithText(s.withText), xmlstream.WithAttributes(s.withAttrs), xmlstream.WithSymtab(eng.Symtab())}
 }
 
-// newEngine resets the counts and builds the set's single-use engine — from
-// the program compiled at the first evaluation, or sharded under Parallel
-// (each shard compiles its own partition).
-func (s *Set) newEngine() (setEngine, error) {
-	for i := range s.counts {
-		s.counts[i] = 0
-	}
+// engine resets what the last evaluation reported and returns the set's engine
+// ready for a document: the standing one, rewound — or built, at the first
+// evaluation — or a sharded one for this pass under Parallel (each shard
+// compiles its own partition).
+func (s *Set) engine() (setEngine, error) {
+	clear(s.counts)
+	s.determined = false
 	if s.subs == nil {
 		s.subs = make([]multi.Subscription, len(s.queries))
 		for i, q := range s.queries {
@@ -305,10 +315,13 @@ func (s *Set) newEngine() (setEngine, error) {
 		}
 		return ps, nil
 	}
-	if s.prog == nil {
-		s.prog = multi.Compile(s.subs)
+	if s.eng != nil {
+		if err := s.eng.Rewind(); err != nil {
+			return nil, err
+		}
+		return s.eng, nil
 	}
-	ms, err := multi.NewMergedSetFrom(s.subs, s.prog,
+	ms, err := multi.NewMergedSet(s.subs,
 		multi.WithGovernor(s.cfg.gov), multi.WithMetrics(s.cfg.metrics), multi.WithTraceID(s.cfg.traceID))
 	if err != nil {
 		return nil, err
@@ -317,6 +330,7 @@ func (s *Set) newEngine() (setEngine, error) {
 		st := ms.MergeStats()
 		m.SetSetcompile(st.NaiveTransducers, st.MergedTransducers, st.Pruned, st.Collapsed, st.Contained)
 	}
+	s.eng = ms
 	return ms, nil
 }
 
@@ -346,11 +360,7 @@ func (s *Set) finish(ctx context.Context, eng setEngine, src xmlstream.Source) e
 	// The engine's own counters are authoritative: a query degraded to
 	// count-only mode by the governor keeps counting answers it no longer
 	// delivers through fn, so the per-hit tally above would undercount it.
-	for name, n := range eng.Matches() {
-		if i, cerr := strconv.Atoi(name); cerr == nil && i >= 0 && i < len(s.counts) && n > s.counts[i] {
-			s.counts[i] = n
-		}
-	}
+	s.counts = eng.MemberCounts(s.counts)
 	return nil
 }
 
