@@ -75,8 +75,9 @@ fuzz-smoke:
 ## TestIdleTransducersSkipped, TestWakeConditions), a connector of Fig. 11 must
 ## be wiring, not a transducer (TestLoweredDegree: degree, visits and
 ## deliveries of a pass over the subscription corpus as exact counts) and a
-## determination applied once (TestDeterminationsAppliedOnce) — and the
-## interning ablation must run end to end
+## determination applied once (TestDeterminationsAppliedOnce), the scanner
+## must reach twice the reference engine's event rate
+## (TestEngineOutpacesOracle) — and the interning ablation must run end to end
 bench-smoke:
 	mkdir -p $(BENCH_DIR)
 	$(GO) run ./cmd/spexbench -fig 14 -scale 0.1 -check -json $(BENCH_DIR)
@@ -85,22 +86,22 @@ bench-smoke:
 	$(GO) run ./cmd/spexbench -fig obs-overhead -scale 0.05 -max-overhead 10 -check -json $(BENCH_DIR)
 	$(GO) run ./cmd/spexbench -fig early-term -scale 0.02 -check -json $(BENCH_DIR)
 	$(GO) run ./cmd/spexbench -fig value-pred -scale 0.1 -check -json $(BENCH_DIR)
-	$(GO) run ./cmd/spexbench -fig ingest -scale 0.05 -check -json $(BENCH_DIR)
+	$(GO) test -run 'TestEngineOutpacesOracle$$' -count 1 -v ./internal/xmlstream
 	$(GO) test -run 'TestCountModeZeroAlloc$$|TestSetSteadyStateAllocs$$|TestSetSmallDocAllocs$$|TestResultsSteadyStateAllocs$$|TestResultsMidpointHeap$$' -count 1 .
 	$(GO) test -run 'TestIngestZeroAlloc$$|TestSerializeAllocs$$' -count 1 ./internal/xmlstream
 	$(GO) test -run 'TestIdleTransducersSkipped$$|TestLoweredDegree$$|TestWakeConditions$$|TestDeterminationsAppliedOnce$$' -count 1 ./internal/spexnet
 	$(GO) test -run NONE -bench 'BenchmarkAblationInterning$$' -benchtime 1x .
 
 ## ingest-race: the ingest lockdown under the race detector — the
-## seed-vs-zerocopy-vs-parallel differential harness, the chunk-scan
-## stitcher (including fuzz seed corpora), accounting parity, and the
-## server's mmap side-load route, all with concurrency checking on
+## scanner-vs-reference differential harness (serial, and concurrent scanners
+## sharing one symbol table), long constructs across the window, the fuzz
+## seed corpora, accounting parity, and the server's mmap side-load route
 ingest-race:
 	$(GO) test -race -count 1 \
-		-run 'TestDifferential|TestParallel|TestIngest|TestScannerAccounting|TestOpenFile|FuzzScanner' \
+		-run 'TestDifferential|TestLongConstructs|TestIngest|TestScannerAccounting|TestOpenFile|FuzzScanner' \
 		./internal/xmlstream
 	$(GO) test -race -count 1 -run 'TestSideload' ./internal/server
-	$(GO) test -race -count 1 -run 'TestEvaluateBytes|TestParallelScan' .
+	$(GO) test -race -count 1 -run 'TestEvaluateBytes' .
 
 ## serve-smoke: boot a real spexd, drive subscribe → ingest → NDJSON result
 ## with curl against the Fig. 1 document, then check a clean SIGTERM drain

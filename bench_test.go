@@ -307,32 +307,6 @@ func BenchmarkAblationInterning(b *testing.B) {
 	b.Run("strings", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkAblationScanner compares the hand-written scanner against
-// encoding/xml as the network's front end.
-func BenchmarkAblationScanner(b *testing.B) {
-	doc := benchDoc(b, "mondial")
-	plan, err := core.Prepare("_*.province.city")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("scanner", func(b *testing.B) {
-		b.SetBytes(int64(len(doc)))
-		for i := 0; i < b.N; i++ {
-			if _, err := plan.Evaluate(xmlstream.NewScanner(bytes.NewReader(doc)), core.EvalOptions{Mode: spexnet.ModeCount}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("encoding-xml", func(b *testing.B) {
-		b.SetBytes(int64(len(doc)))
-		for i := 0; i < b.N; i++ {
-			if _, err := plan.Evaluate(xmlstream.NewDecoder(bytes.NewReader(doc)), core.EvalOptions{Mode: spexnet.ModeCount}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkDepthScaling measures throughput against document depth d: per
 // Lemma V.2 time stays linear in the stream while stacks grow with d.
 func BenchmarkDepthScaling(b *testing.B) {

@@ -35,9 +35,6 @@
 //	-file F    evaluate file F through the mmap + zero-copy ingest fast
 //	           path: the document is mapped read-only and scanned in place,
 //	           with no per-event allocation
-//	-pscan N   with -file: tokenize with the parallel chunk scanner on N
-//	           workers (negative = one per CPU); the stitched event stream
-//	           is identical to a serial scan's
 package main
 
 import (
@@ -83,7 +80,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		windowN   = fs.Int("window", 0, "evaluate in windows of N top-level records (0 = exact whole-stream evaluation)")
 		engine    = fs.String("engine", "", "evaluate through the set engine: merged or parallel[:shards]; sequential and shared are accepted and mean merged (requires -count or -nodes)")
 		file      = fs.String("file", "", "evaluate this file through the mmap + zero-copy ingest fast path (no positional file or stdin)")
-		pscan     = fs.Int("pscan", 0, "with -file: parallel chunk-scan worker count (0 = serial zero-copy scan, negative = one per CPU)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -96,12 +92,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 
 	in := stdin
 	// doc is the mmap'd (or slurped) -file document; docSrc builds a fresh
-	// zero-copy or parallel chunk-scan source over it.
+	// zero-copy scanner over it.
 	var doc *xmlstream.Doc
 	docSrc := func(opts ...xmlstream.ScannerOption) xmlstream.Source {
-		if *pscan != 0 {
-			return xmlstream.NewParallelScanner(doc.Data(), *pscan, opts...)
-		}
 		return xmlstream.ScanBytes(doc.Data(), opts...)
 	}
 	if *file != "" {
@@ -113,8 +106,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			return err
 		}
 		defer doc.Close()
-	} else if *pscan != 0 {
-		return fmt.Errorf("-pscan requires -file (splitting needs the whole document in memory)")
 	}
 	switch fs.NArg() {
 	case 0:
@@ -139,7 +130,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		if !*count && !*nodes {
 			return fmt.Errorf("-engine requires -count or -nodes (the set engine reports answer positions, not subtrees)")
 		}
-		return runEngine(*engine, *query, *xpath, in, doc, *pscan, out, *count)
+		return runEngine(*engine, *query, *xpath, in, doc, out, *count)
 	}
 
 	if *windowN > 0 {
@@ -243,8 +234,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			st.Output.Matches, st.Output.Candidates, st.Output.Dropped)
 		if is, ok := src.(interface{ IngestStats() xmlstream.IngestStats }); ok {
 			ist := is.IngestStats()
-			fmt.Fprintf(stderr, "ingest: mmap=%v chunks=%d arena_bytes=%d arena_blocks=%d arena_attrs=%d buffer_bytes=%d\n",
-				doc != nil && doc.Mapped(), ist.Chunks, ist.ArenaBytes, ist.ArenaBlocks, ist.ArenaAttrs, ist.BufferBytes)
+			fmt.Fprintf(stderr, "ingest: mmap=%v arena_bytes=%d arena_blocks=%d arena_attrs=%d buffer_bytes=%d\n",
+				doc != nil && doc.Mapped(), ist.ArenaBytes, ist.ArenaBlocks, ist.ArenaAttrs, ist.BufferBytes)
 		}
 		writeTransducerTable(stderr, evalRun.Snapshot())
 	}
@@ -254,7 +245,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 // runEngine evaluates the query through the same spex.Set and shard
 // selection the server's channels use, so the CLI can sanity-check the set
 // engine, inline or sharded, against the plain evaluator.
-func runEngine(sel, query string, xpath bool, in io.Reader, doc *xmlstream.Doc, pscan int, out *bufio.Writer, countOnly bool) error {
+func runEngine(sel, query string, xpath bool, in io.Reader, doc *xmlstream.Doc, out *bufio.Writer, countOnly bool) error {
 	eng, err := server.ParseEngine(sel)
 	if err != nil {
 		return err
@@ -271,9 +262,6 @@ func runEngine(sel, query string, xpath bool, in io.Reader, doc *xmlstream.Doc, 
 	var setOpts []spex.SetOption
 	if eng.Shards != 0 {
 		setOpts = append(setOpts, spex.Parallel(eng.Shards))
-	}
-	if pscan != 0 {
-		setOpts = append(setOpts, spex.ParallelScan(pscan))
 	}
 	set := spex.NewSet([]*spex.Query{q}, func(_ int, m spex.Match) {
 		if !countOnly {

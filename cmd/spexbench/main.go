@@ -30,14 +30,6 @@
 //	                          # text test; -check pins the pairs to equal
 //	                          # answers and the attribute rows to zero
 //	                          # decision latency
-//	spexbench -fig ingest
-//	                          # the ingest ablation: seed buffered scanner
-//	                          # vs zero-copy vs parallel chunk-scan over
-//	                          # the DMOZ dumps (events/s and GB/s, no
-//	                          # network attached); -check fingerprints all
-//	                          # three event streams (must be identical) and
-//	                          # requires zero-copy >= 2x seed throughput;
-//	                          # -workers N sets the chunk-scan width
 //	spexbench -scale 1        # paper-sized documents (DMOZ takes a while)
 //	spexbench -check          # exit non-zero if any engine reports zero
 //	                          # answers (CI shape check, not a timing one)
@@ -88,8 +80,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("spexbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		fig      = fs.String("fig", "all", "which experiment: 14, 15, mem, adversarial, obs-overhead, early-term, value-pred, ingest, all")
-		workers  = fs.Int("workers", 0, "ingest: parallel chunk-scan worker count (0 = one per CPU)")
+		fig      = fs.String("fig", "all", "which experiment: 14, 15, mem, adversarial, obs-overhead, early-term, value-pred, all")
 		scale    = fs.Float64("scale", 0, "document scale; 0 = defaults (1 for Fig. 14, 0.05 for Fig. 15)")
 		verbose  = fs.Bool("v", false, "stream per-measurement progress and a periodic live-metrics line")
 		fullDMOZ = fs.Bool("full-dmoz", false, "run Fig. 15 at the paper's full scale (slow; equivalent to -scale 1)")
@@ -140,7 +131,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	runObs := *fig == "obs-overhead" || *fig == "obs" || *fig == "all"
 	runEarly := *fig == "early-term" || *fig == "early" || *fig == "all"
 	runValuePred := *fig == "value-pred" || *fig == "value" || *fig == "all"
-	runIngest := *fig == "ingest" || *fig == "all"
 
 	// checkAnswers is the CI shape check: every measurement that actually
 	// ran must have found answers on these workloads.
@@ -247,45 +237,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err := figureValuePred(stdout, progress, s, *jsonDir, *check); err != nil {
 			return err
 		}
-	}
-	if runIngest {
-		s := *scale
-		if s == 0 {
-			s = 0.05
-		}
-		if err := figureIngest(stdout, progress, s, *jsonDir, *workers, *check); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// figureIngest runs the ingest ablation (EXPERIMENTS.md E22): the seed
-// buffered scanner, the zero-copy scanner, and the parallel chunk-scan
-// drain the DMOZ dumps with no network attached. With -check every mode's
-// full event stream is fingerprinted and must match the seed scanner's
-// exactly, and the zero-copy scanner must clear 2× the seed throughput.
-func figureIngest(out, progress io.Writer, scale float64, jsonDir string, workers int, check bool) error {
-	ms, err := bench.RunIngest(scale, workers, check, progress)
-	if err != nil {
-		return err
-	}
-	bench.WriteIngestTable(out, ms)
-	if jsonDir != "" {
-		f, err := os.Create(filepath.Join(jsonDir, "BENCH_ingest.json"))
-		if err != nil {
-			return err
-		}
-		err = bench.WriteJSON(f, bench.IngestMeasurements(ms))
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if check {
-		return bench.CheckIngest(ms)
 	}
 	return nil
 }

@@ -5,13 +5,12 @@ import (
 	"testing"
 )
 
-// TestEvaluateBytesParallelScan cross-validates the in-memory evaluation
-// paths against the reader path: EvaluateBytes (the zero-copy scan) and
-// EvaluateBytes under the ParallelScan option (chunk scanning) must deliver
-// exactly the hits Evaluate delivers from a reader, in the same order.
-func TestEvaluateBytesParallelScan(t *testing.T) {
-	// Large enough to clear the parallel scanner's splitting threshold, with
-	// text and attributes in play.
+// TestEvaluateBytesMatchesReader cross-validates the in-memory evaluation
+// path against the reader path: EvaluateBytes (the zero-copy scan over the
+// caller's bytes) must deliver exactly the hits Evaluate delivers from a
+// reader, in the same order.
+func TestEvaluateBytesMatchesReader(t *testing.T) {
+	// Many read windows long, with text and attributes in play.
 	var sb strings.Builder
 	sb.WriteString("<r>")
 	for i := 0; i < 20000; i++ {
@@ -25,14 +24,14 @@ func TestEvaluateBytesParallelScan(t *testing.T) {
 		q   int
 		idx int64
 	}
-	run := func(opts []SetOption, inMemory bool) []hit {
+	run := func(inMemory bool) []hit {
 		t.Helper()
 		queries := make([]*Query, len(exprs))
 		for i, e := range exprs {
 			queries[i] = MustCompile(e)
 		}
 		var hits []hit
-		set := NewSet(queries, func(q int, m Match) { hits = append(hits, hit{q, m.Index}) }, opts...)
+		set := NewSet(queries, func(q int, m Match) { hits = append(hits, hit{q, m.Index}) })
 		var err error
 		if inMemory {
 			err = set.EvaluateBytes([]byte(doc))
@@ -56,21 +55,17 @@ func TestEvaluateBytesParallelScan(t *testing.T) {
 		}
 	}
 
-	want := run(nil, false)
+	want := run(false)
 	if len(want) == 0 {
 		t.Fatal("workload broken, no hits")
 	}
-	same("bytes", want, run(nil, true))
-	for _, workers := range []int{0, 3} {
-		same("pscan", want, run([]SetOption{ParallelScan(workers)}, true))
-	}
+	same("bytes", want, run(true))
 }
 
-// TestParallelScanEarlyStop pins the worker-release contract: a set whose
-// queries all hit their answer limits abandons the stitched stream before
-// EOF, and the chunk workers must be let go rather than left blocked on
-// their batch channels (the race-mode CI job watches this handoff).
-func TestParallelScanEarlyStop(t *testing.T) {
+// TestEvaluateBytesEarlyStop: a set whose queries all hit their answer
+// limits abandons the in-memory document before its end, with exactly the
+// limited answers delivered and no error.
+func TestEvaluateBytesEarlyStop(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("<r>")
 	for i := 0; i < 40000; i++ {
@@ -80,7 +75,7 @@ func TestParallelScanEarlyStop(t *testing.T) {
 
 	var n int
 	set := NewSet([]*Query{MustCompile("_*.b").Limited(1)},
-		func(int, Match) { n++ }, ParallelScan(4))
+		func(int, Match) { n++ })
 	if err := set.EvaluateBytes([]byte(sb.String())); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package spex
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -201,26 +200,6 @@ func FuzzEngineEquivalence(f *testing.F) {
 			} else if err == nil {
 				t.Fatalf("standing set: truncated document %q evaluated without error", input)
 			}
-		}
-		// Parallel chunk-scan ingest arm: the stitched event stream must
-		// drive an engine to the oracle's counts too. Split targets are
-		// fuzzed from the program bytes, so boundary choices land inside
-		// tags, attribute values and text runs at the splitter's discretion.
-		if n := len(doc); n > 1 {
-			h := uint64(n) * 0x9E3779B97F4A7C15
-			for _, c := range prog {
-				h = (h ^ uint64(c)) * 0x100000001B3
-			}
-			var targets []int
-			for k := 0; k < 1+int(h%3); k++ {
-				h ^= h >> 12
-				h ^= h << 25
-				h ^= h >> 27
-				targets = append(targets, int((h*0x2545F4914F6CDD1D)%uint64(n)))
-			}
-			src := xmlstream.NewParallelScannerAt([]byte(doc), targets, xmlstream.WithText(false))
-			got, err := countThrough(inline, src)
-			check(fmt.Sprintf("parallel-scan ingest at %v", targets), got, err)
 		}
 	})
 }

@@ -13,6 +13,16 @@ import (
 // validated against the tree-walk baseline, which implements the axes
 // directly on the materialized tree.
 
+// parseXPath is rpeq.Parse with WithXPath, failing the test on error.
+func parseXPath(t *testing.T, src string) rpeq.Node {
+	t.Helper()
+	n, err := rpeq.Parse(src, rpeq.WithXPath())
+	if err != nil {
+		t.Fatalf("Parse(%q, WithXPath): %v", src, err)
+	}
+	return n
+}
+
 func TestFollowingPrecedingAgainstDOM(t *testing.T) {
 	queries := []string{
 		"//a/following::b",
@@ -77,7 +87,7 @@ func TestAxesInPredicatesRejected(t *testing.T) {
 func TestFollowingExcludesDescendantsAndAncestors(t *testing.T) {
 	// Indices: a@1 b@2 c@3 d@4 e@5.
 	doc := `<a><b><c/></b><d><e/></d></a>`
-	expr := rpeq.MustParseXPath("//b/following::*")
+	expr := parseXPath(t, "//b/following::*")
 	got, err := spexIndices(expr, doc)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +102,7 @@ func TestFollowingExcludesDescendantsAndAncestors(t *testing.T) {
 // TestPrecedingExcludesAncestors pins the mirror case.
 func TestPrecedingExcludesAncestors(t *testing.T) {
 	doc := `<a><b><c/></b><d><e/></d></a>`
-	expr := rpeq.MustParseXPath("//e/preceding::*")
+	expr := parseXPath(t, "//e/preceding::*")
 	got, err := spexIndices(expr, doc)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +119,7 @@ func TestPrecedingExcludesAncestors(t *testing.T) {
 // as a context arrives.
 func TestPrecedingProgressiveDrop(t *testing.T) {
 	doc := `<x><b/><a/><b/></x>`
-	expr := rpeq.MustParseXPath("//a/preceding::b")
+	expr := parseXPath(t, "//a/preceding::b")
 	got, err := spexIndices(expr, doc)
 	if err != nil {
 		t.Fatal(err)

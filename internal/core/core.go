@@ -132,14 +132,6 @@ type EvalOptions struct {
 	// record of this evaluation, correlating it with the request or stream
 	// that started it. Empty leaves trace records unstamped.
 	TraceID string
-	// ParallelScan enables the parallel chunk-scan ingest path for
-	// bytes-fed evaluations (EvaluateBytes): the document is split at safe
-	// byte boundaries, chunks are tokenized concurrently, and the stitched
-	// event stream feeds the network. Positive values pick the worker
-	// count, negative means one worker per CPU, zero (the default) scans
-	// serially on the zero-copy engine. Reader-fed evaluations ignore it —
-	// splitting needs the whole document in memory.
-	ParallelScan int
 	// Limit caps the answer count for this evaluation: positive overrides
 	// the plan's own limit, zero uses the plan's (from a "limit N"/"first"
 	// clause), negative forces unlimited evaluation regardless of the plan.
@@ -195,8 +187,7 @@ func (p *Plan) Evaluate(src xmlstream.Source, opts EvalOptions) (spexnet.Stats, 
 	// A scanner source shares the evaluation's symbol table so events
 	// arrive pre-resolved; a scanner already bound to another table keeps
 	// it and the network compiles against that table instead — symbols
-	// from different tables must never meet. The interface admits both the
-	// serial Scanner and the ParallelScanner.
+	// from different tables must never meet.
 	if sc, ok := src.(interface {
 		AdoptSymtab(*xmlstream.Symtab) bool
 		SymtabInUse() *xmlstream.Symtab
@@ -232,7 +223,7 @@ func publishIngest(opts EvalOptions, src xmlstream.Source) {
 	}
 	if is, ok := src.(interface{ IngestStats() xmlstream.IngestStats }); ok {
 		st := is.IngestStats()
-		m.SetIngest(st.ArenaBytes, st.ArenaBlocks, st.ArenaAttrs, st.BufferBytes, st.Chunks)
+		m.SetIngest(st.ArenaBytes, st.ArenaBlocks, st.ArenaAttrs, st.BufferBytes)
 	}
 }
 
@@ -314,22 +305,11 @@ func (p *Plan) EvaluateReader(r io.Reader, opts EvalOptions) (spexnet.Stats, err
 // path. The scanner works zero-copy on data: text and attribute values are
 // views into it (entity-decoded ones and attribute lists are carved from the
 // scanner's arenas), valid for the whole evaluation, never per-event
-// allocations. With opts.ParallelScan non-zero the document is chunk-scanned
-// concurrently and the stitched event stream feeds the network. data must not
-// be mutated while the evaluation runs.
+// allocations. data must not be mutated while the evaluation runs.
 func (p *Plan) EvaluateBytes(data []byte, opts EvalOptions) (spexnet.Stats, error) {
-	var src xmlstream.Source
-	if opts.ParallelScan != 0 {
-		ps := xmlstream.NewParallelScanner(data, opts.ParallelScan, p.scanOptions(opts)...)
-		// A pass that stops before EOF (answer limit, cancellation) abandons
-		// the source; the chunk workers must be released.
-		defer ps.Stop()
-		src = ps
-	} else {
-		sc := AcquireScanner(nil, data, p.scanOptions(opts)...)
-		defer ReleaseScanner(sc)
-		src = sc
-	}
+	sc := AcquireScanner(nil, data, p.scanOptions(opts)...)
+	defer ReleaseScanner(sc)
+	var src xmlstream.Source = sc
 	if m := opts.Metrics; m != nil {
 		m.Bytes.Add(int64(len(data)))
 	} else if m := opts.SinkMetrics; m != nil {

@@ -163,7 +163,6 @@ func WritePrometheus(w io.Writer, s Snapshot) {
 	p.Gauge("spex_ingest_arena_blocks", "arena tape blocks in use after the most recent completed scan", s.IngestArenaBlocks)
 	p.Gauge("spex_ingest_arena_attrs", "attribute slots carved from the attr arena by the most recent completed scan", s.IngestArenaAttrs)
 	p.Gauge("spex_ingest_buffer_bytes", "scan buffer size of the most recent completed scan", s.IngestBufferBytes)
-	p.Gauge("spex_ingest_chunks", "chunks of the most recent completed scan (1 = serial, more = parallel chunk-scan)", s.IngestChunks)
 	p.Gauge("spex_symtab_size", "distinct label names interned in the symbol table", s.SymtabSize)
 	p.Counter("spex_symtab_hits_total", "symbol-table lookups answered from the read-mostly snapshot", s.SymtabHits)
 	p.Counter("spex_symtab_misses_total", "symbol-table lookups that inserted a new name", s.SymtabMisses)
@@ -231,10 +230,6 @@ func escapeLabel(s string) string {
 	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
 	return r.Replace(s)
 }
-
-// EscapeLabel sanitizes a Prometheus label value, for subsystems (the query
-// server) that render their own metric sections next to this package's.
-func EscapeLabel(s string) string { return escapeLabel(s) }
 
 // MetricsHandler serves the registry in the Prometheus text format. Extra
 // section writers, if any, are rendered after the registry's own metrics on

@@ -334,8 +334,7 @@ type Metrics struct {
 	LiveVars Gauge
 
 	// Ingest-path instruments (internal/xmlstream): the arena tape and scan
-	// buffer of the zero-copy scanner that fed the last completed scan, and
-	// the chunk count of a parallel chunk-scan (1 for a serial scan). Set
+	// buffer of the scanner that fed the last completed scan. Set
 	// once per finished scan by whoever owns the scanner (core evaluations,
 	// the query-set engines, spexd sessions), so a scrape mid-service shows
 	// the most recent stream's ingest footprint — the quantities behind the
@@ -344,7 +343,6 @@ type Metrics struct {
 	IngestArenaBlocks Gauge
 	IngestArenaAttrs  Gauge
 	IngestBufferBytes Gauge
-	IngestChunks      Gauge
 
 	// Symbol-interning instruments: size and cumulative hit/miss counts of
 	// the symbol table the observed evaluation resolves labels against.
@@ -423,12 +421,11 @@ func (m *Metrics) SetSetcompile(naive, merged, pruned, collapsed, contained int)
 }
 
 // SetIngest publishes the ingest accounting of a finished scan: arena bytes,
-// blocks and attribute slots carved from the scanner's arenas, the scan
-// buffer size, and the chunk count (1 for a serial scan, the worker chunk
-// count for a parallel chunk-scan). Plain integers rather than the
+// blocks and attribute slots carved from the scanner's arenas, and the scan
+// buffer size. Plain integers rather than the
 // xmlstream.IngestStats struct, so the observability package stays free of
 // scanner imports. Safe on a nil receiver (uninstrumented run).
-func (m *Metrics) SetIngest(arenaBytes, arenaBlocks, arenaAttrs, bufferBytes, chunks int64) {
+func (m *Metrics) SetIngest(arenaBytes, arenaBlocks, arenaAttrs, bufferBytes int64) {
 	if m == nil {
 		return
 	}
@@ -436,7 +433,6 @@ func (m *Metrics) SetIngest(arenaBytes, arenaBlocks, arenaAttrs, bufferBytes, ch
 	m.IngestArenaBlocks.Set(arenaBlocks)
 	m.IngestArenaAttrs.Set(arenaAttrs)
 	m.IngestBufferBytes.Set(bufferBytes)
-	m.IngestChunks.Set(chunks)
 }
 
 // SetShards installs the per-shard instruments of the worker pool the

@@ -40,13 +40,11 @@ type Snapshot struct {
 	EarlyTerms int64 `json:"early_terminations"`
 
 	// Ingest-path accounting of the most recent completed scan: arena tape
-	// bytes/blocks/attr slots, scan buffer size, and the chunk count (1 for
-	// a serial scan, the worker chunk count for a parallel chunk-scan).
+	// bytes/blocks/attr slots and scan buffer size.
 	IngestArenaBytes  int64 `json:"ingest_arena_bytes"`
 	IngestArenaBlocks int64 `json:"ingest_arena_blocks"`
 	IngestArenaAttrs  int64 `json:"ingest_arena_attrs"`
 	IngestBufferBytes int64 `json:"ingest_buffer_bytes"`
-	IngestChunks      int64 `json:"ingest_chunks"`
 
 	// Symbol-table instruments: interner size and cumulative lookup
 	// hit/miss counts (cumulative for the table, which may outlive the run).
@@ -188,7 +186,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		IngestArenaBlocks: m.IngestArenaBlocks.Load(),
 		IngestArenaAttrs:  m.IngestArenaAttrs.Load(),
 		IngestBufferBytes: m.IngestBufferBytes.Load(),
-		IngestChunks:      m.IngestChunks.Load(),
 
 		SymtabSize:        m.SymtabSize.Load(),
 		SymtabHits:        m.SymtabHits.Load(),

@@ -96,7 +96,26 @@ func (c *Concat) String() string {
 	}
 	return c.Left.String() + "." + right
 }
-func (u *Union) String() string { return "(" + u.Left.String() + "|" + u.Right.String() + ")" }
+func (u *Union) String() string {
+	if isCondition(u) {
+		// A qualifier's disjunction of conditions: the path union '|'
+		// cannot hold a not(...) or a comparison, the boolean 'or' can.
+		return "(" + u.Left.String() + " or " + u.Right.String() + ")"
+	}
+	return "(" + u.Left.String() + "|" + u.Right.String() + ")"
+}
+
+// isCondition reports whether n is a condition rather than a path: a negation
+// or text comparison, or a union with one among its alternatives.
+func isCondition(n Node) bool {
+	switch n := n.(type) {
+	case *CondNot, *TextTest:
+		return true
+	case *Union:
+		return isCondition(n.Left) || isCondition(n.Right)
+	}
+	return false
+}
 func (o *Optional) String() string {
 	if needsParens(o.Expr) {
 		return "(" + o.Expr.String() + ")?"

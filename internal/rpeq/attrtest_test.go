@@ -147,19 +147,12 @@ func TestParseOptionAPI(t *testing.T) {
 	if Canonical(plain) != `(a.limit)` {
 		t.Fatalf("limit keyword leaked: %s", Canonical(plain))
 	}
-	x1, err := Parse(`//item[@a]`, WithXPath())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(x1, MustParseXPath(`//item[@a]`)) {
-		t.Fatalf("MustParseXPath disagrees with Parse(WithXPath)")
-	}
 	var xl int64
 	x3, err := Parse(`//item first`, WithXPath(), WithLimit(&xl))
 	if err != nil || xl != 1 {
 		t.Fatalf("xpath first: %v limit=%d", err, xl)
 	}
-	if !Equal(x3, MustParseXPath(`//item`)) {
+	if !Equal(x3, mustXPath(t, `//item`)) {
 		t.Fatalf("WithLimit changed the XPath expression: %s", Canonical(x3))
 	}
 }

@@ -201,3 +201,38 @@ func TestStringHasNoSpaces(t *testing.T) {
 		t.Errorf("String contains whitespace: %q", n.String())
 	}
 }
+
+// TestConditionStringRoundTrip: a qualifier whose lowered condition is a
+// disjunction of negations or comparisons prints in a form the grammar
+// parses back to the same tree — the De Morgan image of not(… and …), its
+// and/or/not neighbours, and mixes with paths and attributes.
+func TestConditionStringRoundTrip(t *testing.T) {
+	for _, src := range []string{
+		`A[not(A="" and A)]`,
+		`A[not(A="" or A)]`,
+		`A[A="" and A]`,
+		`A[A="" or A]`,
+		`A[not(A="")]`,
+		`A[not(A and B)]`,
+		`A[not(A) or not(B)]`,
+		`A[not(A) and not(B)]`,
+		`A[not(not(A) and B)]`,
+		`A[not(A and B) and C]`,
+		`A[(not(A) or B="x") and not(C)]`,
+		`A[not(A) or B/C or D!="y"]`,
+		`A[not(@k="1" and B)]`,
+		`A[not(A|B)]`,
+	} {
+		n, err := Parse(src, WithXPath())
+		if err != nil {
+			t.Fatalf("Parse(%q, WithXPath): %v", src, err)
+		}
+		back, err := Parse(n.String())
+		if err != nil {
+			t.Fatalf("%s prints as %s, which does not parse: %v", src, n, err)
+		}
+		if !Equal(back, n) {
+			t.Fatalf("%s prints as %s, which parses to %s", src, n, back)
+		}
+	}
+}

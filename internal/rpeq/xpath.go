@@ -83,15 +83,6 @@ func (p *xpathParser) parseLimitClause() (int64, error) {
 	return 0, nil
 }
 
-// MustParseXPath is Parse with WithXPath, panicking on error.
-func MustParseXPath(src string) Node {
-	n, err := Parse(src, WithXPath())
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 type xpathParser struct {
 	src      string
 	pos      int

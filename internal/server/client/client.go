@@ -172,12 +172,10 @@ func (c *Client) IngestWithTrace(ctx context.Context, channel, trace string, r i
 }
 
 // Sideload asks the server to evaluate a document that already sits in its
-// side-load directory: file is a relative path under that directory, and
-// workers selects the ingest mode (0 = serial zero-copy scan, positive =
-// parallel chunk-scan with that many workers, negative = one per CPU). The
+// side-load directory: file is a relative path under that directory. The
 // document never crosses the wire — the server mmaps and scans it in place.
-func (c *Client) Sideload(ctx context.Context, channel, file string, workers int) (server.IngestSummary, error) {
-	body, err := json.Marshal(server.SideloadRequest{File: file, Workers: workers})
+func (c *Client) Sideload(ctx context.Context, channel, file string) (server.IngestSummary, error) {
+	body, err := json.Marshal(server.SideloadRequest{File: file})
 	if err != nil {
 		return server.IngestSummary{}, err
 	}

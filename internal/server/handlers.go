@@ -546,18 +546,13 @@ type SideloadRequest struct {
 	// File names the document to evaluate, relative to the server's
 	// side-load directory; paths escaping the directory are rejected.
 	File string `json:"file"`
-	// Workers selects the ingest mode: 0 scans serially on the zero-copy
-	// engine, a positive count parallel chunk-scans with that many workers,
-	// negative means one worker per CPU.
-	Workers int `json:"workers,omitempty"`
 }
 
 // handleSideload is ingest without the wire: the client names a file under
 // the configured side-load directory and the server mmaps it and streams it
-// through the channel's subscription set in place — the zero-copy fast path,
-// parallel chunk-scanned when the request asks for workers. The session
-// lifecycle (admission, drain gating, timeout, slow-stream recording,
-// metrics) matches handleIngest; only the document source differs.
+// through the channel's subscription set in place — the zero-copy fast path.
+// The session lifecycle (admission, drain gating, timeout, slow-stream
+// recording, metrics) matches handleIngest; only the document source differs.
 func (s *Server) handleSideload(w http.ResponseWriter, r *http.Request) {
 	if s.sideloadDir == "" {
 		s.writeError(w, http.StatusNotFound, "side-loading is not enabled (no side-load directory configured)", false)
@@ -635,7 +630,7 @@ func (s *Server) handleSideload(w http.ResponseWriter, r *http.Request) {
 	read.Store(size)
 	sess.bytes = &read
 	s.mgr.register(sess)
-	matches, err := sess.runBytes(ctx, doc.Data(), req.Workers)
+	matches, err := sess.runBytes(ctx, doc.Data())
 	s.mgr.unregister(sess)
 	s.recordSlow(sess, size, matches, err)
 	if err != nil {

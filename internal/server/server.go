@@ -60,8 +60,8 @@ type Config struct {
 	// SideloadDir, when non-empty, enables POST
 	// /v1/channels/{channel}/sideload: instead of streaming a document over
 	// the wire, a client names a file under this directory and the server
-	// mmaps it and evaluates it in place through the zero-copy ingest path
-	// (optionally parallel chunk-scanned). Empty disables the route.
+	// mmaps it and evaluates it in place through the zero-copy ingest path.
+	// Empty disables the route.
 	SideloadDir string
 }
 

@@ -217,9 +217,8 @@ func (sess *session) run(ctx context.Context, r io.Reader) (matches int64, err e
 
 // runBytes is run over an in-memory document — the side-load path: the
 // document is already resident (mmap'd from the side-load directory), so
-// the session evaluates it through the zero-copy scanner, chunk-scanned in
-// parallel when workers is non-zero (negative = one worker per CPU).
-func (sess *session) runBytes(ctx context.Context, data []byte, workers int) (matches int64, err error) {
+// the session evaluates it through the zero-copy scanner.
+func (sess *session) runBytes(ctx context.Context, data []byte) (matches int64, err error) {
 	if len(sess.subs) == 0 {
 		return 0, nil
 	}
@@ -229,11 +228,7 @@ func (sess *session) runBytes(ctx context.Context, data []byte, workers int) (ma
 			err = fmt.Errorf("server: session %s: panic: %v", sess.id, p)
 		}
 	}()
-	var extra []spex.SetOption
-	if workers != 0 {
-		extra = append(extra, spex.ParallelScan(workers))
-	}
-	set := sess.newSet(ctx, extra...)
+	set := sess.newSet(ctx)
 	sess.do(ctx, func(ctx context.Context) { err = set.EvaluateBytesContext(ctx, data) })
 	return sess.settle(set, err)
 }
@@ -241,12 +236,12 @@ func (sess *session) runBytes(ctx context.Context, data []byte, workers int) (ma
 // newSet compiles the session's subscription snapshot into a spex.Set,
 // sharded as the channel selects, with every hit forwarded as a frame to
 // its subscription's queue.
-func (sess *session) newSet(ctx context.Context, extra ...spex.SetOption) *spex.Set {
+func (sess *session) newSet(ctx context.Context) *spex.Set {
 	queries := make([]*spex.Query, len(sess.subs))
 	for i, sub := range sess.subs {
 		queries[i] = sub.q
 	}
-	opts := append([]spex.SetOption{spex.SetTraceID(sess.trace)}, extra...)
+	opts := []spex.SetOption{spex.SetTraceID(sess.trace)}
 	if n := sess.ch.engine.Shards; n != 0 {
 		opts = append(opts, spex.Parallel(n))
 	}

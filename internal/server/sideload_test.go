@@ -13,9 +13,9 @@ import (
 )
 
 // TestSideload exercises the mmap ingest path end to end: a document in the
-// server's side-load directory is evaluated in place (serially and with a
-// parallel chunk-scan) and must produce exactly the answers a wire ingest
-// of the same bytes produces, with the frames intact.
+// server's side-load directory is evaluated in place, three times over, and
+// must produce exactly the answers a wire ingest of the same bytes produces,
+// with the frames intact.
 func TestSideload(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "fig1.xml"), []byte(fig1Doc), 0o644); err != nil {
@@ -42,22 +42,21 @@ func TestSideload(t *testing.T) {
 		})
 	}()
 
-	for _, workers := range []int{0, 3, -1} {
-		sum, err := c.Sideload(ctx, "sl", "fig1.xml", workers)
+	for run := 0; run < 3; run++ {
+		sum, err := c.Sideload(ctx, "sl", "fig1.xml")
 		if err != nil {
-			t.Fatalf("sideload (workers=%d): %v", workers, err)
+			t.Fatalf("sideload %d: %v", run, err)
 		}
 		if sum.Matches != int64(len(want)) {
-			t.Errorf("sideload (workers=%d): matches = %d, want %d", workers, sum.Matches, len(want))
+			t.Errorf("sideload %d: matches = %d, want %d", run, sum.Matches, len(want))
 		}
 		if sum.Bytes != int64(len(fig1Doc)) {
-			t.Errorf("sideload (workers=%d): bytes = %d, want %d", workers, sum.Bytes, len(fig1Doc))
+			t.Errorf("sideload %d: bytes = %d, want %d", run, sum.Bytes, len(fig1Doc))
 		}
 		for _, m := range want {
 			f := <-frames
 			if f.Index != m.Index || f.Name != m.Name {
-				t.Errorf("sideload (workers=%d): frame (%d, %q), want (%d, %q)",
-					workers, f.Index, f.Name, m.Index, m.Name)
+				t.Errorf("sideload %d: frame (%d, %q), want (%d, %q)", run, f.Index, f.Name, m.Index, m.Name)
 			}
 		}
 	}
@@ -66,11 +65,9 @@ func TestSideload(t *testing.T) {
 	if !strings.Contains(body, "spex_server_sideloads_total 3") {
 		t.Errorf("/metrics missing spex_server_sideloads_total 3")
 	}
-	// The ingest chunk gauge reflects the last completed scan: the final
-	// side-load ran a parallel chunk-scan, so more than one chunk unless the
-	// machine is single-CPU.
-	if !strings.Contains(body, "spex_ingest_chunks") {
-		t.Errorf("/metrics missing spex_ingest_chunks")
+	// The ingest gauges reflect the last completed scan.
+	if !strings.Contains(body, "spex_ingest_buffer_bytes ") {
+		t.Errorf("/metrics missing spex_ingest_buffer_bytes")
 	}
 }
 
@@ -112,7 +109,7 @@ func TestSideloadRejections(t *testing.T) {
 				}
 				srv = small
 			}
-			_, err := srv.Sideload(ctx, "sl", tc.file, 0)
+			_, err := srv.Sideload(ctx, "sl", tc.file)
 			apiErr, ok := err.(*client.APIError)
 			if !ok || apiErr.Status != tc.status {
 				t.Fatalf("sideload %q: err = %v, want status %d", tc.file, err, tc.status)
@@ -125,7 +122,7 @@ func TestSideloadRejections(t *testing.T) {
 	if _, err := bare.Subscribe(ctx, server.SubscribeRequest{Channel: "sl", Query: `a`}); err != nil {
 		t.Fatalf("subscribe: %v", err)
 	}
-	_, err := bare.Sideload(ctx, "sl", "doc.xml", 0)
+	_, err := bare.Sideload(ctx, "sl", "doc.xml")
 	apiErr, ok := err.(*client.APIError)
 	if !ok || apiErr.Status != http.StatusNotFound {
 		t.Fatalf("sideload without directory: err = %v, want 404", err)

@@ -115,8 +115,7 @@ func carve(a *arena[byte], b []byte) string {
 }
 
 // IngestStats reports the ingest path's buffer economy for observability, per
-// scanned stream. Chunks is the number of concurrently scanned chunks (1 for
-// a serial scanner).
+// scanned stream.
 type IngestStats struct {
 	// ArenaBytes counts the payload bytes copied out of the read window:
 	// entity-decoded text and attribute values, CDATA content, and text runs
@@ -125,7 +124,6 @@ type IngestStats struct {
 	ArenaBlocks int64 // arena blocks allocated during the stream
 	ArenaAttrs  int64 // attribute entries carved from the attr arena
 	BufferBytes int64 // read-buffer bytes owned by the scanner
-	Chunks      int64 // concurrently scanned chunks (parallel mode)
 }
 
 // IngestStats returns the scanner's buffer/arena accounting.
@@ -134,7 +132,6 @@ func (s *Scanner) IngestStats() IngestStats {
 		ArenaBytes:  s.text.carved,
 		ArenaBlocks: s.text.allocs + s.attrs.allocs,
 		ArenaAttrs:  s.attrs.carved,
-		Chunks:      1,
 	}
 	if s.ownBuf != nil {
 		st.BufferBytes = int64(len(s.ownBuf))

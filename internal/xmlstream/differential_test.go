@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -16,15 +17,14 @@ import (
 )
 
 // The differential scanner harness: every corpus document is replayed
-// through the seed (byte-at-a-time) engine and the zero-copy engine at every
-// reader chunk size 1..64, and through the parallel chunk scanner at a
-// battery of adversarial split choices. The fast paths must be byte-for-byte
-// indistinguishable from the seed engine: identical event sequences
-// (including interned symbols for the serial engines), identical per-event
-// InputOffset accounting, identical error classes (ErrTruncated,
-// ErrTokenTooLarge, ErrTooDeep, ErrDuplicateAttr) and identical
-// ErrorOffset values. This file is the contract the ingest rewrite ships
-// under; see DESIGN.md §15.
+// through the reference (byte-at-a-time) engine of seed_test.go and through
+// the Scanner at every reader chunk size 1..64 and over caller-owned bytes.
+// The Scanner must be byte-for-byte indistinguishable from the reference:
+// identical event sequences (including interned symbols), identical
+// per-event InputOffset accounting, identical error classes (ErrTruncated,
+// ErrTokenTooLarge, ErrTooDeep, ErrDuplicateAttr) and identical ErrorOffset
+// values. This file is the contract the engine ships under; see DESIGN.md
+// §15.
 
 // diffDoc is one corpus entry.
 type diffDoc struct {
@@ -201,8 +201,8 @@ func (r *chunkReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// scanSource is the accounting surface shared by Scanner and
-// ParallelScanner.
+// scanSource is the accounting surface shared by the Scanner and the
+// reference engine.
 type scanSource interface {
 	Next() (xmlstream.Event, error)
 	InputOffset() int64
@@ -309,36 +309,17 @@ func compareSerial(t *testing.T, label string, want, got scanOutcome) {
 	if d := diffEvents(want, got, false); d != "" {
 		t.Fatalf("%s: %s", label, d)
 	}
+	compareErr(t, label, want, got)
+}
+
+// compareErr holds got to want's error class, error offset and accounting.
+func compareErr(t *testing.T, label string, want, got scanOutcome) {
+	t.Helper()
 	if errClass(want.err) != errClass(got.err) {
 		t.Fatalf("%s: error class %s (%v), want %s (%v)", label, errClass(got.err), got.err, errClass(want.err), want.err)
 	}
 	if want.err != nil && want.errOff != got.errOff {
 		t.Fatalf("%s: ErrorOffset %d, want %d (err %v)", label, got.errOff, want.errOff, want.err)
-	}
-	if want.total != got.total || want.maxDepth != got.maxDepth {
-		t.Fatalf("%s: accounting Events/MaxDepth %d/%d, want %d/%d",
-			label, got.total, got.maxDepth, want.total, want.maxDepth)
-	}
-}
-
-// compareParallel relaxes exactly two things (documented in parallel.go):
-// symbols are interned concurrently, and a handful of document-level
-// malformations are detected by the stitcher, where the error class and
-// offset may lawfully differ (a second root cut off at end of input is
-// "content after root" serially but a truncation in the chunk that holds
-// it). Sentinel errors raised inside a chunk keep exact class and offset.
-func compareParallel(t *testing.T, label string, want, got scanOutcome) {
-	t.Helper()
-	if d := diffEvents(want, got, true); d != "" {
-		t.Fatalf("%s: %s", label, d)
-	}
-	if (want.err == nil) != (got.err == nil) {
-		t.Fatalf("%s: error presence %v, want %v", label, got.err, want.err)
-	}
-	if wc, gc := errClass(want.err), errClass(got.err); wc == gc && want.err != nil && wc != "malformed" {
-		if want.errOff != got.errOff {
-			t.Fatalf("%s: ErrorOffset %d, want %d (err %v)", label, got.errOff, want.errOff, want.err)
-		}
 	}
 	if want.total != got.total || want.maxDepth != got.maxDepth {
 		t.Fatalf("%s: accounting Events/MaxDepth %d/%d, want %d/%d",
@@ -362,11 +343,11 @@ func TestDifferentialSerial(t *testing.T) {
 		d := d
 		t.Run(d.name, func(t *testing.T) {
 			t.Parallel()
-			ref := runScan(xmlstream.NewScanner(bytes.NewReader(d.data), seedOpts(d.opts)...))
-			// The seed engine must itself be chunk-size invariant (it is the
-			// oracle); spot-check a few granularities.
+			ref := runScan(xmlstream.NewSeedScanner(bytes.NewReader(d.data), freshOpts(d.opts)...))
+			// The reference engine must itself be chunk-size invariant (it is
+			// the oracle); spot-check a few granularities.
 			for _, n := range []int{1, 7, 64} {
-				got := runScan(xmlstream.NewScanner(&chunkReader{data: d.data, n: n}, seedOpts(d.opts)...))
+				got := runScan(xmlstream.NewSeedScanner(&chunkReader{data: d.data, n: n}, freshOpts(d.opts)...))
 				compareSerial(t, fmt.Sprintf("seed chunk=%d", n), ref, got)
 			}
 			for _, n := range chunkSizes() {
@@ -379,62 +360,74 @@ func TestDifferentialSerial(t *testing.T) {
 	}
 }
 
-// TestDifferentialParallel replays the corpus through the parallel chunk
-// scanner under adversarial split choices: regular strides, every boundary
-// in small documents, and deterministic pseudo-random target sets.
+// TestDifferentialParallel replays the corpus through concurrent scanners
+// that share one Symtab, as concurrent evaluations of one compiled query do:
+// four at once per document, each at its own reader chunk size or over the
+// bytes. Each is held to the reference's serial contract except for the
+// numbering of symbols, which the shared table assigns in whatever order the
+// scanners first reach a label; every symbol must instead name its own label
+// in the shared table.
 func TestDifferentialParallel(t *testing.T) {
 	for _, d := range diffCorpus(t) {
 		d := d
 		t.Run(d.name, func(t *testing.T) {
 			t.Parallel()
-			ref := runScan(xmlstream.NewScanner(bytes.NewReader(d.data), seedOpts(d.opts)...))
-			for _, targets := range splitChoices(len(d.data)) {
-				got := runScan(xmlstream.NewParallelScannerAt(d.data, targets, freshOpts(d.opts)...))
-				compareParallel(t, fmt.Sprintf("parallel targets=%v", targets), ref, got)
+			ref := runScan(xmlstream.NewSeedScanner(bytes.NewReader(d.data), freshOpts(d.opts)...))
+			shared := xmlstream.NewSymtab()
+			opts := append(append([]xmlstream.ScannerOption{}, d.opts...), xmlstream.WithSymtab(shared))
+			srcs := []scanSource{
+				xmlstream.ScanBytes(d.data, opts...),
+				xmlstream.NewScanner(&chunkReader{data: d.data, n: 1}, opts...),
+				xmlstream.NewScanner(&chunkReader{data: d.data, n: 13}, opts...),
+				xmlstream.NewScanner(bytes.NewReader(d.data), opts...),
+			}
+			outs := make([]scanOutcome, len(srcs))
+			var wg sync.WaitGroup
+			for i, src := range srcs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					outs[i] = runScan(src)
+				}()
+			}
+			wg.Wait()
+			for i, got := range outs {
+				label := fmt.Sprintf("concurrent scanner %d", i)
+				for k, ev := range got.events {
+					for _, sym := range eventSyms(ev) {
+						if got := shared.Name(sym.sym); got != sym.name {
+							t.Fatalf("%s: event %d (%v): symbol %d names %q in the shared table", label, k, ev, sym.sym, got)
+						}
+					}
+				}
+				if d := diffEvents(ref, got, true); d != "" {
+					t.Fatalf("%s: %s", label, d)
+				}
+				compareErr(t, label, ref, got)
 			}
 		})
 	}
 }
 
-// splitChoices generates target sets for a document of n bytes: regular
-// strides and xorshift-derived irregular sets.
-func splitChoices(n int) [][]int {
-	if n == 0 {
-		return [][]int{nil}
-	}
-	choices := [][]int{nil}
-	for _, stride := range []int{1, 2, 3, 5, 8, 13, 21, 34, 55} {
-		if stride >= n {
-			continue
-		}
-		var ts []int
-		for off := stride; off < n && len(ts) < 64; off += stride {
-			ts = append(ts, off)
-		}
-		choices = append(choices, ts)
-	}
-	// Irregular sets from a deterministic xorshift stream.
-	s := uint64(n)*0x9E3779B97F4A7C15 + 1
-	for set := 0; set < 4; set++ {
-		var ts []int
-		for k := 0; k < 1+set*3; k++ {
-			s ^= s >> 12
-			s ^= s << 25
-			s ^= s >> 27
-			ts = append(ts, int((s*0x2545F4914F6CDD1D)%uint64(n)))
-		}
-		choices = append(choices, ts)
-	}
-	return choices
+// namedSym is one symbol an event carries and the label it stands for.
+type namedSym struct {
+	sym  xmlstream.Sym
+	name string
 }
 
-// seedOpts appends WithSeedScan and a fresh symtab to the document options.
-func seedOpts(opts []xmlstream.ScannerOption) []xmlstream.ScannerOption {
-	out := append([]xmlstream.ScannerOption{}, opts...)
-	return append(out, xmlstream.WithSeedScan(true), xmlstream.WithSymtab(xmlstream.NewSymtab()))
+// eventSyms lists the symbols of an element event and of its attributes.
+func eventSyms(ev xmlstream.Event) []namedSym {
+	if ev.Kind != xmlstream.StartElement && ev.Kind != xmlstream.EndElement {
+		return nil
+	}
+	out := []namedSym{{ev.Sym, ev.Name}}
+	for _, a := range ev.Attrs {
+		out = append(out, namedSym{a.Sym, a.Name})
+	}
+	return out
 }
 
-// freshOpts appends a fresh symtab (fast engine, the default).
+// freshOpts appends a fresh symtab to the document options.
 func freshOpts(opts []xmlstream.ScannerOption) []xmlstream.ScannerOption {
 	out := append([]xmlstream.ScannerOption{}, opts...)
 	return append(out, xmlstream.WithSymtab(xmlstream.NewSymtab()))

@@ -107,19 +107,6 @@ func (e Event) Attr(name string) (string, bool) {
 	return "", false
 }
 
-// AttrSym returns the value of the attribute whose interned name symbol is
-// sym, and whether it is present. It is the allocation-free integer-compare
-// lookup the attribute-test transducer uses when producer and network share
-// a Symtab.
-func (e Event) AttrSym(sym Sym) (string, bool) {
-	for _, a := range e.Attrs {
-		if a.Sym == sym {
-			return a.Value, true
-		}
-	}
-	return "", false
-}
-
 // String renders the event in the paper's message notation; attributes
 // render in document order inside the start message.
 func (e Event) String() string {

@@ -7,21 +7,21 @@ import (
 	"unsafe"
 )
 
-// The vectorized zero-copy scan engine. Instead of dispatching per byte it
-// locates construct boundaries with bytes.IndexByte / bytes.Index (memchr
-// under the hood) over the buffered window and parses whole constructs in
-// place. Text runs and attribute values are views of the window; what cannot
-// be a view (entity-decoded payload, CDATA content, attribute lists) is carved
-// from the scanner's arenas; element and attribute names go through the
-// symtab/name interner exactly as in the seed engine. When a construct is cut
-// off by the window edge the engine refills and retries, and if the window
-// cannot grow (token larger than the buffer, or end of input) it falls back
-// to the incremental seed engine for that one construct — for a text run, to
-// accumulating it — which enforces token limits byte by byte.
+// The scan engine. Instead of dispatching per byte it locates construct
+// boundaries with bytes.IndexByte / bytes.Index (memchr under the hood) over
+// the buffered window and parses whole constructs in place. Text runs and
+// attribute values are views of the window; what cannot be a view
+// (entity-decoded payload, CDATA content, attribute lists) is carved from the
+// scanner's arenas; element and attribute names go through the symtab/name
+// interner. When the window edge cuts a construct the engine refills and
+// retries. A text run the window cannot hold accumulates in scratch; a tag
+// the window cannot hold grows the window (moreTag). Token limits are checked
+// against the token's length either way, never against the window's.
 //
-// The engine is behaviorally identical to the seed engine: same events, same
-// error classes, same error offsets. The differential harness replays every
-// corpus through both at every chunk size and enforces exactly that.
+// The byte-at-a-time reference engine the scanner started from lives in the
+// tests (seed_test.go) as the oracle: the differential harness replays every
+// corpus through both at every chunk size and requires the same events, the
+// same error classes and the same error offsets.
 
 var (
 	piEnd      = []byte("?>")
@@ -37,25 +37,12 @@ var nameByteTab = func() (t [256]bool) {
 	return
 }()
 
-// effDepth is the element depth the current construct sees. For a fragment
-// scanner this is the global depth: the chunk's start depth plus elements
-// opened locally, minus end tags that closed elements of earlier chunks.
-func (s *Scanner) effDepth() int {
-	return s.baseDepth + len(s.stack) - s.underflow
-}
-
 // inContent reports whether character data at the current position is
 // document content (inside the root element) and must be emitted.
-func (s *Scanner) inContent() bool {
-	if s.fragment {
-		return s.effDepth() > 0
-	}
-	return s.state == scanInDocument
-}
+func (s *Scanner) inContent() bool { return s.state == scanInDocument }
 
-// fastScan is the zero-copy counterpart of scan: consume input until one
-// event is produced (ok=true), the construct yields no event (ok=false), or
-// the input is invalid.
+// fastScan consumes input until one event is produced (ok=true), the
+// construct yields no event (ok=false), or the input is invalid.
 func (s *Scanner) fastScan() (Event, bool, error) {
 	if s.state == scanDone {
 		return Event{}, false, io.EOF
@@ -80,7 +67,7 @@ func (s *Scanner) fastScan() (Event, bool, error) {
 		if s.err != nil {
 			return Event{}, false, s.err
 		}
-		s.pos++ // the dangling '<' is consumed, as readByte would
+		s.pos++ // the dangling '<' is consumed
 		return Event{}, false, truncatedf("unexpected end of input inside markup")
 	}
 	switch c {
@@ -91,9 +78,15 @@ func (s *Scanner) fastScan() (Event, bool, error) {
 		s.pos += 2
 		return Event{}, false, s.fastDeclaration()
 	case '/':
-		return s.fastEndTag()
+		return s.fastTag(s.tryEndTag, "end tag")
 	default:
-		return s.fastStartTag()
+		if s.state == scanAfterRoot {
+			return Event{}, false, fmt.Errorf("xmlstream: content after document root")
+		}
+		if max := s.limits.MaxDepth; max > 0 && len(s.stack) >= max {
+			return Event{}, false, &ScanLimitError{What: "nesting", Limit: max, sentinel: ErrTooDeep}
+		}
+		return s.fastTag(s.tryStartTag, "start tag")
 	}
 }
 
@@ -259,8 +252,8 @@ func (s *Scanner) fastPI() error {
 }
 
 // fastDeclaration dispatches "<!" constructs: comments and CDATA sections get
-// vectorized scans; DOCTYPE declarations share the seed engine's
-// bracket-tracking loop (they appear at most once per document).
+// vectorized scans, DOCTYPE declarations a bracket-tracking loop (they appear
+// at most once per document).
 func (s *Scanner) fastDeclaration() error {
 	if s.hasPrefix("--") {
 		s.pos += 2
@@ -437,34 +430,28 @@ loop:
 				break loop
 			}
 			if len(s.stack) == 0 {
-				if !s.fragment {
-					break loop // unexpected end tag: general path reports it
-				}
-				nm, sym := s.intern(b[ns:j])
-				s.underflow++
-				s.pushPend(Event{Kind: EndElement, Sym: sym, Name: nm}, k+1)
-			} else {
-				open := s.stack[len(s.stack)-1]
-				if open != string(b[ns:j]) { // no allocation: string compare on []byte
-					break loop // mismatched end tag: general path reports it
-				}
-				sym := s.stackSyms[len(s.stackSyms)-1]
-				s.stack = s.stack[:len(s.stack)-1]
-				s.stackSyms = s.stackSyms[:len(s.stackSyms)-1]
-				s.pushPend(Event{Kind: EndElement, Sym: sym, Name: open}, k+1)
-				if len(s.stack) == 0 && !s.fragment {
-					// The root just closed; the epilog belongs to the
-					// general path.
-					s.state = scanAfterRoot
-					s.pos = k + 1
-					return true
-				}
+				break loop // unexpected end tag: general path reports it
+			}
+			open := s.stack[len(s.stack)-1]
+			if open != string(b[ns:j]) { // no allocation: string compare on []byte
+				break loop // mismatched end tag: general path reports it
+			}
+			sym := s.stackSyms[len(s.stackSyms)-1]
+			s.stack = s.stack[:len(s.stack)-1]
+			s.stackSyms = s.stackSyms[:len(s.stackSyms)-1]
+			s.pushPend(Event{Kind: EndElement, Sym: sym, Name: open}, k+1)
+			if len(s.stack) == 0 {
+				// The root just closed; the epilog belongs to the general
+				// path.
+				s.state = scanAfterRoot
+				s.pos = k + 1
+				return true
 			}
 			n++
 			i = k + 1
 		case isNameStart(c):
 			// Start tag, with tryStartTag's grammar.
-			if maxDepth > 0 && s.effDepth() >= maxDepth {
+			if maxDepth > 0 && len(s.stack) >= maxDepth {
 				break loop
 			}
 			ns := i + 1
@@ -520,9 +507,9 @@ loop:
 			}
 			s.state = scanInDocument
 			if selfClose {
-				// A self-closing root is unreachable here: in-document (or
-				// fragment) scanning implies the construct never empties a
-				// non-fragment stack, so no scanAfterRoot transition.
+				// A self-closing root is unreachable here: in-document
+				// scanning implies the construct never empties the stack,
+				// so no scanAfterRoot transition.
 				s.pushPend(Event{Kind: StartElement, Sym: sym, Name: name, Attrs: attrs}, j)
 				s.pushPend(Event{Kind: EndElement, Sym: sym, Name: name}, j)
 				n += 2
@@ -541,35 +528,56 @@ loop:
 	return n > 0
 }
 
-// fastStartTag parses a start tag wholly within the buffered window, retrying
-// after a refill when the tag is cut off and falling back to the seed engine
-// when the window cannot grow.
-func (s *Scanner) fastStartTag() (Event, bool, error) {
-	if s.state == scanAfterRoot {
-		return Event{}, false, fmt.Errorf("xmlstream: content after document root")
-	}
-	if max := s.limits.MaxDepth; max > 0 && s.effDepth() >= max {
-		return Event{}, false, &ScanLimitError{What: "nesting", Limit: max, sentinel: ErrTooDeep}
-	}
+// fastTag parses the start or end tag at s.pos with try, which parses it in
+// place when the window holds all of it. While the window ends inside the
+// tag, moreTag reads on and the tag is parsed again; input that ends inside
+// it is a truncation.
+func (s *Scanner) fastTag(try func() (Event, bool, bool, error), what string) (Event, bool, error) {
 	for {
-		ev, ok, complete, err := s.tryStartTag()
+		ev, ok, complete, err := try()
 		if err != nil || complete {
 			return ev, ok, err
 		}
-		if s.more() {
-			continue
-		}
-		// Window exhausted mid-tag: the seed engine finishes this construct
-		// incrementally (and enforces token limits along the way).
-		s.pos++ // consume '<' exactly as scan would
-		c, ok2 := s.readByte()
-		if !ok2 {
-			if s.err != nil {
-				return Event{}, false, s.err
+		if more, err := s.moreTag(what); !more {
+			if err == nil {
+				err = truncatedf("unterminated %s", what)
 			}
-			return Event{}, false, truncatedf("unexpected end of input inside markup")
+			return Event{}, false, err
 		}
-		return s.scanStartTag(c)
+	}
+}
+
+// moreTag reads on for a tag the window ends inside. It returns true once the
+// tag is worth parsing again — a '>' arrived, the window is full, or the
+// input ended after new bytes — and false when the input ended or failed
+// with nothing new. A window the tag fills is doubled, up to twice
+// MaxTokenBytes: the window holds a tag whole, so a tag longer than that is
+// an oversized token. Each full window is parsed before it grows, so the
+// limits of the tag's own tokens trip on their length first.
+func (s *Scanner) moreTag(what string) (bool, error) {
+	parsed := s.end - s.pos
+	for {
+		if s.end-s.pos == len(s.buf) && !s.stable && !s.eof && s.err == nil {
+			n := 2 * len(s.buf)
+			if max := s.limits.MaxTokenBytes; max > 0 {
+				n = min(n, 2*max)
+			}
+			if n <= len(s.buf) {
+				return false, s.tokenTooLarge(what)
+			}
+			grown := make([]byte, n)
+			s.end = copy(grown, s.buf[s.pos:s.end])
+			s.base += int64(s.pos)
+			s.pos, s.dead = 0, 0
+			s.buf, s.ownBuf = grown, grown
+		}
+		seen := s.end - s.pos
+		if !s.more() {
+			return s.err == nil && s.end-s.pos > parsed, s.err
+		}
+		if bytes.IndexByte(s.buf[s.pos+seen:s.end], '>') >= 0 || s.end == len(s.buf) {
+			return true, nil
+		}
 	}
 }
 
@@ -604,7 +612,7 @@ func (s *Scanner) tryStartTag() (ev Event, ok, complete bool, err error) {
 		name, sym = s.intern(tag)
 		i++
 	case c == '/':
-		// The seed engine's expect('>') skips whitespace between '/' and '>'.
+		// Whitespace between '/' and '>' is skipped.
 		j := i + 1
 		for j < len(b) && isSpace(b[j]) {
 			j++
@@ -645,7 +653,7 @@ func (s *Scanner) tryStartTag() (ev Event, ok, complete bool, err error) {
 	s.state = scanInDocument
 	if selfClose {
 		s.pushLive(Event{Kind: EndElement, Sym: sym, Name: name})
-		if len(s.stack) == 0 && !s.fragment {
+		if len(s.stack) == 0 {
 			s.state = scanAfterRoot
 		}
 	} else {
@@ -721,6 +729,9 @@ func (s *Scanner) tryAttrs(b, tag []byte, i int) (end int, selfClose, complete b
 		i++
 		vlen := bytes.IndexByte(b[i:], q)
 		if vlen < 0 {
+			if max > 0 && len(b)-i > max {
+				return 0, false, false, s.tokenTooLarge("attribute value")
+			}
 			return 0, false, false, nil
 		}
 		raw := b[i : i+vlen]
@@ -756,8 +767,8 @@ func (s *Scanner) takeAttrsArena() []Attr {
 }
 
 // trySkipAttrsIn consumes attribute text until '>' or '/>' within the window,
-// honouring quoted values, with the seed engine's skipAttributes semantics
-// (self-closing iff the byte immediately before '>' is '/').
+// honouring quoted values; the tag is self-closing iff the byte immediately
+// before '>' is '/'.
 func trySkipAttrsIn(b []byte, i int) (end int, selfClose, complete bool) {
 	prev := byte(0)
 	for i < len(b) {
@@ -777,22 +788,6 @@ func trySkipAttrsIn(b []byte, i int) (end int, selfClose, complete bool) {
 		}
 	}
 	return 0, false, false
-}
-
-// fastEndTag parses an end tag wholly within the window, with the same
-// refill-then-fallback discipline as fastStartTag.
-func (s *Scanner) fastEndTag() (Event, bool, error) {
-	for {
-		ev, ok, complete, err := s.tryEndTag()
-		if err != nil || complete {
-			return ev, ok, err
-		}
-		if s.more() {
-			continue
-		}
-		s.pos += 2 // consume "</" exactly as scan would
-		return s.scanEndTag()
-	}
 }
 
 // tryEndTag attempts to parse the end tag at s.pos (which holds '<' followed
@@ -828,17 +823,9 @@ func (s *Scanner) tryEndTag() (ev Event, ok, complete bool, err error) {
 }
 
 // commitEndTag checks the end tag's name against the open-element stack and
-// delivers the end event, consuming input up to end. In fragment mode an end
-// tag with an empty local stack closes an element opened in an earlier chunk:
-// it is emitted as-is and the stitcher checks it against the global stack.
+// delivers the end event, consuming input up to end.
 func (s *Scanner) commitEndTag(name []byte, end int) (Event, bool, error) {
 	if len(s.stack) == 0 {
-		if s.fragment {
-			nm, sym := s.intern(name)
-			s.underflow++
-			s.pos = end
-			return Event{Kind: EndElement, Sym: sym, Name: nm}, true, nil
-		}
 		return Event{}, false, fmt.Errorf("xmlstream: unexpected end tag </%s> with no open element", name)
 	}
 	open := s.stack[len(s.stack)-1]
@@ -848,7 +835,7 @@ func (s *Scanner) commitEndTag(name []byte, end int) (Event, bool, error) {
 	sym := s.stackSyms[len(s.stackSyms)-1]
 	s.stack = s.stack[:len(s.stack)-1]
 	s.stackSyms = s.stackSyms[:len(s.stackSyms)-1]
-	if len(s.stack) == 0 && !s.fragment {
+	if len(s.stack) == 0 {
 		s.state = scanAfterRoot
 	}
 	s.pos = end

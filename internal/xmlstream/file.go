@@ -5,9 +5,8 @@ import (
 	"os"
 )
 
-// Doc is a whole document held in memory for the zero-copy and parallel scan
-// paths, memory-mapped when the platform supports it and read outright
-// otherwise. Close unmaps/releases the bytes; no Scanner over the document
+// Doc is a whole document held in memory for the zero-copy scan path,
+// memory-mapped when the platform supports it and read outright otherwise. Close unmaps/releases the bytes; no Scanner over the document
 // may be used afterwards.
 type Doc struct {
 	data   []byte
@@ -50,7 +49,7 @@ func (d *Doc) Len() int { return len(d.data) }
 // Mapped reports whether the document is memory-mapped rather than heap-held.
 func (d *Doc) Mapped() bool { return d.mapped }
 
-// Close releases the document bytes. Any Scanner or ParallelScanner still
+// Close releases the document bytes. Any Scanner still
 // reading them must be done first.
 func (d *Doc) Close() error {
 	data, mapped := d.data, d.mapped

@@ -1,17 +1,16 @@
 package xmlstream
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
 
-// FuzzScanner feeds arbitrary bytes to the scanner: it must never panic,
-// and whenever it accepts a document, the events must be balanced and the
-// serialization must rescan to the same events. Three engines face every
-// input: the seed byte-at-a-time engine (the oracle), the zero-copy engine,
-// and the parallel chunk scanner with split points derived from the input
-// itself — all must agree on events, error presence, and (for the serial
-// pair) error offsets.
+// FuzzScanner feeds arbitrary bytes to the scanner: it must never panic, it
+// must agree with the reference engine (seed_test.go) on the events, the
+// error class and the error offset, and whenever it accepts a document the
+// events must be balanced and the serialization must rescan to the same
+// events.
 func FuzzScanner(f *testing.F) {
 	seeds := []string{
 		`<a><a><c/></a><b/><c/></a>`,
@@ -21,9 +20,9 @@ func FuzzScanner(f *testing.F) {
 		``, `plain`, `<a><b/></a><c/>`, "<\x00>", "<a>\xff</a>",
 		`<a k="1" l='&amp;"'/>`, `<a k="1" k="2"/>`, `<a k=1/>`, `<a k="`,
 		`<items><item status="closed"><summary/></item></items>`,
-		// Split-point attacks for the parallel arm: whitespace-gapped
-		// self-closing tags, CDATA terminators and comment dashes that can
-		// land on chunk edges, text runs spanning would-be boundaries.
+		// Whitespace-gapped self-closing tags, CDATA terminators and comment
+		// dashes, text runs: the constructs whose every prefix is a
+		// truncation of its own kind.
 		`<r><a/ ><![CDATA[x]]]]><!----->--<b x=">"/></r>`,
 		`<r>tail text runs past every boundary</r><?pi?>`,
 	}
@@ -31,12 +30,17 @@ func FuzzScanner(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, doc string) {
-		seedEvs, seedErr := Collect(NewScanner(strings.NewReader(doc), WithSeedScan(true)))
-		evs, err := Collect(NewScanner(strings.NewReader(doc)))
+		seed := newSeedScanner(strings.NewReader(doc))
+		seedEvs, seedErr := Collect(seed)
+		sc := NewScanner(strings.NewReader(doc))
+		evs, err := Collect(sc)
 		// Engine equivalence holds for malformed inputs too: same events
-		// delivered before the error, same error presence.
-		if (err == nil) != (seedErr == nil) {
-			t.Fatalf("engines disagree on %q: fast err %v, seed err %v", doc, err, seedErr)
+		// delivered before the error, same error class and offset.
+		if errClass(err) != errClass(seedErr) {
+			t.Fatalf("engines disagree on %q: err %v, seed err %v", doc, err, seedErr)
+		}
+		if err != nil && sc.ErrorOffset() != seed.ErrorOffset() {
+			t.Fatalf("engines disagree on %q: ErrorOffset %d, seed %d (err %v)", doc, sc.ErrorOffset(), seed.ErrorOffset(), err)
 		}
 		if len(evs) != len(seedEvs) {
 			t.Fatalf("engines disagree on %q: %d events vs seed %d", doc, len(evs), len(seedEvs))
@@ -44,33 +48,6 @@ func FuzzScanner(f *testing.F) {
 		for i := range evs {
 			if !sameEvent(evs[i], seedEvs[i]) {
 				t.Fatalf("engines disagree on %q at event %d: %v vs seed %v", doc, i, evs[i], seedEvs[i])
-			}
-		}
-		// Parallel chunk-scan arm: split targets fuzzed from the input bytes
-		// (deterministic, so crashers reproduce from the corpus file alone).
-		if n := len(doc); n > 1 {
-			h := uint64(n) * 0x9E3779B97F4A7C15
-			for _, c := range []byte(doc) {
-				h = (h ^ uint64(c)) * 0x100000001B3
-			}
-			var targets []int
-			for k := 0; k < 1+int(h%4); k++ {
-				h ^= h >> 12
-				h ^= h << 25
-				h ^= h >> 27
-				targets = append(targets, int((h*0x2545F4914F6CDD1D)%uint64(n)))
-			}
-			pevs, perr := Collect(NewParallelScannerAt([]byte(doc), targets))
-			if (perr == nil) != (err == nil) {
-				t.Fatalf("parallel scan of %q at %v: err %v, serial err %v", doc, targets, perr, err)
-			}
-			if len(pevs) != len(evs) {
-				t.Fatalf("parallel scan of %q at %v: %d events, serial %d", doc, targets, len(pevs), len(evs))
-			}
-			for i := range pevs {
-				if !sameEvent(pevs[i], evs[i]) {
-					t.Fatalf("parallel scan of %q at %v: event %d %v, serial %v", doc, targets, i, pevs[i], evs[i])
-				}
 			}
 		}
 		if err != nil {
@@ -121,4 +98,18 @@ func mergeText(evs []Event) []Event {
 		out = append(out, ev)
 	}
 	return out
+}
+
+// errClass names the sentinel err matches: the error classes the engines
+// must agree on.
+func errClass(err error) string {
+	for _, e := range []error{ErrTruncated, ErrTokenTooLarge, ErrTooDeep, ErrDuplicateAttr} {
+		if errors.Is(err, e) {
+			return e.Error()
+		}
+	}
+	if err != nil {
+		return "malformed"
+	}
+	return "<nil>"
 }

@@ -15,8 +15,10 @@ import (
 // DefaultMaxTokenBytes and DefaultMaxDepth.
 type Limits struct {
 	// MaxTokenBytes caps the bytes one token may occupy in scanner memory:
-	// an element name, a contiguous text run, or a CDATA section. Zero
-	// selects DefaultMaxTokenBytes; negative disables the cap.
+	// an element or attribute name, an attribute value, a contiguous text
+	// run, or a CDATA section. A start or end tag, which the scanner holds
+	// whole in its read window, may take twice that. Zero selects
+	// DefaultMaxTokenBytes; negative disables the cap.
 	MaxTokenBytes int
 	// MaxDepth caps the element nesting depth. Zero selects
 	// DefaultMaxDepth; negative disables the cap.
@@ -74,7 +76,7 @@ func duplicateAttrf(attr string, tag []byte) error {
 // ScanLimitError reports which scanner limit the input exceeded.
 type ScanLimitError struct {
 	// What names the construct: "tag name", "attribute name", "attribute
-	// value", "text", "CDATA section", "nesting".
+	// value", "text", "CDATA section", "start tag", "end tag", "nesting".
 	What string
 	// Limit is the configured cap the input crossed.
 	Limit int

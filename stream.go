@@ -83,10 +83,6 @@ type setConfig struct {
 	gov      *governor.Config
 	metrics  *obs.Metrics
 	traceID  string
-	// pscan enables the parallel chunk-scan ingest path for bytes-fed
-	// evaluations; pscanWorkers <= 0 means one worker per CPU.
-	pscan        bool
-	pscanWorkers int
 }
 
 // Merged does nothing: every Set compiles through the query-set compiler.
@@ -108,19 +104,6 @@ func Parallel(shards int) SetOption {
 	return func(c *setConfig) {
 		c.parallel = true
 		c.shards = shards
-	}
-}
-
-// ParallelScan makes EvaluateBytes tokenize the document with the parallel
-// chunk scanner: the input is split at safe byte boundaries, chunks are
-// scanned concurrently, and the stitched event stream — identical to a
-// serial scan's — feeds the set's engine. workers <= 0 selects one worker
-// per CPU. Reader-fed evaluations (Evaluate, EvaluateContext) are
-// unaffected: splitting needs the whole document in memory.
-func ParallelScan(workers int) SetOption {
-	return func(c *setConfig) {
-		c.pscan = true
-		c.pscanWorkers = workers
 	}
 }
 
@@ -241,8 +224,7 @@ func (s *Set) EvaluateContext(ctx context.Context, r io.Reader) error {
 
 // EvaluateBytes evaluates an in-memory document — the mmap/file fast path.
 // The scanner works zero-copy on data (no per-event allocation; text and
-// attribute values are views into data, valid for the whole evaluation), and
-// with the ParallelScan option the document is chunk-scanned concurrently.
+// attribute values are views into data, valid for the whole evaluation).
 // data must not be mutated while the evaluation runs.
 func (s *Set) EvaluateBytes(data []byte) error {
 	return s.EvaluateBytesContext(context.Background(), data)
@@ -255,19 +237,12 @@ func (s *Set) EvaluateBytesContext(ctx context.Context, data []byte) error {
 	if err != nil {
 		return err
 	}
-	scanOpts := s.scanOptions(eng)
-	var src xmlstream.Source
-	if s.cfg.pscan {
-		src = xmlstream.NewParallelScanner(data, s.cfg.pscanWorkers, scanOpts...)
-	} else {
-		sc := core.AcquireScanner(nil, data, scanOpts...)
-		defer core.ReleaseScanner(sc)
-		src = sc
-	}
+	sc := core.AcquireScanner(nil, data, s.scanOptions(eng)...)
+	defer core.ReleaseScanner(sc)
 	if m := s.cfg.metrics; m != nil {
 		m.Bytes.Add(int64(len(data)))
 	}
-	return s.finish(ctx, eng, src)
+	return s.finish(ctx, eng, sc)
 }
 
 // scanOptions configures the scanner of one evaluation: text and attribute
@@ -336,22 +311,15 @@ func (s *Set) engine() (setEngine, error) {
 
 // finish runs the engine over the source and folds its counters back into
 // the set, publishing the scan's ingest accounting on the attached registry.
-func (s *Set) finish(ctx context.Context, eng setEngine, src xmlstream.Source) error {
-	if st, ok := src.(interface{ Stop() }); ok {
-		// A run that ends before EOF (answer limits, cancellation, engine
-		// error) abandons the source; parallel chunk workers must be released.
-		defer st.Stop()
-	}
-	run := src
+func (s *Set) finish(ctx context.Context, eng setEngine, sc *xmlstream.Scanner) error {
+	var run xmlstream.Source = sc
 	if ctx.Done() != nil {
-		run = &ctxSource{ctx: ctx, src: src}
+		run = &ctxSource{ctx: ctx, src: sc}
 	}
 	err := eng.Run(run)
 	if m := s.cfg.metrics; m != nil {
-		if is, ok := src.(interface{ IngestStats() xmlstream.IngestStats }); ok {
-			st := is.IngestStats()
-			m.SetIngest(st.ArenaBytes, st.ArenaBlocks, st.ArenaAttrs, st.BufferBytes, st.Chunks)
-		}
+		st := sc.IngestStats()
+		m.SetIngest(st.ArenaBytes, st.ArenaBlocks, st.ArenaAttrs, st.BufferBytes)
 	}
 	if err != nil {
 		return err
